@@ -3,7 +3,8 @@
 Instances are addressed by a small grammar (family:params) or by gallery
 id.  Exit codes: 0 all checks passed; 1 a refutation was found as
 expected and certified; 2 expected-vs-computed mismatch or broken
-certificate; 64 unknown instance or parse failure.
+certificate; 64 unknown instance or parse failure, including a command
+line that argparse rejects.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ _CONES = {
 
 class InstanceError(ValueError):
     pass
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_instance(text: str) -> MonoidDescriptor:
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("factorize", help="enumerate Z(element)")
     sp.add_argument("instance")
     sp.add_argument("element")
-    sp.add_argument("--max-count", type=int, default=10_000)
+    sp.add_argument("--max-count", type=_positive_int, default=10_000)
     common(sp)
     sp.set_defaults(func=cmd_factorize)
 
@@ -389,7 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version, and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except InstanceError as exc:

@@ -4,11 +4,14 @@ bounded property probes.
 Factorizations are enumerated by depth-first search over the atom window
 sorted in descending order, with residual-feasibility pruning (the
 residual stays nonnegative, and where a minimum atom exists the residual
-is zero or at least that minimum).  Emission order is lexicographic in
-the multiplicity vector over the descending atoms, so reports are
-reproducible.  Family-specific congruence filters (prime residues for the
-reciprocal monoid, the power-descent residue for the geometric monoid)
-keep the searches exact and small.
+is zero or at least that minimum).  Rational atoms are searched as
+integers over their common denominator.  A finitely generated monoid is
+atomic with a complete atom list, so there the enumeration itself decides
+membership (an empty one raises NotAMember).  Emission order is
+lexicographic in the multiplicity vector over the descending atoms, so
+reports are reproducible.  Family-specific congruence filters (prime
+residues for the reciprocal monoid, the power-descent residue for the
+geometric monoid) keep the searches exact and small.
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
@@ -22,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
-from .elements import Group, GroupElement, rational
+from .elements import GroupElement, rational
 from .monoids import (
     AlphaBeta,
     Conductive,
@@ -40,8 +43,11 @@ from .monoids import (
     UNION,
     UnionShift,
     UnsupportedFamily,
+    _box_elements,
+    _den_support_ok,
     alphabeta_atom,
     alphabeta_domain,
+    check_query,
     contains,
     generators,
     members_within,
@@ -285,7 +291,7 @@ def _conductive_atom_candidates(m: Conductive, depth: int):
                 coords[last] += t
                 out.append(GroupElement(g, tuple(coords)))
             return out, True, None, None, "assert"
-        box = _lex_box_elements(g, depth)
+        box = _box_elements(g, (depth,) * g.rank)
         cands = [v for v in box if a <= v < two_a]
         return cands, False, None, "interval [a, 2a) meets the window box", "assert"
     if g.kind == "Q":
@@ -305,19 +311,10 @@ def _lexcone_atom_candidates(m: LexCone, depth: int):
         return [GroupElement(g, tuple(coords))], True, None, None, "assert"
     cands = [
         v
-        for v in _lex_box_elements(g, depth)
+        for v in _box_elements(g, (depth,) * g.rank)
         if v.value[g.priority] == 1
     ]
     return cands, False, None, "atoms have leading coordinate 1", "assert"
-
-
-def _lex_box_elements(g: Group, size: int) -> list[GroupElement]:
-    coords: list[tuple[int, ...]] = [()]
-    for _ in range(g.rank):
-        coords = [c + (v,) for c in coords for v in range(-size, size + 1)]
-    out = [GroupElement(g, c) for c in coords]
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +328,7 @@ def factorizations(
     max_count: int = DEFAULT_MAX_COUNT,
 ) -> FactorizationSearch:
     """Enumerate Z(b) over the atom window at the given depth."""
-    verdict = contains(m, b, depth)
-    if verdict.is_out:
-        raise NotAMember(f"{b} is not a member of {m}")
+    _require_member(m, b, depth)
     if b.is_zero:
         empty = Factorization((), b)
         return FactorizationSearch(m, b, (empty,), True, False)
@@ -342,8 +337,9 @@ def factorizations(
         return FactorizationSearch(
             m, b, (), False, False, note="NotAtomicFamily: no atoms in this family"
         )
-    desc = sorted(atom_set.atoms, reverse=True)
+    desc = atom_set.atoms[::-1]
     counts, truncated = _enumerate(m, desc, b, max_count)
+    _require_found(m, b, counts)
     facts = tuple(
         Factorization(tuple((a, c) for a, c in zip(desc, vec) if c > 0), b)
         for vec in counts
@@ -358,16 +354,15 @@ def length_set(
 ) -> LengthSet:
     """The set of factorization lengths of b found at the window depth;
     enumerates lengths without materializing the factorizations."""
-    verdict = contains(m, b, depth)
-    if verdict.is_out:
-        raise NotAMember(f"{b} is not a member of {m}")
+    _require_member(m, b, depth)
     if b.is_zero:
         return LengthSet(b, (0,), True)
     atom_set = atoms(m, depth)
     if not atom_set.atoms:
         return LengthSet(b, (), atom_set.complete)
-    desc = sorted(atom_set.atoms, reverse=True)
+    desc = atom_set.atoms[::-1]
     lens, truncated = _enumerate(m, desc, b, max_count, lengths_only=True)
+    _require_found(m, b, lens)
     complete = atom_set.covers(b) and not truncated
     return LengthSet(b, tuple(sorted(set(lens))), complete)
 
@@ -379,16 +374,15 @@ def is_atomic_element(
     provably exhausted; Unknown otherwise."""
     if isinstance(b, GroupElement) and b.is_zero:
         return AtomicityWitness("yes", Factorization((), b))
-    verdict = contains(m, b, depth)
-    if verdict.is_out:
-        raise NotAMember(f"{b} is not a member of {m}")
+    _require_member(m, b, depth)
     atom_set = atoms(m, depth)
     if atom_set.atoms:
-        desc = sorted(atom_set.atoms, reverse=True)
+        desc = atom_set.atoms[::-1]
         counts, truncated = _enumerate(m, desc, b, max_count=1)
         if counts:
             pairs = tuple((a, c) for a, c in zip(desc, counts[0]) if c > 0)
             return AtomicityWitness("yes", Factorization(pairs, b))
+        _require_found(m, b, counts)
     else:
         truncated = False
     if atom_set.covers(b) and not truncated:
@@ -396,6 +390,23 @@ def is_atomic_element(
             "no", note="atom window is exhaustive below the element; search exhausted"
         )
     return AtomicityWitness("unknown", note="no factorization within the window")
+
+
+def _require_member(m: MonoidDescriptor, b: Element, depth: int) -> None:
+    """Raise NotAMember when b is provably outside m.  A finitely generated
+    monoid is atomic with a complete atom list, so there the enumeration
+    decides membership (_require_found).  A complete atom list alone does
+    not suffice: (1, 0) lies in the conductive monoid of Z^2 at (0, 2),
+    whose atoms are (0, 2) and (0, 3), and has no factorization."""
+    if isinstance(m, FiniteGenerated):
+        check_query(m, b)
+    elif contains(m, b, depth).is_out:
+        raise NotAMember(f"{b} is not a member of {m}")
+
+
+def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
+    if not found and isinstance(m, FiniteGenerated):
+        raise NotAMember(f"{b} is not a member of {m}")
 
 
 # -- enumeration engines ------------------------------------------------------
@@ -451,9 +462,13 @@ def _strip_priority(atoms_desc, target):
 
 def _dfs_int(atoms_desc, target, max_count, lengths_only=False):
     """Integer knapsack enumeration after clearing denominators."""
-    dens = lcm(target.value.denominator, *[a.value.denominator for a in atoms_desc])
-    vals = [int(a.value * dens) for a in atoms_desc]
-    tgt = int(target.value * dens)
+    dens = lcm(*[a.value.denominator for a in atoms_desc])
+    t = target.value
+    if dens % t.denominator:
+        # every sum of the atoms has a denominator dividing dens
+        return [], False
+    vals = [a.value.numerator * (dens // a.value.denominator) for a in atoms_desc]
+    tgt = t.numerator * (dens // t.denominator)
     n = len(vals)
     suffix_gcd = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -645,14 +660,7 @@ def _mq_filter(q: Fraction, atoms_desc) -> Callable[[int, Fraction], Iterable[in
 
     def candidates(i: int, r: Fraction) -> Iterable[int]:
         y = r / powers[i]
-        den = y.denominator
-        t = den
-        g = gcd(t, dq)
-        while g > 1:
-            while t % g == 0:
-                t //= g
-            g = gcd(t, dq)
-        if t != 1:
+        if not _den_support_ok(y.denominator, dq):
             return ()
         res = (y.numerator * pow(y.denominator, -1, nq)) % nq
         top = int(y)
@@ -717,7 +725,7 @@ def probe_property(
         else:
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
-    desc = sorted(atom_set.atoms, reverse=True)
+    desc = atom_set.atoms[::-1]
     int_scaled = _try_int_scale(desc, members)
     if int_scaled is not None and atom_set.complete:
         return _probe_by_counting(m, prop, bound, depth, members, int_scaled)

@@ -2,8 +2,9 @@
 membership and divisibility decision procedures.
 
 Membership is exact (In/Out) wherever a decision procedure exists:
-finitely generated monoids (bounded knapsack), conductive monoids and lex
-cones (cone rule), the geometric monoid <q^n> (denominator descent), the
+finitely generated monoids (the integer knapsack engine of ``factor``,
+stopped at the first combination), conductive monoids and lex cones (cone
+rule), the geometric monoid <q^n> (denominator descent), the
 prime-reciprocal monoid <1/p> (residue decomposition), localized rays
 Z[1/p]_{>=t}, their unions, and direct products.  The two families built
 around an irrational basis element only admit bounded verdicts, reported
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -182,6 +183,12 @@ class FiniteGenerated(MonoidDescriptor):
     @property
     def group(self) -> Group:
         return self.generators[0].group
+
+    @cached_property
+    def descending(self) -> tuple[GroupElement, ...]:
+        """The distinct generators in descending order, the membership
+        search's order; kept with the descriptor, so no query sorts them."""
+        return tuple(sorted(set(self.generators), reverse=True))
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
@@ -539,6 +546,10 @@ def generators(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> GeneratorWind
     """A deterministic finite generator list, monotone in depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if isinstance(m, FiniteGenerated):
+        # the generators themselves at every depth: rebuilding them costs
+        # no more than a lookup, and the cache would keep every descriptor
+        return GeneratorWindow(m, depth, tuple(_window_elements(m, depth)))
     return _window_cached(m, depth)
 
 
@@ -702,9 +713,7 @@ def contains(
 ) -> MembershipVerdict:
     """Decide x in m; exact for every family except the two irrational
     constructions and out-of-window combinations, which report unknown."""
-    _check_element(m, x)
-    if _is_negative(m, x):
-        raise ValueError("membership queries require a nonnegative element")
+    check_query(m, x)
     if isinstance(m, FiniteGenerated):
         return _fg_contains(m, x)
     if isinstance(m, GeometricPuiseux):
@@ -754,6 +763,15 @@ def divides(
     return contains(m, diff, depth)
 
 
+def check_query(m: MonoidDescriptor, x: Element) -> None:
+    """The checks every membership query makes before it searches: x lives
+    in the ground group of m (else GroupMismatch) and is nonnegative (else
+    ValueError)."""
+    _check_element(m, x)
+    if _is_negative(m, x):
+        raise ValueError("membership queries require a nonnegative element")
+
+
 def _check_element(m: MonoidDescriptor, x: Element) -> None:
     if isinstance(m, Product):
         if not isinstance(x, ProductElement):
@@ -775,69 +793,17 @@ def _is_negative(m: MonoidDescriptor, x: Element) -> bool:
 
 
 def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
+    """The first combination of the descending generators that sums to x,
+    from the integer knapsack engine that factorization uses."""
+    from .factor import _enumerate
+
     if x.is_zero:
         return verdict_in(())
-    gens = sorted(set(m.generators), reverse=True)
-    combo = _first_combination(gens, x)
-    if combo is None:
+    gens = m.descending
+    found, _ = _enumerate(m, gens, x, max_count=1)
+    if not found:
         return VERDICT_OUT
-    cert = tuple((g, c) for g, c in zip(gens, combo) if c > 0)
-    return verdict_in(cert)
-
-
-def _first_combination(
-    gens: list[GroupElement], target: GroupElement
-) -> Optional[list[int]]:
-    """First multiplicity vector over descending generators summing to the
-    target, by depth-first search with residual and level pruning."""
-    counts = [0] * len(gens)
-
-    def level(v: GroupElement) -> int:
-        if v.group.kind != "lex":
-            return 0
-        for pos, i in enumerate(v.group.priority_order):
-            if v.value[i] != 0:
-                return pos
-        return v.group.rank
-
-    def rec(i: int, residual: GroupElement) -> bool:
-        if residual.is_zero:
-            return True
-        if i == len(gens):
-            return False
-        if residual.is_negative:
-            return False
-        if level(gens[i]) > level(residual):
-            return False  # remaining generators are infinitesimal vs residual
-        top = _max_multiplicity(gens[i], residual)
-        for c in range(top, -1, -1):
-            counts[i] = c
-            if rec(i + 1, residual - gens[i].scale(c)):
-                return True
-        counts[i] = 0
-        return False
-
-    return list(counts) if rec(0, target) else None
-
-
-def _max_multiplicity(atom: GroupElement, residual: GroupElement) -> int:
-    """Largest c >= 0 with c * atom <= residual (atom positive, bounded case)."""
-    if atom.group.kind == "Q":
-        if residual.value < 0:
-            return 0
-        return int(residual.value / atom.value)
-    lo, hi = 0, 1
-    while atom.scale(hi) <= residual:
-        hi *= 2
-        if hi > 1 << 62:
-            raise OverflowError("unbounded multiplicity")
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if atom.scale(mid) <= residual:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return verdict_in(tuple((g, c) for g, c in zip(gens, found[0]) if c > 0))
 
 
 # -- geometric <q^n> ---------------------------------------------------------

@@ -4,6 +4,7 @@ modules rely on."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from posmon.monoids import (
     Product,
     PrimeReciprocal,
     Conductive,
+    FiniteGenerated,
     UnsupportedFamily,
     alphabeta_domain,
     alphabeta_phi,
@@ -71,6 +73,52 @@ class TestGeometricMembershipWide:
                 accepted += 1
                 assert replay_certificate(v, zero(Q)) == rational(x)
         assert accepted > 100
+
+
+class TestFiniteGeneratedMembership:
+    GENERATORS = [
+        (3, 5),
+        (4, 6, 9),
+        (6, 10, 15),
+        (Fraction(2, 3), Fraction(1, 2), Fraction(5, 4)),
+        (Fraction(3, 7), Fraction(5, 2)),
+    ]
+
+    @pytest.mark.parametrize("gens", GENERATORS, ids=lambda gens: ",".join(map(str, gens)))
+    def test_verdicts_match_brute_force(self, gens):
+        gens = [Fraction(g) for g in gens]
+        m = FiniteGenerated(tuple(rational(g) for g in gens))
+        den = lcm(*[g.denominator for g in gens])
+        # denominators dividing the lcm of the generators' ones, and not
+        targets = {Fraction(k, d) for d in (1, den, 2 * den, 3) for k in range(0, 20 * d + 1)}
+        accepted = 0
+        for x in sorted(targets):
+            got = contains(m, rational(x))
+            assert got.is_in == brute_force_membership(gens, x), (gens, x)
+            if got.is_in:
+                accepted += 1
+                assert all(g in m.generators and c > 0 for g, c in got.certificate)
+                assert replay_certificate(got, zero(Q)) == rational(x)
+        assert accepted >= 5
+
+    def test_lex_plane_verdicts_match_sums(self):
+        gens = ((1, -3), (2, 1), (0, 2))
+        m = FiniteGenerated(tuple(lexvec(Z2, *g) for g in gens))
+        # a target with leading coordinate <= 4 and |trailing| <= 12 needs
+        # c1 <= 4, c2 <= 2 and c3 <= 12 copies of the generators
+        sums = {
+            (c1 + 2 * c2, -3 * c1 + c2 + 2 * c3)
+            for c1 in range(5) for c2 in range(3) for c3 in range(13)
+        }
+        for a in range(5):
+            for b in range(-12, 13):
+                x = lexvec(Z2, a, b)
+                if x.is_negative:
+                    continue
+                got = contains(m, x)
+                assert got.is_in == ((a, b) in sums), (a, b)
+                if got.is_in:
+                    assert replay_certificate(got, zero(Z2)) == x
 
 
 class TestQuasiMembershipWide:

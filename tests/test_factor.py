@@ -8,7 +8,7 @@ import pytest
 
 from oracles import brute_force_factorizations, minimal_numerical_monoids
 from posmon.classify import classify_conductive
-from posmon.elements import Z, Z2, Z2_SECOND, lexvec, rational, zero
+from posmon.elements import Z, Z2, Z2_SECOND, GroupMismatch, lexvec, rational, zero
 from posmon.factor import (
     atoms,
     factorizations,
@@ -122,8 +122,27 @@ class TestFactorizations:
             assert f.length == 2
 
     def test_not_a_member(self):
-        with pytest.raises(NotAMember):
-            factorizations(numerical(3, 5), rational(7))
+        m = numerical(3, 5)
+        for query in (factorizations, length_set, is_atomic_element):
+            with pytest.raises(NotAMember):
+                query(m, rational(7))
+            with pytest.raises(ValueError) as neg:
+                query(m, rational(-1))
+            assert type(neg.value) is ValueError, query
+            with pytest.raises(GroupMismatch):
+                query(m, lexvec(Z, 7))
+
+    def test_complete_atoms_do_not_decide_membership(self):
+        # (1, 0) lies in {0} u (Z^2)_{>=(0,2)}, whose complete atom list
+        # (0, 2), (0, 3) does not reach it: a member without factorization
+        m = Conductive(lexvec(Z2, 0, 2))
+        b = lexvec(Z2, 1, 0)
+        assert contains(m, b).is_in
+        s = factorizations(m, b)
+        assert s.factorizations == () and s.complete and not s.truncated
+        ls = length_set(m, b)
+        assert ls.lengths == () and ls.complete
+        assert is_atomic_element(m, b).status == "no"
 
     def test_antimatter_note(self):
         from posmon.elements import Q2, GroupElement

@@ -229,6 +229,31 @@ class TestCliCommands:
         assert code == EXIT_MISMATCH
         assert "FAIL" in out and "MISMATCH" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factorize", "nm:3,5"],
+            ["bogus"],
+            ["atoms", "nm:3,5", "--depth", "x"],
+            ["factorize", "nm:3,5", "8", "--max-count", "0"],
+            ["factorize", "nm:3,5", "8", "--max-count", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_command_line_usage_error_exits_usage(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["factorize", "--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    def test_max_count_one(self, capsys):
+        assert main(["factorize", "nm:3,5", "15", "--max-count", "1", "--json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["factorizations"]) == 1 and out["truncated"]
+
     def test_element_parse_failure_exits_usage(self, capsys):
         code = main(["factorize", "nm:3,5", "x/y"])
         capsys.readouterr()
