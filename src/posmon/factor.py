@@ -7,7 +7,9 @@ residual stays nonnegative, and where a minimum atom exists the residual
 is zero or at least that minimum).  Rational atoms are searched as
 integers over their common denominator.  A finitely generated monoid is
 atomic with a complete atom list, so there the enumeration itself decides
-membership (an empty one raises NotAMember).  Emission order is
+membership (an empty one raises NotAMember).  The last atom's
+multiplicity is solved for rather than counted up to, so a large target
+costs no loop at the bottom of the search.  Emission order is
 lexicographic in the multiplicity vector over the descending atoms, so
 reports are reproducible.  Family-specific congruence filters (prime
 residues for the reciprocal monoid, the power-descent residue for the
@@ -493,7 +495,8 @@ def _dfs_int(atoms_desc, target, max_count, lengths_only=False):
             return
         v = vals[i]
         top = r // v
-        for c in range(top + 1):
+        # at the last atom the gcd check leaves one multiplicity, top
+        for c in (top,) if i == n - 1 else range(top + 1):
             counts[i] = c
             rec(i + 1, r - c * v, ln + c)
             if truncated:
@@ -548,7 +551,8 @@ def _dfs_lex2(atoms_desc, target, max_count, lengths_only=False):
         if m_rem * lo_n[i] > n_rem * lo_d[i] or n_rem * hi_d[i] > m_rem * hi_n[i]:
             return
         f, j = fs[i], js[i]
-        for c in range(m_rem // f + 1):
+        # at the last atom only the largest multiplicity can clear m_rem
+        for c in (m_rem // f,) if i == n - 1 else range(m_rem // f + 1):
             counts[i] = c
             rec(i + 1, m_rem - c * f, n_rem - c * j, ln + c)
             if truncated:
@@ -590,7 +594,8 @@ def _dfs_generic(atoms_desc, target, max_count, lengths_only=False):
         if level(atoms_desc[i]) > level(r):
             return
         top = _max_mult(atoms_desc[i], r)
-        for c in range(top + 1):
+        # at the last atom any multiplicity below top leaves a positive residual
+        for c in (top,) if i == n - 1 else range(top + 1):
             counts[i] = c
             rec(i + 1, r - atoms_desc[i].scale(c), ln + c)
             if truncated:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -183,12 +183,6 @@ class FiniteGenerated(MonoidDescriptor):
     @property
     def group(self) -> Group:
         return self.generators[0].group
-
-    @cached_property
-    def descending(self) -> tuple[GroupElement, ...]:
-        """The distinct generators in descending order, the membership
-        search's order; kept with the descriptor, so no query sorts them."""
-        return tuple(sorted(set(self.generators), reverse=True))
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
@@ -546,10 +540,6 @@ def generators(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> GeneratorWind
     """A deterministic finite generator list, monotone in depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(m, FiniteGenerated):
-        # the generators themselves at every depth: rebuilding them costs
-        # no more than a lookup, and the cache would keep every descriptor
-        return GeneratorWindow(m, depth, tuple(_window_elements(m, depth)))
     return _window_cached(m, depth)
 
 
@@ -799,7 +789,7 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
 
     if x.is_zero:
         return verdict_in(())
-    gens = m.descending
+    gens = sorted(set(m.generators), reverse=True)
     found, _ = _enumerate(m, gens, x, max_count=1)
     if not found:
         return VERDICT_OUT

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_membership, mq_members_below
 from posmon.elements import Q, Z2, lexvec, rational, triple, zero
-from posmon.factor import factorizations
+from posmon.factor import factorizations, is_atomic_element
 from posmon.monoids import (
     AlphaBeta,
     GeometricPuiseux,
@@ -100,6 +100,33 @@ class TestFiniteGeneratedMembership:
                 assert all(g in m.generators and c > 0 for g, c in got.certificate)
                 assert replay_certificate(got, zero(Q)) == rational(x)
         assert accepted >= 5
+
+    @pytest.mark.parametrize(
+        "gens, target",
+        [
+            ((3, 5), 3 * 10**12),
+            ((3, 5), 3 * 10**12 + 1),
+            ((4, 6, 9), 10**12 + 1),
+            (((2, 1), (1, 0)), (10**12, 0)),
+            (((2, 1), (1, 0)), (10**12 + 2, 1)),
+            (((1, -3), (2, 1), (0, 2)), (0, 2 * 10**12)),
+            (((1, -3), (2, 1), (0, 2)), (1, 2 * 10**12 - 3)),
+        ],
+        ids=str,
+    )
+    def test_large_members_need_no_linear_search(self, gens, target):
+        # the last generator's multiplicity is solved for: a search that
+        # counted it upward would not finish on targets of this size
+        if isinstance(target, tuple):
+            m = FiniteGenerated(tuple(lexvec(Z2, *g) for g in gens))
+            x, origin = lexvec(Z2, *target), zero(Z2)
+        else:
+            m = FiniteGenerated(tuple(rational(g) for g in gens))
+            x, origin = rational(target), zero(Q)
+        got = contains(m, x)
+        assert got.is_in
+        assert replay_certificate(got, origin) == x
+        assert is_atomic_element(m, x).status == "yes"
 
     def test_lex_plane_verdicts_match_sums(self):
         gens = ((1, -3), (2, 1), (0, 2))
