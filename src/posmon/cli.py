@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -295,14 +294,7 @@ def cmd_gallery(args) -> int:
         _emit(payload, args.json, [f"{e.id:26s} {e.headline}" for e in entries])
         return EXIT_OK
 
-    def run(entry):
-        return entry.id, run_entry(entry, args.depth)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, entries))
-    else:
-        results = [run(e) for e in entries]
+    results = [(e.id, run_entry(e, args.depth)) for e in entries]
     payload = {"version": __version__, "results": []}
     lines = []
     all_ok = True
@@ -388,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gallery", help="list or run the instance gallery")
     sp.add_argument("--run-all", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_gallery)
 

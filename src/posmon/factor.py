@@ -17,6 +17,14 @@ geometric monoid) keep the searches exact and small.
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
+
+Property probes over scalar windows (Q, lex of rank 1) and over rank-2 lex
+windows whose atoms and members have leading coordinate at least 1 (the
+first-positive cone, conductive monoids with such a threshold) are decided
+by one saturated (value, length) counting table over an integer code of
+the window, built once for all members.  The other shapes (a conductive
+threshold with leading coordinate 0, the full cone, rank 3 and up)
+enumerate the window factorizations of each member.
 """
 
 from __future__ import annotations
@@ -720,10 +728,19 @@ def probe_property(
     Consistent means no counterexample exists below the bound; Refuted
     carries a finite witness (two conflicting factorizations, or a member
     provably outside the atomic set).
+
+    Two window shapes have an integer code (``_encode``) and are decided
+    by one saturated counting table built for all members at once: scalar
+    atoms (Q, and lex groups of rank 1), and rank-2 lex windows whose
+    atoms and nonzero members all have leading coordinate at least 1 (the
+    first-positive cone, conductive monoids with such a threshold).  Any
+    other shape (a conductive threshold with leading coordinate 0, the
+    full cone, rank 3 and up) enumerates the window factorizations of each
+    member in turn.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
-    members = members_within(m, bound)
+    members = [b for b in members_within(m, bound) if not b.is_zero]
     if depth is None:
         if isinstance(bound, (tuple, list)):
             depth = max(int(x) for x in bound) + 5
@@ -731,19 +748,13 @@ def probe_property(
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
     desc = atom_set.atoms[::-1]
-    int_scaled = _try_int_scale(desc, members)
-    if int_scaled is not None and atom_set.complete:
-        return _probe_by_counting(m, prop, bound, depth, members, int_scaled)
-    checked = 0
+    codes = _encode(desc, members)
+    if codes is None:
+        cells = _search_cells(m, desc, members, max_count)
+    else:
+        cells = _count_cells(*codes)
     any_incomplete = False
-    for b in members:
-        if b.is_zero:
-            continue
-        checked += 1
-        if desc:
-            lens, truncated = _enumerate(m, desc, b, max_count, lengths_only=True)
-        else:
-            lens, truncated = [], False
+    for checked, (b, (lens, truncated)) in enumerate(zip(members, cells), 1):
         complete = atom_set.covers(b) and not truncated
         if not lens:
             if complete:
@@ -759,9 +770,9 @@ def probe_property(
             )
         any_incomplete = any_incomplete or not complete
         bad = (
-            (prop == "HFM" and len(set(lens)) > 1)
-            or (prop == "LFM" and len(set(lens)) < len(lens))
-            or (prop == "UFM" and len(lens) > 1)
+            (prop == "HFM" and len(lens) > 1)
+            or (prop == "LFM" and any(c >= 2 for c in lens.values()))
+            or (prop == "UFM" and sum(lens.values()) >= 2)
         )
         if bad:
             return ProbeResult(
@@ -770,39 +781,59 @@ def probe_property(
                 checked,
             )
     note = "atom windows incomplete for some members" if any_incomplete else None
-    return ProbeResult(m, prop, bound, "consistent", None, checked, note)
+    return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
 
 
-def _try_int_scale(desc, members):
-    """Scale scalar-valued atoms and members to a common integer grid, or
-    None when the shapes do not allow it."""
+def _encode(desc, members):
+    """Positive int codes for the atoms and the nonzero members, such that
+    a multiset of atoms sums to a member exactly when its codes sum to the
+    member's code; None when the shapes have no such code.
 
-    def scalar(v) -> Optional[Fraction]:
-        if not isinstance(v, GroupElement):
-            return None
-        if v.group.kind == "Q":
-            return v.value
-        if v.group.kind == "lex" and v.group.rank == 1:
-            return Fraction(v.value[0])
+    Denominators are cleared first, and every atom and member must then
+    have a leading (priority) coordinate x >= 1.  Scalar values are their
+    own codes.  A rank-2 lex point (x, y) gets the code x*W + y.  Let L be
+    the largest member x, lo and hi the least and greatest atom ratio y/x,
+    ymax = max(L*max(hi, 0), member y) and ymin = min((L+1)*min(lo, 0),
+    member y), and W = ymax - ymin + 1.  The code is injective on the
+    points with 0 <= x <= L and ymin <= y <= ymax.  They hold every member,
+    and every atom sum with x <= L, whose y lies in [x*lo, x*hi].  A sum
+    with x >= L+1 has a code of at least x*(W + lo) > L*W + ymax, above
+    every member code.  Atom codes are positive, so the counting table
+    reaches a member's code only through partial sums with smaller codes.
+    """
+    if not desc:
         return None
-
-    avals = [scalar(a) for a in desc]
-    mvals = [scalar(b) for b in members]
-    if not desc or any(v is None for v in avals + mvals):
+    g = desc[0].group
+    if g.kind == "Q":
+        pts = [(v.value,) for v in (*desc, *members)]
+    elif g.kind == "lex" and g.rank <= 2:
+        order = g.priority_order
+        pts = [tuple(v.value[i] for i in order) for v in (*desc, *members)]
+    else:
         return None
-    dens = lcm(*[v.denominator for v in avals + mvals])
-    return (
-        [int(v * dens) for v in avals],
-        [(b, int(v * dens)) for b, v in zip(members, mvals)],
-    )
+    dens = lcm(*[c.denominator for p in pts for c in p])
+    pts = [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts]
+    if any(p[0] < 1 for p in pts):
+        return None
+    n = len(desc)
+    if g.rank == 1:
+        codes = [x for (x,) in pts]
+        return codes[:n], codes[n:]
+    apts, mpts = pts[:n], pts[n:]
+    lead = max((x for x, _ in mpts), default=0)
+    ymax = max(0, *(-(-lead * y // x) for x, y in apts), *(y for _, y in mpts))
+    ymin = min(0, *((lead + 1) * y // x for x, y in apts), *(y for _, y in mpts))
+    w = ymax - ymin + 1
+    codes = [x * w + y for x, y in pts]
+    return codes[:n], codes[n:]
 
 
-def _probe_by_counting(m, prop, bound, depth, members, int_scaled) -> ProbeResult:
-    """Saturated counting DP over (value, length): counts are exact up to
-    the cap 2, which decides every probe predicate (no factorization, two
-    lengths, a repeated length, two factorizations)."""
-    avals, scaled_members = int_scaled
-    top = max((v for _, v in scaled_members), default=0)
+def _count_cells(avals, mvals):
+    """Saturated counting DP over (code, length): for each member code a
+    {length: count} cell with counts exact up to the cap 2, which decides
+    every probe predicate (no factorization, two lengths, a repeated
+    length, two factorizations).  Nothing is truncated."""
+    top = max(mvals, default=0)
     table: list[dict[int, int]] = [dict() for _ in range(top + 1)]
     table[0][0] = 1
     for a in sorted(avals):
@@ -815,29 +846,20 @@ def _probe_by_counting(m, prop, bound, depth, members, int_scaled) -> ProbeResul
                 nl = ln + 1
                 total = cur.get(nl, 0) + cnt
                 cur[nl] = 2 if total > 2 else total
-    checked = 0
-    for b, v in scaled_members:
-        if v == 0:
-            continue
-        checked += 1
-        lens = table[v]
-        if not lens:
-            return ProbeResult(
-                m, prop, bound, "refuted",
-                {"element": b, "reason": "no factorization into atoms"}, checked,
-            )
-        bad = (
-            (prop == "HFM" and len(lens) > 1)
-            or (prop == "LFM" and any(c >= 2 for c in lens.values()))
-            or (prop == "UFM" and sum(lens.values()) >= 2)
+    return ((table[v], False) for v in mvals)
+
+
+def _search_cells(m, desc, members, max_count):
+    """The cells of _count_cells, member by member, from the window
+    enumeration; a cell is truncated when max_count cut the search."""
+    for b in members:
+        lens, truncated = (
+            _enumerate(m, desc, b, max_count, lengths_only=True) if desc else ([], False)
         )
-        if bad:
-            return ProbeResult(
-                m, prop, bound, "refuted",
-                {"element": b, "factorizations": _conflict_pair(m, b, depth, prop)},
-                checked,
-            )
-    return ProbeResult(m, prop, bound, "consistent", None, checked)
+        cell: dict[int, int] = {}
+        for ln in lens:
+            cell[ln] = 2 if ln in cell else 1
+        yield cell, truncated
 
 
 def _conflict_pair(m, b, depth, prop) -> tuple[Factorization, Factorization]:

@@ -3,6 +3,7 @@ brute-force oracle, length sets, atomicity witnesses, and probes."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from posmon.monoids import (
     PrimeReciprocal,
     UnsupportedFamily,
     contains,
+    members_within,
     numerical,
     quasi_not_almost_instance,
 )
@@ -276,6 +278,45 @@ class TestProbes:
         assert r.refuted
         assert r.witness["reason"] == "no factorization into atoms"
 
+    @pytest.mark.parametrize(
+        "m",
+        [LexCone(Z2, FIRST_POSITIVE)]
+        + [Conductive(lexvec(Z2, *a)) for a in ((1, -3), (1, 0), (1, 5), (2, -5), (3, 1))]
+        # shapes without an integer code: a member, or the only atom, has
+        # leading coordinate 0
+        + [Conductive(lexvec(Z2, 0, 2)), LexCone(Z2, FULL_CONE)],
+        ids=str,
+    )
+    def test_probe_matches_per_member_search(self, m):
+        verdicts = set()
+        # tall boxes at small depths; a box of atoms as tall as the window,
+        # where the codes of two-atom sums come closest to member codes;
+        # short boxes at the default depth
+        windows = [
+            *product(((2, 12), (2, 20), (3, 12)), (1, 2, 3)),
+            ((1, 6), 6), ((2, 6), None), ((3, 4), None),
+        ]
+        for prop, (box, depth) in product(("ATM", "HFM", "LFM", "UFM"), windows):
+            r = probe_property(m, prop, box, depth=depth)
+            verdict, checked, note, element = _probe_by_search(m, prop, box, depth)
+            assert (r.verdict, r.members_checked, r.note) == (verdict, checked, note), (
+                prop, box, depth,
+            )
+            assert (r.witness or {}).get("element") == element, (prop, box, depth)
+            verdicts.add(r.verdict)
+        if all(a.value[0] >= 1 for a in atoms(m, 1).atoms):
+            # tall boxes at small depths leave members out of the window's
+            # reach: their codes must stay unreachable in the table
+            assert "inconclusive" in verdicts
+
+    def test_fallback_shapes_answer_as_before(self):
+        r = probe_property(Conductive(lexvec(Z2, 0, 2)), "ATM", (2, 6))
+        assert (r.verdict, r.members_checked) == ("refuted", 6)
+        assert r.witness == {"element": lexvec(Z2, 1, -6), "reason": "no factorization into atoms"}
+        r = probe_property(LexCone(Z2, FULL_CONE), "HFM", (2, 6))
+        assert (r.verdict, r.members_checked) == ("refuted", 7)
+        assert r.witness["element"] == lexvec(Z2, 1, -6)
+
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamily):
             probe_property(GeometricPuiseux(Fraction(2, 3)), "ATM", 5)
@@ -294,6 +335,29 @@ class TestProbes:
                 assert r.consistent, (a, prop)
             elif expected == "Refuted" and prop in ("HFM", "LFM", "UFM"):
                 assert r.refuted, (a, prop)
+
+
+def _probe_by_search(m, prop, box, depth):
+    """(verdict, members checked, note, witness element) of a probe, from
+    one factorization search per member."""
+    members = [b for b in members_within(m, box) if not b.is_zero]
+    if depth is None:
+        depth = max(box) + 5
+    incomplete = False
+    for checked, b in enumerate(members, 1):
+        search = factorizations(m, b, depth)
+        lens = [f.length for f in search.factorizations]
+        if not lens:
+            return ("refuted" if search.complete else "inconclusive"), checked, None, b
+        incomplete = incomplete or not search.complete
+        if (
+            (prop == "HFM" and len(set(lens)) > 1)
+            or (prop == "LFM" and len(set(lens)) < len(lens))
+            or (prop == "UFM" and len(lens) > 1)
+        ):
+            return "refuted", checked, None, b
+    note = "atom windows incomplete for some members" if incomplete else None
+    return "consistent", len(members), note, None
 
 
 class TestLengthFunction:
