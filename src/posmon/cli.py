@@ -3,8 +3,9 @@
 Instances are addressed by a small grammar (family:params) or by gallery
 id.  Exit codes: 0 all checks passed; 1 a refutation was found as
 expected and certified; 2 expected-vs-computed mismatch or broken
-certificate; 64 unknown instance or parse failure, including a command
-line that argparse rejects.
+certificate, including a malformed certificate document; 64 unknown
+instance or parse failure, including a command line that argparse rejects
+and a certificate file that cannot be read.
 """
 
 from __future__ import annotations
@@ -270,8 +271,12 @@ def _maybe_write(path, payload) -> None:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        obj = json.load(fh)
+    try:
+        with open(args.certificate) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        print(f"error: cannot read {args.certificate}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         kind = verify_certificate_json(obj)
     except CertificateError as exc:

@@ -1,30 +1,35 @@
 """Atom computation, factorization enumeration Z(b), length sets L(b), and
 bounded property probes.
 
-Factorizations are enumerated by depth-first search over the atom window
-sorted in descending order, with residual-feasibility pruning (the
-residual stays nonnegative, and where a minimum atom exists the residual
-is zero or at least that minimum).  Rational atoms are searched as
-integers over their common denominator.  A finitely generated monoid is
-atomic with a complete atom list, so there the enumeration itself decides
-membership (an empty one raises NotAMember).  The last atom's
-multiplicity is solved for rather than counted up to, so a large target
-costs no loop at the bottom of the search.  Emission order is
-lexicographic in the multiplicity vector over the descending atoms, so
-reports are reproducible.  Family-specific congruence filters (prime
-residues for the reciprocal monoid, the power-descent residue for the
-geometric monoid) keep the searches exact and small.
+Factorizations are enumerated over the atom window in descending order.
+One encoder (``_encode``) maps the atoms and the target to int tuples:
+coordinates in priority order, one common denominator cleared, and every
+coordinate that is 0 on all atoms dropped (a target nonzero there has no
+factorization).  The search follows the shape of the encoded window, not
+the monoid family.  Rank 1 runs one scalar loop: with suffix gcds
+g_i = gcd(v_i, g_(i+1)), the multiplicity at level i solves
+c * v_i = r (mod g_(i+1)), so it steps through one residue class modulo
+g_(i+1) / g_i (n(q) for M_q, the prime p_i for M_0).  Rank 2 with every
+atom's leading coordinate at least 1 runs one loop in which the leading
+coordinate is a length budget and the trailing one is bounded by suffix
+ratio ranges, compared by integer cross-multiplication.  Both loops are
+iterative and solve the last multiplicity in closed form.  An
+object-level search keeps the rest: the sqrt2/sqrt3 group, and lex
+windows of encoded rank 3 and up or of rank 2 with both leading-0 and
+leading-positive atoms.  Every search emits in lexicographic order of the
+multiplicity vector over the descending atoms, so reports are
+reproducible.  A finitely generated monoid is atomic with a complete atom
+list, so there the enumeration itself decides membership (an empty one
+raises NotAMember).
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
 
-Property probes over scalar windows (Q, lex of rank 1) and over rank-2 lex
-windows whose atoms and members have leading coordinate at least 1 (the
-first-positive cone, conductive monoids with such a threshold) are decided
-by one saturated (value, length) counting table over an integer code of
-the window, built once for all members.  The other shapes (a conductive
-threshold with leading coordinate 0, the full cone, rank 3 and up)
-enumerate the window factorizations of each member.
+Property probes over encoded windows of rank 1, and of rank 2 whose atoms
+and members have leading coordinate at least 1, are decided by one
+saturated (value, length) counting table over an integer code of the
+window, built once for all members.  Other windows enumerate the window
+factorizations of each member.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .elements import GroupElement, rational
 from .monoids import (
@@ -54,7 +59,7 @@ from .monoids import (
     UnionShift,
     UnsupportedFamily,
     _box_elements,
-    _den_support_ok,
+    _zero_of,
     alphabeta_atom,
     alphabeta_domain,
     check_query,
@@ -64,7 +69,7 @@ from .monoids import (
     nearly_atom,
     element_to_json,
 )
-from .primes import calkin_wilf, factorize, first_primes
+from .primes import calkin_wilf, first_primes
 
 DEFAULT_MAX_COUNT = 10_000
 
@@ -214,10 +219,7 @@ def _no_window_decomposition(
     """True when no window generator g yields t = g + (nonzero member)."""
     for g in window:
         diff = t - g
-        if isinstance(diff, GroupElement):
-            if diff.is_zero or diff.is_negative:
-                continue
-        elif diff.is_zero:
+        if diff.is_zero or diff.is_negative:
             continue
         if contains(m, diff, depth).is_in:
             return False
@@ -348,7 +350,7 @@ def factorizations(
             m, b, (), False, False, note="NotAtomicFamily: no atoms in this family"
         )
     desc = atom_set.atoms[::-1]
-    counts, truncated = _enumerate(m, desc, b, max_count)
+    counts, truncated = _enumerate(desc, b, max_count)
     _require_found(m, b, counts)
     facts = tuple(
         Factorization(tuple((a, c) for a, c in zip(desc, vec) if c > 0), b)
@@ -371,7 +373,7 @@ def length_set(
     if not atom_set.atoms:
         return LengthSet(b, (), atom_set.complete)
     desc = atom_set.atoms[::-1]
-    lens, truncated = _enumerate(m, desc, b, max_count, lengths_only=True)
+    lens, truncated = _enumerate(desc, b, max_count, lengths_only=True)
     _require_found(m, b, lens)
     complete = atom_set.covers(b) and not truncated
     return LengthSet(b, tuple(sorted(set(lens))), complete)
@@ -388,7 +390,7 @@ def is_atomic_element(
     atom_set = atoms(m, depth)
     if atom_set.atoms:
         desc = atom_set.atoms[::-1]
-        counts, truncated = _enumerate(m, desc, b, max_count=1)
+        counts, truncated = _enumerate(desc, b, max_count=1)
         if counts:
             pairs = tuple((a, c) for a, c in zip(desc, counts[0]) if c > 0)
             return AtomicityWitness("yes", Factorization(pairs, b))
@@ -419,161 +421,194 @@ def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
         raise NotAMember(f"{b} is not a member of {m}")
 
 
-# -- enumeration engines ------------------------------------------------------
+# -- enumeration --------------------------------------------------------------
 #
-# Each engine emits either full multiplicity vectors or (for probes) just
+# Every search emits either full multiplicity vectors or (for probes) just
 # factorization lengths; the latter avoids materializing large tuples.
+# Each emits in lexicographic order of the multiplicity vector over the
+# descending atoms and stops at max_count, so the answer and the truncated
+# flag do not depend on which search ran.
 
 
-def _enumerate(m, atoms_desc, target, max_count, lengths_only: bool = False):
-    """Dispatch to a search specialized for the family/group shape."""
-    first = atoms_desc[0]
-    if isinstance(first, GroupElement) and first.group.kind == "Q":
-        if isinstance(m, (GeometricPuiseux, PrimeReciprocal)) or (
-            isinstance(m, UnionShift) and m.mode == UNION
-        ):
-            return _dfs_filtered(m, atoms_desc, target, max_count, lengths_only)
-        return _dfs_int(atoms_desc, target, max_count, lengths_only)
-    if isinstance(first, GroupElement) and first.group.kind == "lex":
-        g = first.group
-        prio = g.priority
-        if (
-            g.rank == 2
-            and all(a.value[prio] >= 1 for a in atoms_desc)
-            and target.value[prio] >= 1
-        ):
-            return _dfs_lex2(atoms_desc, target, max_count, lengths_only)
-        if all(a.value[prio] == 0 for a in atoms_desc) and target.value[prio] == 0:
-            reduced = _strip_priority(atoms_desc, target)
-            if reduced is not None:
-                return reduced(max_count, lengths_only)
+def _enumerate(atoms_desc, target, max_count, lengths_only: bool = False):
+    """(solutions, truncated) for target over the descending atoms; the
+    search follows the shape of the encoded window."""
+    encoded = _encode(atoms_desc, (target,))
+    if encoded is None:
         return _dfs_generic(atoms_desc, target, max_count, lengths_only)
+    pts, (t,) = encoded
+    if t is None:
+        return [], False
+    if len(t) == 1:
+        return _scalar_search([x for (x,) in pts], t[0], max_count, lengths_only)
+    if len(t) == 2 and all(x >= 1 for x, _ in pts):
+        return _plane_search(pts, t, max_count, lengths_only)
     return _dfs_generic(atoms_desc, target, max_count, lengths_only)
 
 
-def _strip_priority(atoms_desc, target):
-    """Rank-2 atoms supported on the non-priority coordinate reduce to a
-    one-dimensional integer problem."""
-    g = atoms_desc[0].group
-    if g.rank != 2:
+def _encode(desc, targets):
+    """(atom tuples, target tuples) over the integers; None for the
+    sqrt2/sqrt3 group.
+
+    Coordinates come in priority order, scaled by one common denominator,
+    so a multiset of atoms sums to a target exactly when their tuples do.
+    A coordinate that is 0 on every atom is dropped; a target that is
+    nonzero there has no factorization and encodes as None.
+    """
+    g = desc[0].group
+    values = (*desc, *targets)
+    if g.kind == "Q":
+        dens = lcm(*[v.value.denominator for v in values])
+        pts = [(v.value.numerator * (dens // v.value.denominator),) for v in values]
+    elif g.kind == "lex":
+        pts = [v.value for v in values]
+        if g.priority:
+            order = g.priority_order
+            pts = [tuple(p[i] for i in order) for p in pts]
+        if g.rational_coords:
+            dens = lcm(*[c.denominator for p in pts for c in p])
+            pts = [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts]
+    else:
         return None
-    other = g.priority_order[-1]
-    vals = [a.value[other] for a in atoms_desc]
-    tgt = target.value[other]
-    if any(v <= 0 for v in vals) or tgt < 0:
-        return None
+    n = len(desc)
+    apts, tpts = pts[:n], pts[n:]
+    dropped = [k for k in range(len(apts[0])) if not any(p[k] for p in apts)]
+    if dropped:
+        keep = [k for k in range(len(apts[0])) if k not in dropped]
+        apts = [tuple(p[k] for k in keep) for p in apts]
+        tpts = [
+            None if any(p[k] for k in dropped) else tuple(p[k] for k in keep)
+            for p in tpts
+        ]
+    return apts, tpts
 
-    def run(max_count, lengths_only=False):
-        ints = [rational(v) for v in vals]
-        return _dfs_int(ints, rational(tgt), max_count, lengths_only)
 
-    return run
+def _scalar_search(vals, tgt, max_count, lengths_only):
+    """Knapsack solutions over positive int atoms in descending order.
 
-
-def _dfs_int(atoms_desc, target, max_count, lengths_only=False):
-    """Integer knapsack enumeration after clearing denominators."""
-    dens = lcm(*[a.value.denominator for a in atoms_desc])
-    t = target.value
-    if dens % t.denominator:
-        # every sum of the atoms has a denominator dividing dens
-        return [], False
-    vals = [a.value.numerator * (dens // a.value.denominator) for a in atoms_desc]
-    tgt = t.numerator * (dens // t.denominator)
+    With suffix gcds g_i = gcd(v_i, g_(i+1)), the residual r entering level
+    i is a multiple of g_i, and what it leaves to the later levels must be
+    a multiple of g_(i+1).  So c * v_i = r (mod g_(i+1)): the multiplicity
+    steps through one residue class modulo g_(i+1) / g_i.  The last level
+    has the single multiplicity r / v_last.
+    """
     n = len(vals)
-    suffix_gcd = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_gcd[i] = gcd(vals[i], suffix_gcd[i + 1])
-    min_atom = vals[-1]
-    results: list = []
+    last = n - 1
+    g = [0] * (n + 1)
+    for i in range(last, -1, -1):
+        g[i] = gcd(vals[i], g[i + 1])
+    if tgt % g[0]:
+        return [], False
+    step = [g[i + 1] // g[i] for i in range(last)]
+    inv = [pow(vals[i] // g[i], -1, step[i]) for i in range(last)]
+    low = vals[last]
+    out: list = []
     counts = [0] * n
-    truncated = False
-
-    def rec(i: int, r: int, ln: int) -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        if r == 0:
-            results.append(ln if lengths_only else tuple(counts))
-            if len(results) >= max_count:
-                truncated = True
-            return
-        if i == n or r < min_atom and r != 0:
-            return
-        if r % suffix_gcd[i]:
-            return
-        v = vals[i]
-        top = r // v
-        # at the last atom the gcd check leaves one multiplicity, top
-        for c in (top,) if i == n - 1 else range(top + 1):
-            counts[i] = c
-            rec(i + 1, r - c * v, ln + c)
-            if truncated:
+    rems = [0] * n  # residual entering each level
+    lens = [0] * n  # length chosen above each level
+    i, r, ln = 0, tgt, 0
+    while True:
+        while r >= low and i < last:
+            c = r // g[i] * inv[i] % step[i]
+            if c * vals[i] > r:
                 break
-        counts[i] = 0
+            rems[i], lens[i], counts[i] = r, ln, c
+            r -= c * vals[i]
+            ln += c
+            i += 1
+        else:
+            if i == last:
+                # r is a multiple of g_last = low
+                counts[last] = c = r // low
+                ln += c
+                r = 0
+            if r == 0:
+                out.append(ln if lengths_only else tuple(counts))
+                if len(out) >= max_count:
+                    return out, True
+            counts[last] = 0
+        while True:
+            i -= 1
+            if i < 0:
+                return out, False
+            c = counts[i] + step[i]
+            r = rems[i] - c * vals[i]
+            if r >= 0:
+                counts[i] = c
+                ln = lens[i] + c
+                i += 1
+                break
+            counts[i] = 0
 
-    rec(0, tgt, 0)
-    return results, truncated
 
+def _plane_search(pts, tgt, max_count, lengths_only):
+    """Solutions over rank-2 int atoms (x, y) with x >= 1, in descending
+    order.
 
-def _dfs_lex2(atoms_desc, target, max_count, lengths_only=False):
-    """Rank-2 lex atoms with positive leading coordinate: the leading
-    coordinate is a length budget and the trailing coordinate is bounded
-    by suffix ratio ranges."""
-    g = atoms_desc[0].group
-    p0 = g.priority
-    p1 = g.priority_order[-1]
-    fs = [a.value[p0] for a in atoms_desc]
-    js = [a.value[p1] for a in atoms_desc]
-    n = len(fs)
-    ratios = [Fraction(j, f) for f, j in zip(fs, js)]
-    # suffix ratio ranges as integer pairs: the trailing coordinate of any
-    # completion with budget m lies in [m * lo, m * hi]
-    lo_n = [0] * n
-    lo_d = [1] * n
-    hi_n = [0] * n
-    hi_d = [1] * n
-    run_lo = run_hi = None
-    for i in range(n - 1, -1, -1):
-        run_lo = ratios[i] if run_lo is None else min(ratios[i], run_lo)
-        run_hi = ratios[i] if run_hi is None else max(ratios[i], run_hi)
-        lo_n[i], lo_d[i] = run_lo.numerator, run_lo.denominator
-        hi_n[i], hi_d[i] = run_hi.numerator, run_hi.denominator
-    m_total = target.value[p0]
-    n_total = target.value[p1]
-    results: list = []
+    The leading coordinate is a length budget.  A completion from level i
+    with budget m has trailing coordinate in [m * lo_i, m * hi_i], where
+    lo_i and hi_i are the least and greatest ratio y / x over the atoms
+    from i on, kept as integer pairs and compared by cross-multiplication.
+    The residual stays two plain ints.
+    """
+    n = len(pts)
+    last = n - 1
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
+    lo = hi = (ys[last], xs[last])
+    for i in range(last, -1, -1):
+        y, x = ys[i], xs[i]
+        if y * lo[1] < lo[0] * x:
+            lo = (y, x)
+        if y * hi[1] > hi[0] * x:
+            hi = (y, x)
+        lo_n[i], lo_d[i] = lo
+        hi_n[i], hi_d[i] = hi
+    out: list = []
     counts = [0] * n
-    truncated = False
-
-    def rec(i: int, m_rem: int, n_rem: int, ln: int) -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        if m_rem == 0:
-            if n_rem == 0:
-                results.append(ln if lengths_only else tuple(counts))
-                if len(results) >= max_count:
-                    truncated = True
-            return
-        if i == n:
-            return
-        if m_rem * lo_n[i] > n_rem * lo_d[i] or n_rem * hi_d[i] > m_rem * hi_n[i]:
-            return
-        f, j = fs[i], js[i]
-        # at the last atom only the largest multiplicity can clear m_rem
-        for c in (m_rem // f,) if i == n - 1 else range(m_rem // f + 1):
-            counts[i] = c
-            rec(i + 1, m_rem - c * f, n_rem - c * j, ln + c)
-            if truncated:
+    ms = [0] * n  # leading residual entering each level
+    rs = [0] * n  # trailing residual entering each level
+    lens = [0] * n
+    i, ln = 0, 0
+    m, r = tgt
+    while True:
+        while m and i < last:
+            if m * lo_n[i] > r * lo_d[i] or r * hi_d[i] > m * hi_n[i]:
                 break
-        counts[i] = 0
-
-    rec(0, m_total, n_total, 0)
-    return results, truncated
+            ms[i], rs[i], lens[i] = m, r, ln
+            i += 1
+        else:
+            if m:
+                # i == last: only the largest multiplicity can clear m
+                counts[last] = c = m // xs[last]
+                ln += c
+                m -= c * xs[last]
+                r -= c * ys[last]
+            if m == 0 and r == 0:
+                out.append(ln if lengths_only else tuple(counts))
+                if len(out) >= max_count:
+                    return out, True
+            counts[last] = 0
+        while True:
+            i -= 1
+            if i < 0:
+                return out, False
+            c = counts[i] + 1
+            m = ms[i] - c * xs[i]
+            if m >= 0:
+                counts[i] = c
+                r = rs[i] - c * ys[i]
+                ln = lens[i] + c
+                i += 1
+                break
+            counts[i] = 0
 
 
 def _dfs_generic(atoms_desc, target, max_count, lengths_only=False):
-    """Order-based search for any group kind, with Archimedean-level
-    feasibility pruning for lex atoms."""
+    """Order-based search over group elements, with Archimedean-level
+    feasibility pruning for lex atoms: the sqrt2/sqrt3 group, and the lex
+    windows of rank 3 and up or of rank 2 with mixed leading coordinates."""
 
     def level(v: GroupElement) -> int:
         if v.group.kind != "lex":
@@ -615,8 +650,6 @@ def _dfs_generic(atoms_desc, target, max_count, lengths_only=False):
 
 
 def _max_mult(atom: GroupElement, residual: GroupElement) -> int:
-    if atom.group.kind == "Q":
-        return int(residual.value / atom.value) if residual.value > 0 else 0
     lo_c, hi_c = 0, 1
     while atom.scale(hi_c) <= residual:
         hi_c *= 2
@@ -629,86 +662,6 @@ def _max_mult(atom: GroupElement, residual: GroupElement) -> int:
         else:
             hi_c = mid
     return lo_c
-
-
-def _dfs_filtered(m, atoms_desc, target, max_count, lengths_only=False):
-    """Fraction-domain search with family congruence filters."""
-    if isinstance(m, GeometricPuiseux):
-        filt = _mq_filter(m.q, atoms_desc)
-    else:
-        filt = _m0_filter(atoms_desc)
-    n = len(atoms_desc)
-    results: list = []
-    counts = [0] * n
-    truncated = False
-    min_atom = atoms_desc[-1].value
-
-    def rec(i: int, r: Fraction, ln: int) -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        if r == 0:
-            results.append(ln if lengths_only else tuple(counts))
-            if len(results) >= max_count:
-                truncated = True
-            return
-        if i == n or r < 0 or (r < min_atom and r != 0):
-            return
-        for c in filt(i, r):
-            counts[i] = c
-            rec(i + 1, r - c * atoms_desc[i].value, ln + c)
-            if truncated:
-                break
-        counts[i] = 0
-
-    rec(0, target.value, 0)
-    return results, truncated
-
-
-def _mq_filter(q: Fraction, atoms_desc) -> Callable[[int, Fraction], Iterable[int]]:
-    """At atom q^i the coefficient is congruent to the residue of
-    residual/q^i modulo n(q), else the tail has no valid denominator."""
-    nq, dq = q.numerator, q.denominator
-    powers = [a.value for a in atoms_desc]
-
-    def candidates(i: int, r: Fraction) -> Iterable[int]:
-        y = r / powers[i]
-        if not _den_support_ok(y.denominator, dq):
-            return ()
-        res = (y.numerator * pow(y.denominator, -1, nq)) % nq
-        top = int(y)
-        if top < res:
-            return ()
-        return range(res, top + 1, nq)
-
-    return candidates
-
-
-def _m0_filter(atoms_desc) -> Callable[[int, Fraction], Iterable[int]]:
-    """At atom 1/p the coefficient is congruent to the forced residue of
-    the residual at p; the residual's denominator support must lie within
-    the remaining primes."""
-    primes = [a.value.denominator for a in atoms_desc]
-
-    def candidates(i: int, r: Fraction) -> Iterable[int]:
-        den = r.denominator
-        fac = factorize(den)
-        if any(e > 1 for e in fac.values()):
-            return ()
-        rest = set(primes[i:])
-        if not set(fac) <= rest:
-            return ()
-        p = primes[i]
-        if p in fac:
-            res = (r.numerator * pow(den // p, -1, p)) % p
-        else:
-            res = 0
-        top = int(r * p)
-        if top < res:
-            return ()
-        return range(res, top + 1, p)
-
-    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +682,9 @@ def probe_property(
     carries a finite witness (two conflicting factorizations, or a member
     provably outside the atomic set).
 
-    Two window shapes have an integer code (``_encode``) and are decided
-    by one saturated counting table built for all members at once: scalar
-    atoms (Q, and lex groups of rank 1), and rank-2 lex windows whose
-    atoms and nonzero members all have leading coordinate at least 1 (the
-    first-positive cone, conductive monoids with such a threshold).  Any
-    other shape (a conductive threshold with leading coordinate 0, the
-    full cone, rank 3 and up) enumerates the window factorizations of each
-    member in turn.
+    Windows with an integer code (``_codes``) are decided by one
+    saturated counting table built for all members at once; any other
+    window enumerates the window factorizations of each member in turn.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
@@ -748,9 +696,9 @@ def probe_property(
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
     desc = atom_set.atoms[::-1]
-    codes = _encode(desc, members)
+    codes = _codes(desc, members)
     if codes is None:
-        cells = _search_cells(m, desc, members, max_count)
+        cells = _search_cells(desc, members, max_count)
     else:
         cells = _count_cells(*codes)
     any_incomplete = False
@@ -784,48 +732,37 @@ def probe_property(
     return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
 
 
-def _encode(desc, members):
+def _codes(desc, members):
     """Positive int codes for the atoms and the nonzero members, such that
     a multiset of atoms sums to a member exactly when its codes sum to the
     member's code; None when the shapes have no such code.
 
-    Denominators are cleared first, and every atom and member must then
-    have a leading (priority) coordinate x >= 1.  Scalar values are their
-    own codes.  A rank-2 lex point (x, y) gets the code x*W + y.  Let L be
-    the largest member x, lo and hi the least and greatest atom ratio y/x,
-    ymax = max(L*max(hi, 0), member y) and ymin = min((L+1)*min(lo, 0),
-    member y), and W = ymax - ymin + 1.  The code is injective on the
-    points with 0 <= x <= L and ymin <= y <= ymax.  They hold every member,
-    and every atom sum with x <= L, whose y lies in [x*lo, x*hi].  A sum
-    with x >= L+1 has a code of at least x*(W + lo) > L*W + ymax, above
-    every member code.  Atom codes are positive, so the counting table
-    reaches a member's code only through partial sums with smaller codes.
+    ``_encode`` gives the points, and every atom and member must then have
+    at most two coordinates and a leading coordinate x >= 1.  Scalar
+    points are their own codes.  A rank-2 point (x, y) gets the code
+    x*W + y.  Let L be the largest member x, lo and hi the least and
+    greatest atom ratio y/x, ymax = max(L*max(hi, 0), member y) and
+    ymin = min((L+1)*min(lo, 0), member y), and W = ymax - ymin + 1.  The
+    code is injective on the points with 0 <= x <= L and ymin <= y <= ymax.
+    They hold every member, and every atom sum with x <= L, whose y lies in
+    [x*lo, x*hi].  A sum with x >= L+1 has a code of at least
+    x*(W + lo) > L*W + ymax, above every member code.  Atom codes are
+    positive, so the counting table reaches a member's code only through
+    partial sums with smaller codes.
     """
-    if not desc:
+    encoded = _encode(desc, members) if desc else None
+    if encoded is None:
         return None
-    g = desc[0].group
-    if g.kind == "Q":
-        pts = [(v.value,) for v in (*desc, *members)]
-    elif g.kind == "lex" and g.rank <= 2:
-        order = g.priority_order
-        pts = [tuple(v.value[i] for i in order) for v in (*desc, *members)]
-    else:
+    apts, mpts = encoded
+    if len(apts[0]) > 2 or any(p is None or p[0] < 1 for p in (*apts, *mpts)):
         return None
-    dens = lcm(*[c.denominator for p in pts for c in p])
-    pts = [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts]
-    if any(p[0] < 1 for p in pts):
-        return None
-    n = len(desc)
-    if g.rank == 1:
-        codes = [x for (x,) in pts]
-        return codes[:n], codes[n:]
-    apts, mpts = pts[:n], pts[n:]
+    if len(apts[0]) == 1:
+        return [x for (x,) in apts], [x for (x,) in mpts]
     lead = max((x for x, _ in mpts), default=0)
     ymax = max(0, *(-(-lead * y // x) for x, y in apts), *(y for _, y in mpts))
     ymin = min(0, *((lead + 1) * y // x for x, y in apts), *(y for _, y in mpts))
     w = ymax - ymin + 1
-    codes = [x * w + y for x, y in pts]
-    return codes[:n], codes[n:]
+    return [x * w + y for x, y in apts], [x * w + y for x, y in mpts]
 
 
 def _count_cells(avals, mvals):
@@ -849,12 +786,12 @@ def _count_cells(avals, mvals):
     return ((table[v], False) for v in mvals)
 
 
-def _search_cells(m, desc, members, max_count):
+def _search_cells(desc, members, max_count):
     """The cells of _count_cells, member by member, from the window
     enumeration; a cell is truncated when max_count cut the search."""
     for b in members:
         lens, truncated = (
-            _enumerate(m, desc, b, max_count, lengths_only=True) if desc else ([], False)
+            _enumerate(desc, b, max_count, lengths_only=True) if desc else ([], False)
         )
         cell: dict[int, int] = {}
         for ln in lens:
@@ -898,7 +835,7 @@ def length_function_check(
 
     rng = random.Random(seed)
     window = list(generators(m, DEFAULT_DEPTH).generators)
-    z = _zero_element(m)
+    z = _zero_of(m)
     if ell(z) != 0:
         return False
     pool = list(window)
@@ -918,9 +855,3 @@ def length_function_check(
         if ell(b) == 0 or ell(c) == 0:
             return False
     return True
-
-
-def _zero_element(m: MonoidDescriptor):
-    from .monoids import _zero_of
-
-    return _zero_of(m)

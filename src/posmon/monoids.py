@@ -790,7 +790,7 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
     if x.is_zero:
         return verdict_in(())
     gens = sorted(set(m.generators), reverse=True)
-    found, _ = _enumerate(m, gens, x, max_count=1)
+    found, _ = _enumerate(gens, x, max_count=1)
     if not found:
         return VERDICT_OUT
     return verdict_in(tuple((g, c) for g, c in zip(gens, found[0]) if c > 0))
@@ -817,43 +817,48 @@ def _mq_solve(q: Fraction, x: Fraction) -> Optional[tuple[tuple[int, int], ...]]
     Descends one power at a time: the coefficient at the current level is
     congruent to the residue of the value modulo n(q), and subtracting it
     and dividing by q strictly reduces the d(q)-part of the denominator.
+    The candidates at a level are tried from the largest down; the descent
+    keeps its levels on an explicit stack, so its depth is not bounded by
+    the interpreter's recursion limit.
     """
     n, d = q.numerator, q.denominator
     memo: dict[Fraction, Optional[list[int]]] = {}
-
-    def rec(y: Fraction) -> Optional[list[int]]:
-        if y == 0:
-            return []
+    stack: list[list] = []  # [value, coefficient being tried] per open level
+    y = Fraction(x)
+    while True:
+        # settle y, or open a level for it
         if y < 0:
-            return None
-        if y.denominator == 1:
-            return [int(y)]
-        if y in memo:
-            return memo[y]
-        if not _den_support_ok(y.denominator, d):
-            memo[y] = None
-            return None
-        r = (y.numerator * pow(y.denominator, -1, n)) % n
-        top = y.numerator // y.denominator
-        if top >= r:
-            start = top - ((top - r) % n)
+            sub: Optional[list[int]] = None
+        elif y.denominator == 1:
+            sub = [int(y)]
+        elif y in memo:
+            sub = memo[y]
+        elif not _den_support_ok(y.denominator, d):
+            sub = memo[y] = None
         else:
-            memo[y] = None
-            return None
-        result: Optional[list[int]] = None
-        for c0 in range(start, -1, -n):
-            rest = (y - c0) / q
-            sub = rec(rest)
-            if sub is not None:
-                result = [c0] + sub
+            r = (y.numerator * pow(y.denominator, -1, n)) % n
+            top = y.numerator // y.denominator
+            if top < r:
+                sub = memo[y] = None
+            else:
+                c0 = top - ((top - r) % n)
+                stack.append([y, c0])
+                y = (y - c0) / q
+                continue
+        # close levels until one has a smaller coefficient left to try
+        while stack:
+            value, c0 = stack[-1]
+            if sub is None and c0 >= n:
+                stack[-1][1] = c0 - n
+                y = (value - c0 + n) / q
                 break
-        memo[y] = result
-        return result
-
-    coeffs = rec(Fraction(x))
-    if coeffs is None:
+            sub = memo[value] = None if sub is None else [c0] + sub
+            stack.pop()
+        else:
+            break
+    if sub is None:
         return None
-    return tuple((i, c) for i, c in enumerate(coeffs) if c > 0)
+    return tuple((i, c) for i, c in enumerate(sub) if c > 0)
 
 
 def _mq_contains(m: GeometricPuiseux, x: GroupElement) -> MembershipVerdict:
@@ -868,16 +873,14 @@ def _mq_contains(m: GeometricPuiseux, x: GroupElement) -> MembershipVerdict:
 # -- prime reciprocals -------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
-def _m0_solve(x: Fraction) -> Optional[tuple[tuple[int, int], ...]]:
-    """Coefficients ((p, c_p), ...) with sum c_p / p == x, or None.
+def _prime_sum(x: Fraction, spare: int) -> Optional[dict[int, int]]:
+    """Multiplicities {p: c_p} with sum c_p / p == x over distinct primes,
+    or None.
 
     The denominator must be squarefree; for each prime p dividing it the
-    residue of c_p mod p is forced, and the leftover must be a nonnegative
-    integer (absorbed as 2m copies of 1/2).
+    residue c_p = x * (den/p)^-1 (mod p) is forced, and the leftover must
+    be a nonnegative integer k, absorbed as k * spare copies of 1/spare.
     """
-    if x < 0:
-        return None
     den = x.denominator
     fac = factorize(den)
     if any(e > 1 for e in fac.values()):
@@ -891,8 +894,16 @@ def _m0_solve(x: Fraction) -> Optional[tuple[tuple[int, int], ...]]:
     if rest.denominator != 1 or rest < 0:
         return None
     if rest > 0:
-        coeffs[2] = coeffs.get(2, 0) + 2 * int(rest)
-    return tuple(sorted(coeffs.items()))
+        coeffs[spare] = coeffs.get(spare, 0) + spare * int(rest)
+    return coeffs
+
+
+@lru_cache(maxsize=65536)
+def _m0_solve(x: Fraction) -> Optional[tuple[tuple[int, int], ...]]:
+    """Coefficients ((p, c_p), ...) with sum c_p / p == x, or None; the
+    leftover integer is absorbed by copies of 1/2."""
+    coeffs = _prime_sum(x, 2)
+    return None if coeffs is None else tuple(sorted(coeffs.items()))
 
 
 def _m0_contains(x: Fraction) -> MembershipVerdict:
@@ -989,36 +1000,19 @@ def _two_ray_contains(
 def _prime_part_solve(
     parts: list[tuple[Fraction, int]], target: Fraction
 ) -> Optional[list[int]]:
-    """Multiplicities m_i with sum m_i / p_i == target over distinct primes.
-
-    The residue of m_i mod p_i is forced for every prime dividing the
-    target's denominator; the leftover integer is absorbed by the first
-    available prime (p copies of 1/p).
-    """
-    if target < 0:
-        return None
+    """Multiplicities m_i with sum m_i / p_i == target over distinct primes;
+    the leftover integer is absorbed by the first available prime."""
     mults = [0] * len(parts)
     if target == 0:
         return mults
     if not parts:
         return None
     index = {p: i for i, (_, p) in enumerate(parts)}
-    den = target.denominator
-    fac = factorize(den)
-    if any(e > 1 for e in fac.values()):
+    coeffs = _prime_sum(target, min(index))
+    if coeffs is None or not coeffs.keys() <= index.keys():
         return None
-    rest = target
-    for p in sorted(fac):
-        if p not in index:
-            return None
-        a = (target.numerator * pow(den // p, -1, p)) % p
-        mults[index[p]] += a
-        rest -= Fraction(a, p)
-    if rest.denominator != 1 or rest < 0:
-        return None
-    if rest > 0:
-        p0 = min(index)
-        mults[index[p0]] += p0 * int(rest)
+    for p, c in coeffs.items():
+        mults[index[p]] = c
     return mults
 
 

@@ -791,16 +791,22 @@ def verify_not_strongly_atomic(
 
 
 def verify_certificate_json(obj: dict) -> str:
-    """Re-check a serialized certificate; returns its kind on success."""
+    """Re-check a serialized certificate; returns its kind on success.  A
+    document that is not an object, names no known kind or has fields of
+    the wrong type or value raises CertificateError."""
+    if not isinstance(obj, dict):
+        raise CertificateError("a certificate is a JSON object")
     kind = obj.get("kind")
-    if kind == "ascending-chain":
-        ChainCertificate.from_json(obj).verify()
-    elif kind == "hereditary-break":
-        HereditaryBreakCertificate.from_json(obj).verify()
-    elif kind == "quasi-witness":
-        SubatomicWitness.from_json(obj).verify()
-    elif kind == "prime-sum-refutation":
-        PrimeSumCertificate.from_json(obj).verify()
-    else:
+    readers = {
+        "ascending-chain": ChainCertificate,
+        "hereditary-break": HereditaryBreakCertificate,
+        "quasi-witness": SubatomicWitness,
+        "prime-sum-refutation": PrimeSumCertificate,
+    }
+    if not isinstance(kind, str) or kind not in readers:
         raise CertificateError(f"unknown certificate kind {kind!r}")
+    try:
+        readers[kind].from_json(obj).verify()
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed {kind} certificate: {exc!r}") from exc
     return kind

@@ -31,6 +31,37 @@ def brute_force_factorizations(gens: tuple[int, ...], b: int) -> set[tuple[int, 
     return out
 
 
+def brute_force_vector_factorizations(
+    atoms: list[tuple[int, ...]], b: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """All coefficient vectors over integer atom vectors summing to b, in
+    ascending order, by nested loops.
+
+    Each multiplicity c runs while c times the atom's leading (first
+    nonzero) coordinate stays at most the residual there.  That bound is
+    exact when no atom is negative at any atom's leading coordinate, which
+    is checked.
+    """
+    leads = [next(k for k, v in enumerate(a) if v) for a in atoms]
+    if any(a[k] < 0 for a in atoms for k in leads):
+        raise ValueError("an atom is negative at a leading coordinate")
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, rem: tuple[int, ...], acc: tuple[int, ...]):
+        if i == len(atoms):
+            if not any(rem):
+                out.append(acc)
+            return
+        a, k = atoms[i], leads[i]
+        c = 0
+        while c * a[k] <= rem[k]:
+            rec(i + 1, tuple(r - c * v for r, v in zip(rem, a)), acc + (c,))
+            c += 1
+
+    rec(0, tuple(b), ())
+    return sorted(out)
+
+
 def brute_force_membership(gens: list[Fraction], x: Fraction) -> bool:
     """x in <gens> by bounded nested search (gens positive rationals)."""
     gens = sorted(gens, reverse=True)

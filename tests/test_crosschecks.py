@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_membership, mq_members_below
-from posmon.elements import Q, Z2, lexvec, rational, triple, zero
-from posmon.factor import factorizations, is_atomic_element
+from oracles import (
+    brute_force_membership,
+    brute_force_vector_factorizations,
+    mq_members_below,
+)
+from posmon.elements import Group, Q, Z2, lexvec, rational, triple, zero
+from posmon.factor import atoms, factorizations, is_atomic_element
 from posmon.monoids import (
     AlphaBeta,
+    DEFAULT_DEPTH,
+    FIRST_POSITIVE,
+    FULL_CONE,
     GeometricPuiseux,
+    LexCone,
     Product,
     PrimeReciprocal,
     Conductive,
@@ -24,6 +32,7 @@ from posmon.monoids import (
     alphabeta_domain,
     alphabeta_phi,
     contains,
+    numerical,
     quasi_not_almost_instance,
     replay_certificate,
 )
@@ -61,6 +70,14 @@ class TestGeometricMembershipWide:
                     assert got.is_in, (q, x)
             if got.is_in:
                 assert replay_certificate(got, zero(Q)) == rational(x)
+
+    def test_deep_power_descends_without_recursion(self):
+        # one descent level per power of d(q), far past the recursion limit
+        q = Fraction(2, 3)
+        x = rational(q**1500)
+        v = contains(GeometricPuiseux(q), x)
+        assert v.is_in
+        assert replay_certificate(v, zero(Q)) == x
 
     def test_certificates_are_representations(self):
         m = GeometricPuiseux(Fraction(2, 3))
@@ -147,6 +164,16 @@ class TestFiniteGeneratedMembership:
                 if got.is_in:
                     assert replay_certificate(got, zero(Z2)) == x
 
+    def test_atom_count_is_not_bounded_by_recursion(self):
+        # 1200 generators: a search that recursed once per atom would
+        # exceed the interpreter's default recursion limit
+        m = numerical(*range(1001, 2201))
+        for value in (2002, 2003):
+            got = contains(m, rational(value))
+            assert got.is_in
+            assert replay_certificate(got, zero(Q)) == rational(value)
+        assert contains(m, rational(1000)).is_out
+
 
 class TestQuasiMembershipWide:
     def test_dense_grid_against_decomposition_search(self):
@@ -223,15 +250,95 @@ class TestEngineEdges:
 
     @given(st.integers(1, 6), st.integers(-8, 8))
     @settings(max_examples=40, deadline=None)
-    def test_lex2_engine_agrees_with_generic(self, mm, nn):
-        from posmon.factor import _dfs_generic, _dfs_lex2, atoms
+    def test_plane_search_agrees_with_oracle(self, mm, nn):
         from posmon.monoids import FIRST_POSITIVE, LexCone
 
         m = LexCone(Z2, FIRST_POSITIVE)
-        window = atoms(m, 8)
-        desc = sorted(window.atoms, reverse=True)
-        target = lexvec(Z2, mm, nn)
-        fast, t1 = _dfs_lex2(desc, target, 10_000)
-        slow, t2 = _dfs_generic(desc, target, 10_000)
-        assert not t1 and not t2
-        assert sorted(fast) == sorted(slow)
+        desc = atoms(m, 8).atoms[::-1]
+        found = factorizations(m, lexvec(Z2, mm, nn), 8)
+        assert not found.truncated
+        expected = brute_force_vector_factorizations([a.value for a in desc], (mm, nn))
+        assert [_vector(desc, f) for f in found.factorizations] == expected
+
+
+def _vector(desc, f):
+    mults = dict(f.pairs)
+    return tuple(mults.get(a, 0) for a in desc)
+
+
+def _cleared(desc, b):
+    """The atoms and b as int tuples: coordinates in priority order, times
+    one common denominator."""
+    values = [*desc, b]
+    if b.group.kind == "Q":
+        den = lcm(*(v.value.denominator for v in values))
+        pts = [(int(v.value * den),) for v in values]
+    else:
+        order = b.group.priority_order
+        pts = [tuple(v.value[i] for i in order) for v in values]
+    return pts[:-1], pts[-1]
+
+
+Z3 = Group("lex", rank=3)
+F = Fraction
+ORACLE_CASES = [
+    ("numerical", numerical(4, 7, 9, 11), DEFAULT_DEPTH, [rational(k) for k in range(1, 41)]),
+    (
+        "rational-fg",
+        FiniteGenerated((rational(F(1, 2)), rational(F(2, 3)), rational(F(5, 4)))),
+        DEFAULT_DEPTH,
+        [rational(F(k, 12)) for k in range(1, 61)],
+    ),
+    ("mq-2/3", GeometricPuiseux(F(2, 3)), 4, [rational(x) for x in mq_members_below(F(2, 3), 4, 1, F(3))]),
+    ("mq-3/5", GeometricPuiseux(F(3, 5)), 3, [rational(x) for x in mq_members_below(F(3, 5), 3, 2, F(3))]),
+    (
+        "m0",
+        PrimeReciprocal(),
+        6,
+        [rational(x) for x in (F(1), F(5, 6), F(31, 30), F(18, 77), F(2), F(71, 78), F(3, 2))],
+    ),
+    ("conductive-Z", Conductive(lexvec(Z, 3)), DEFAULT_DEPTH, [lexvec(Z, k) for k in range(3, 19)]),
+    (
+        "conductive-Z2-(0,2)",
+        Conductive(lexvec(Z2, 0, 2)),
+        DEFAULT_DEPTH,
+        [lexvec(Z2, 0, y) for y in range(2, 13)] + [lexvec(Z2, 1, 0), lexvec(Z2, 1, 3)],
+    ),
+    (
+        "full-cone",
+        LexCone(Z2, FULL_CONE),
+        DEFAULT_DEPTH,
+        [lexvec(Z2, 0, y) for y in range(1, 9)] + [lexvec(Z2, 1, -2), lexvec(Z2, 2, 0)],
+    ),
+    (
+        "NxZ",
+        LexCone(Z2, FIRST_POSITIVE),
+        4,
+        [lexvec(Z2, x, y) for x in range(1, 4) for y in range(-5, 6)],
+    ),
+    (
+        "Z3-cone",
+        LexCone(Z3, FIRST_POSITIVE),
+        2,
+        [lexvec(Z3, x, y, z) for x in (1, 2) for y in (-2, 0, 3) for z in (-1, 2)],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,m,depth,targets", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_factorizations_match_vector_oracle(name, m, depth, targets):
+    """The ordered factorization list, and its prefix under max_count 1
+    and 3, against nested loops over the cleared window."""
+    desc = atoms(m, depth).atoms[::-1]
+    members = [b for b in targets if not b.is_zero and contains(m, b, depth).is_in]
+    assert members
+    for b in members:
+        apts, t = _cleared(desc, b)
+        expected = brute_force_vector_factorizations(apts, t)
+        full = factorizations(m, b, depth)
+        assert not full.truncated
+        assert [_vector(desc, f) for f in full.factorizations] == expected, b
+        for k in (1, 3):
+            cut = factorizations(m, b, depth, max_count=k)
+            assert [_vector(desc, f) for f in cut.factorizations] == expected[:k], (b, k)
+            assert cut.truncated == (len(expected) >= k), (b, k)

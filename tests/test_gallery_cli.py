@@ -174,6 +174,41 @@ class TestCliCommands:
         assert code == EXIT_MISMATCH
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_unreadable_file_exit_usage(self, capsys, tmp_path):
+        code = main(["verify", str(tmp_path / "missing.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err and "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            [{"kind": "ascending-chain"}],
+            "chain",
+            {"kind": ["ascending-chain"]},
+            {"kind": "ascending-chain", "ratio": None, "elements": [], "differences": []},
+            {"kind": "ascending-chain", "ratio": "2/3", "elements": None, "differences": []},
+            {"kind": "ascending-chain", "ratio": "2/3", "elements": ["1"]},
+        ],
+        ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences"],
+    )
+    def test_verify_malformed_document_exit_two(self, capsys, tmp_path, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path)])
+        assert code == EXIT_MISMATCH
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_factorize_deep_mq_power_is_total(self, capsys):
+        # the membership descent takes one level per power of d(q)
+        value = Fraction(2, 3) ** 1500
+        code = main(["factorize", "mq:2/3", str(value)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "0 found (window-limited)" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_unknown_instance_exit_usage(self, capsys):
         code = main(["atoms", "mystery:9"])
         capsys.readouterr()
