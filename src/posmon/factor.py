@@ -458,8 +458,9 @@ def _encode(desc, targets):
     g = desc[0].group
     values = (*desc, *targets)
     if g.kind == "Q":
-        dens = lcm(*[v.value.denominator for v in values])
-        pts = [(v.value.numerator * (dens // v.value.denominator),) for v in values]
+        fracs = [v.value for v in values]
+        dens = lcm(*[f.denominator for f in fracs])
+        pts = [(f.numerator * (dens // f.denominator),) for f in fracs]
     elif g.kind == "lex":
         pts = [v.value for v in values]
         if g.priority:
@@ -472,9 +473,11 @@ def _encode(desc, targets):
         return None
     n = len(desc)
     apts, tpts = pts[:n], pts[n:]
-    dropped = [k for k in range(len(apts[0])) if not any(p[k] for p in apts)]
+    rank = len(apts[0])
+    # atoms are nonzero, so a scalar window drops nothing
+    dropped = [k for k in range(rank) if not any(p[k] for p in apts)] if rank > 1 else []
     if dropped:
-        keep = [k for k in range(len(apts[0])) if k not in dropped]
+        keep = [k for k in range(rank) if k not in dropped]
         apts = [tuple(p[k] for k in keep) for p in apts]
         tpts = [
             None if any(p[k] for k in dropped) else tuple(p[k] for k in keep)
@@ -494,14 +497,17 @@ def _scalar_search(vals, tgt, max_count, lengths_only):
     """
     n = len(vals)
     last = n - 1
-    g = [0] * (n + 1)
-    for i in range(last, -1, -1):
+    # per level: g_i, the step g_(i+1) / g_i and the inverse of v_i / g_i
+    # modulo the step (1 and 0 where every multiplicity qualifies)
+    g, step, inv = [0] * n, [1] * n, [0] * n
+    g[last] = low = vals[last]
+    for i in range(last - 1, -1, -1):
         g[i] = gcd(vals[i], g[i + 1])
+        if g[i] != g[i + 1]:
+            step[i] = g[i + 1] // g[i]
+            inv[i] = pow(vals[i] // g[i], -1, step[i])
     if tgt % g[0]:
         return [], False
-    step = [g[i + 1] // g[i] for i in range(last)]
-    inv = [pow(vals[i] // g[i], -1, step[i]) for i in range(last)]
-    low = vals[last]
     out: list = []
     counts = [0] * n
     rems = [0] * n  # residual entering each level
