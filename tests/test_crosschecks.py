@@ -251,8 +251,6 @@ class TestEngineEdges:
     @given(st.integers(1, 6), st.integers(-8, 8))
     @settings(max_examples=40, deadline=None)
     def test_plane_search_agrees_with_oracle(self, mm, nn):
-        from posmon.monoids import FIRST_POSITIVE, LexCone
-
         m = LexCone(Z2, FIRST_POSITIVE)
         desc = atoms(m, 8).atoms[::-1]
         found = factorizations(m, lexvec(Z2, mm, nn), 8)
