@@ -383,29 +383,37 @@ def big_o(g: GroupElement, h: GroupElement) -> bool:
 # sign of c0 + c1*sqrt2 + c2*sqrt3
 
 _TRIPLE_START_BITS = 64
+# floor(sqrt2 * 2^64) and floor(sqrt3 * 2^64), the first refinement step
+_SQRT2_64 = isqrt(2 << 2 * _TRIPLE_START_BITS)
+_SQRT3_64 = isqrt(3 << 2 * _TRIPLE_START_BITS)
 
 
 def _triple_sign(c0: Fraction, c1: Fraction, c2: Fraction) -> int:
-    """Exact sign by adaptive-precision interval refinement.
+    """Exact sign of c0 + c1*sqrt2 + c2*sqrt3; see _int_triple_sign."""
+    # clear denominators; the sign is unchanged
+    from math import lcm
+
+    m = lcm(c0.denominator, c1.denominator, c2.denominator)
+    return _int_triple_sign(
+        c0.numerator * (m // c0.denominator),
+        c1.numerator * (m // c1.denominator),
+        c2.numerator * (m // c2.denominator),
+    )
+
+
+def _int_triple_sign(a: int, b: int, c: int) -> int:
+    """Exact sign of a + b*sqrt2 + c*sqrt3 for ints, by adaptive-precision
+    interval refinement.
 
     The precision doubles until the enclosing interval excludes zero;
     termination is guaranteed because {1, sqrt2, sqrt3} is linearly
     independent over Q, so a nonzero triple has nonzero value.
     """
-    if c0 == 0 and c1 == 0 and c2 == 0:
+    if not (a or b or c):
         return 0
-    # clear denominators; the sign is unchanged
-    from math import lcm
-
-    m = lcm(c0.denominator, c1.denominator, c2.denominator)
-    a = c0.numerator * (m // c0.denominator)
-    b = c1.numerator * (m // c1.denominator)
-    c = c2.numerator * (m // c2.denominator)
     bits = _TRIPLE_START_BITS
+    scale_, s2, s3 = 1 << bits, _SQRT2_64, _SQRT3_64
     while True:
-        scale_ = 1 << bits
-        s2 = isqrt(2 * scale_ * scale_)  # floor(sqrt2 * 2^bits)
-        s3 = isqrt(3 * scale_ * scale_)
         lo = a * scale_ + b * (s2 if b > 0 else s2 + 1) + c * (s3 if c > 0 else s3 + 1)
         hi = a * scale_ + b * (s2 + 1 if b > 0 else s2) + c * (s3 + 1 if c > 0 else s3)
         if lo > 0:
@@ -413,6 +421,9 @@ def _triple_sign(c0: Fraction, c1: Fraction, c2: Fraction) -> int:
         if hi < 0:
             return -1
         bits *= 2
+        scale_ = 1 << bits
+        s2 = isqrt(2 * scale_ * scale_)  # floor(sqrt2 * 2^bits)
+        s3 = isqrt(3 * scale_ * scale_)
 
 
 # ---------------------------------------------------------------------------

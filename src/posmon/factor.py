@@ -3,24 +3,28 @@ bounded property probes.
 
 Factorizations are enumerated over the atom window in descending order.
 One encoder (``_encode``) maps the atoms and the target to int tuples:
-coordinates in priority order, one common denominator cleared, and every
+lex coordinates in priority order, or the (1, sqrt2, sqrt3) coefficients
+of the sqrt2/sqrt3 group, one common denominator cleared, and every
 coordinate that is 0 on all atoms dropped (a target nonzero there has no
 factorization).  The search follows the shape of the encoded window, not
-the monoid family.  Rank 1 runs one scalar loop: with suffix gcds
-g_i = gcd(v_i, g_(i+1)), the multiplicity at level i solves
-c * v_i = r (mod g_(i+1)), so it steps through one residue class modulo
-g_(i+1) / g_i (n(q) for M_q, the prime p_i for M_0).  Rank 2 with every
-atom's leading coordinate at least 1 runs one loop in which the leading
-coordinate is a length budget and the trailing one is bounded by suffix
-ratio ranges, compared by integer cross-multiplication.  Both loops are
-iterative and solve the last multiplicity in closed form.  An
-object-level search keeps the rest: the sqrt2/sqrt3 group, and lex
-windows of encoded rank 3 and up or of rank 2 with both leading-0 and
-leading-positive atoms.  Every search emits in lexicographic order of the
-multiplicity vector over the descending atoms, so reports are
-reproducible.  A finitely generated monoid is atomic with a complete atom
-list, so there the enumeration itself decides membership (an empty one
-raises NotAMember).
+the monoid family, and no search works on group elements.  Rank 1 runs
+one scalar loop: with suffix gcds g_i = gcd(v_i, g_(i+1)), the
+multiplicity at level i solves c * v_i = r (mod g_(i+1)), so it steps
+through one residue class modulo g_(i+1) / g_i (n(q) for M_q, the prime
+p_i for M_0).  Rank 2 with every atom's leading coordinate at least 1
+runs one loop in which the leading coordinate is a length budget and the
+trailing one is bounded by suffix ratio ranges, compared by integer
+cross-multiplication.  Neither needs the group's order, so they also
+serve sqrt2/sqrt3 windows of those shapes.  Every other window (lex
+windows of encoded rank 3 and up or with mixed leading coordinates, and
+the other sqrt2/sqrt3 windows) runs one vector loop: the scalar rule per
+coordinate, combined by CRT, and an order bound by tuple comparison (lex)
+or exact signs (sqrt2/sqrt3).  All three loops are iterative, with
+per-level arrays in place of recursion.  Every search emits in
+lexicographic order of the multiplicity vector over the descending atoms,
+so reports are reproducible.  A finitely generated monoid is atomic with
+a complete atom list, so there the enumeration itself decides membership
+(an empty one raises NotAMember).
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
@@ -40,7 +44,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .elements import GroupElement, rational
+from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational
 from .monoids import (
     AlphaBeta,
     Conductive,
@@ -431,29 +435,28 @@ def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
 
 
 def _enumerate(atoms_desc, target, max_count, lengths_only: bool = False):
-    """(solutions, truncated) for target over the descending atoms; the
-    search follows the shape of the encoded window."""
-    encoded = _encode(atoms_desc, (target,))
-    if encoded is None:
-        return _dfs_generic(atoms_desc, target, max_count, lengths_only)
-    pts, (t,) = encoded
+    """(solutions, truncated) for target over the descending atoms: the
+    scalar, plane or vector loop, by the shape of the encoded window."""
+    pts, (t,), keep = _encode(atoms_desc, (target,))
     if t is None:
         return [], False
     if len(t) == 1:
         return _scalar_search([x for (x,) in pts], t[0], max_count, lengths_only)
     if len(t) == 2 and all(x >= 1 for x, _ in pts):
         return _plane_search(pts, t, max_count, lengths_only)
-    return _dfs_generic(atoms_desc, target, max_count, lengths_only)
+    lex = atoms_desc[0].group.kind == "lex"
+    return _vector_search(pts, t, max_count, lengths_only, None if lex else keep)
 
 
 def _encode(desc, targets):
-    """(atom tuples, target tuples) over the integers; None for the
-    sqrt2/sqrt3 group.
+    """(atom tuples, target tuples, kept coordinates) over the integers.
 
-    Coordinates come in priority order, scaled by one common denominator,
-    so a multiset of atoms sums to a target exactly when their tuples do.
-    A coordinate that is 0 on every atom is dropped; a target that is
-    nonzero there has no factorization and encodes as None.
+    Coordinates come in priority order (lex) or as (1, sqrt2, sqrt3)
+    coefficients (the sqrt2/sqrt3 group), scaled by one common
+    denominator, so a multiset of atoms sums to a target exactly when
+    their tuples do.  A coordinate that is 0 on every atom is dropped; a
+    target that is nonzero there has no factorization and encodes as None.
+    The positions of the coordinates that are kept come last.
     """
     g = desc[0].group
     values = (*desc, *targets)
@@ -461,29 +464,27 @@ def _encode(desc, targets):
         fracs = [v.value for v in values]
         dens = lcm(*[f.denominator for f in fracs])
         pts = [(f.numerator * (dens // f.denominator),) for f in fracs]
-    elif g.kind == "lex":
+    else:
         pts = [v.value for v in values]
         if g.priority:
             order = g.priority_order
             pts = [tuple(p[i] for i in order) for p in pts]
-        if g.rational_coords:
+        if g.rational_coords or g.kind == "sqrt23":
             dens = lcm(*[c.denominator for p in pts for c in p])
             pts = [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts]
-    else:
-        return None
     n = len(desc)
     apts, tpts = pts[:n], pts[n:]
     rank = len(apts[0])
     # atoms are nonzero, so a scalar window drops nothing
-    dropped = [k for k in range(rank) if not any(p[k] for p in apts)] if rank > 1 else []
-    if dropped:
-        keep = [k for k in range(rank) if k not in dropped]
+    keep = [k for k in range(rank) if any(p[k] for p in apts)] if rank > 1 else [0]
+    if len(keep) < rank:
         apts = [tuple(p[k] for k in keep) for p in apts]
         tpts = [
-            None if any(p[k] for k in dropped) else tuple(p[k] for k in keep)
+            None if any(p[k] for k in range(rank) if k not in keep)
+            else tuple(p[k] for k in keep)
             for p in tpts
         ]
-    return apts, tpts
+    return apts, tpts, keep
 
 
 def _scalar_search(vals, tgt, max_count, lengths_only):
@@ -611,63 +612,135 @@ def _plane_search(pts, tgt, max_count, lengths_only):
             counts[i] = 0
 
 
-def _dfs_generic(atoms_desc, target, max_count, lengths_only=False):
-    """Order-based search over group elements, with Archimedean-level
-    feasibility pruning for lex atoms: the sqrt2/sqrt3 group, and the lex
-    windows of rank 3 and up or of rank 2 with mixed leading coordinates."""
+def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
+    """Solutions over int atom vectors in descending order: lex points in
+    priority order when keep is None, else sqrt2/sqrt3 triples restricted
+    to the (1, sqrt2, sqrt3) positions that keep names.
 
-    def level(v: GroupElement) -> int:
-        if v.group.kind != "lex":
-            return 0
-        for pos, i in enumerate(v.group.priority_order):
-            if v.value[i] != 0:
-                return pos
-        return v.group.rank
-
-    n = len(atoms_desc)
-    results: list = []
-    counts = [0] * n
-    truncated = False
-
-    def rec(i: int, r, ln: int) -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        if r.is_zero:
-            results.append(ln if lengths_only else tuple(counts))
-            if len(results) >= max_count:
-                truncated = True
-            return
-        if i == n or r.is_negative:
-            return
-        if level(atoms_desc[i]) > level(r):
-            return
-        top = _max_mult(atoms_desc[i], r)
-        # at the last atom any multiplicity below top leaves a positive residual
-        for c in (top,) if i == n - 1 else range(top + 1):
-            counts[i] = c
-            rec(i + 1, r - atoms_desc[i].scale(c), ln + c)
-            if truncated:
-                break
-        counts[i] = 0
-
-    rec(0, target, 0)
-    return results, truncated
-
-
-def _max_mult(atom: GroupElement, residual: GroupElement) -> int:
-    lo_c, hi_c = 0, 1
-    while atom.scale(hi_c) <= residual:
-        hi_c *= 2
-        if hi_c > 1 << 62:
-            raise OverflowError("unbounded multiplicity in enumeration")
-    while lo_c < hi_c - 1:
-        mid = (lo_c + hi_c) // 2
-        if atom.scale(mid) <= residual:
-            lo_c = mid
+    Let g_(i,j) be the gcd of coordinate j over the atoms from level i on
+    (0 when none of them touches it).  The residual r entering level i is
+    a multiple of g_(i,j) in every coordinate, and what it leaves must be a
+    multiple of g_(i+1,j), so the multiplicity solves
+    c * a_(i,j) = r_j (mod g_(i+1,j)) for every j, the scalar loop's rule
+    per coordinate.  A coordinate that atom i touches and no later atom
+    does (g_(i+1,j) = 0) fixes c = r_j / a_(i,j) outright, as every touched
+    coordinate does at the last level; otherwise the classes combine by
+    CRT into one class modulo a per-level modulus, through which c steps.  c rises only while c * a_i <= r in the group's
+    order.  For lex points r is 0 before the atom's leading coordinate L
+    (those coordinates were fixed at earlier levels, which subsumes the
+    level prune), so the bound is r_L // a_L, less one when the rest of
+    r - c * a_i then starts negative.  For triples a 64-bit fixed-point
+    quotient seeds the bound and exact signs of r - c * a_i settle it.
+    """
+    n, k = len(pts), len(tgt)
+    after = [0] * k  # g_(i+1,j) while the tables are built, then g_(0,j)
+    # per level: the coordinate that fixes c (or -1), the coordinates whose
+    # congruence constrains c as (j, a_(i,j), g_(i+1,j)), and the CRT plan
+    fixes, cons, plans, mods = [-1] * n, [()] * n, [()] * n, [1] * n
+    for i in range(n - 1, -1, -1):
+        a = pts[i]
+        cons[i] = tuple(
+            (j, x, g) for j, (x, g) in enumerate(zip(a, after)) if x and (not g or x % g)
+        )
+        fixed = [j for j, x, g in cons[i] if not g]
+        if fixed:
+            fixes[i] = fixed[0]
         else:
-            hi_c = mid
-    return lo_c
+            plan, mod = [], 1
+            for j, x, g in cons[i]:
+                d = gcd(x, g)
+                m = g // d
+                h = gcd(mod, m)
+                mh = m // h
+                plan.append((j, d, pow(x // d, -1, m), m, h, pow(mod // h, -1, mh), mh))
+                mod *= mh
+            plans[i], mods[i] = tuple(plan), mod
+        after = [gcd(x, g) for x, g in zip(a, after)]
+    if any(t % g for t, g in zip(tgt, after)):
+        return [], False
+
+    if keep is None:
+        leads = [next(j for j, x in enumerate(a) if x) for a in pts]
+
+        def top_of(i, r):
+            a, lead = pts[i], leads[i]
+            c, rem = divmod(r[lead], a[lead])
+            if not rem and c:
+                for x, y in zip(r[lead + 1:], a[lead + 1:]):
+                    if x != c * y:
+                        return c - 1 if x < c * y else c
+            return c
+    else:
+        weights = [(1 << 64, _SQRT2_64, _SQRT3_64)[p] for p in keep]
+        approx = [sum(x * w for x, w in zip(a, weights)) for a in pts]
+
+        def sign(v):
+            full = [0, 0, 0]
+            for p, x in zip(keep, v):
+                full[p] = x
+            return _int_triple_sign(*full)
+
+        def top_of(i, r):
+            a, est = pts[i], approx[i]
+            c = max(sum(x * w for x, w in zip(r, weights)) // est, 0) if est > 0 else 0
+            while c and sign([x - c * y for x, y in zip(r, a)]) < 0:
+                c -= 1
+            while sign([x - (c + 1) * y for x, y in zip(r, a)]) >= 0:
+                c += 1
+            return c
+
+    out: list = []
+    counts = [0] * n
+    rems = [tgt] * n  # residual entering each level
+    lens = [0] * n  # length chosen above each level
+    tops = [0] * n  # largest multiplicity each level may take
+    i, r, ln = 0, tgt, 0
+    while True:
+        while any(r):
+            j = fixes[i]
+            if j >= 0:
+                c = r[j] // pts[i][j]
+                if c < 0 or any((r[h] - c * x) % g if g else r[h] - c * x for h, x, g in cons[i]):
+                    break
+                top = c if top_of(i, r) >= c else -1
+            else:
+                c = _residue(plans[i], r)
+                top = top_of(i, r) if c >= 0 else -1
+            if c > top:
+                break
+            rems[i], lens[i], counts[i], tops[i] = r, ln, c, top
+            r = tuple(x - c * y for x, y in zip(r, pts[i]))
+            ln += c
+            i += 1
+        else:
+            out.append(ln if lengths_only else tuple(counts))
+            if len(out) >= max_count:
+                return out, True
+        while True:
+            i -= 1
+            if i < 0:
+                return out, False
+            c = counts[i] + mods[i]
+            if c <= tops[i]:
+                counts[i] = c
+                r = tuple(x - c * y for x, y in zip(rems[i], pts[i]))
+                ln = lens[i] + c
+                i += 1
+                break
+            counts[i] = 0
+
+
+def _residue(plan, r) -> int:
+    """The least multiplicity in the CRT class that the plan's congruences
+    give for the residual r, or -1 when they disagree."""
+    c, mod = 0, 1
+    for j, d, inv, m, h, u, mh in plan:
+        diff = r[j] // d * inv % m - c
+        if diff % h:
+            return -1
+        c += mod * (diff // h * u % mh)
+        mod *= mh
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +829,9 @@ def _codes(desc, members):
     positive, so the counting table reaches a member's code only through
     partial sums with smaller codes.
     """
-    encoded = _encode(desc, members) if desc else None
-    if encoded is None:
+    if not desc:
         return None
-    apts, mpts = encoded
+    apts, mpts, _ = _encode(desc, members)
     if len(apts[0]) > 2 or any(p is None or p[0] < 1 for p in (*apts, *mpts)):
         return None
     if len(apts[0]) == 1:

@@ -1,16 +1,16 @@
 """Independent reference oracles for the test suite.
 
 These deliberately avoid the package's search machinery: factorizations
-by plain nested loops, signs by mpmath interval refinement, membership by
-unstructured brute force.  They stay independent of the code paths they
-check.
+by plain nested loops, signs by mpmath interval refinement or exact
+squaring, membership by unstructured brute force.  They stay independent
+of the code paths they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 def brute_force_factorizations(gens: tuple[int, ...], b: int) -> set[tuple[int, ...]]:
@@ -59,6 +59,54 @@ def brute_force_vector_factorizations(
             c += 1
 
     rec(0, tuple(b), ())
+    return sorted(out)
+
+
+def exact_real_sign(a: int, b: int, c: int) -> int:
+    """Sign of a + b sqrt2 + c sqrt3 for ints, by exact squaring."""
+
+    def sign2(p: int, q: int) -> int:
+        # p + q sqrt2; with opposite signs the larger square wins
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp * sq >= 0:
+            return sp or sq
+        return sp if p * p > 2 * q * q else sq
+
+    sx, sy = sign2(a, b), (c > 0) - (c < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    # (a + b sqrt2)^2 - 3 c^2 = a^2 + 2 b^2 - 3 c^2 + 2ab sqrt2, never 0
+    return sx if sign2(a * a + 2 * b * b - 3 * c * c, 2 * a * b) > 0 else sy
+
+
+def brute_force_triple_factorizations(
+    atoms: list[tuple[Fraction, Fraction, Fraction]], b: tuple[Fraction, Fraction, Fraction]
+) -> list[tuple[int, ...]]:
+    """All coefficient vectors over (1, sqrt2, sqrt3) coefficient triples
+    summing to b, in ascending order, by nested loops.
+
+    Each multiplicity c runs while c times the atom's real value stays at
+    most the residual's (atoms are positive), decided by exact_real_sign
+    after clearing denominators.
+    """
+    den = lcm(*(Fraction(x).denominator for v in (*atoms, b) for x in v))
+    ints = [tuple(int(Fraction(x) * den) for x in v) for v in atoms]
+    if any(exact_real_sign(*a) <= 0 for a in ints):
+        raise ValueError("atoms must be positive")
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, rem: tuple[int, ...], acc: tuple[int, ...]):
+        if i == len(ints):
+            if not any(rem):
+                out.append(acc)
+            return
+        a = ints[i]
+        c = 0
+        while exact_real_sign(*(r - c * v for r, v in zip(rem, a))) >= 0:
+            rec(i + 1, tuple(r - c * v for r, v in zip(rem, a)), acc + (c,))
+            c += 1
+
+    rec(0, tuple(int(Fraction(x) * den) for x in b), ())
     return sorted(out)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_membership,
+    brute_force_triple_factorizations,
     brute_force_vector_factorizations,
     mq_members_below,
 )
@@ -28,6 +29,7 @@ from posmon.monoids import (
     PrimeReciprocal,
     Conductive,
     FiniteGenerated,
+    NearlyAtomicAlpha,
     UnsupportedFamily,
     alphabeta_domain,
     alphabeta_phi,
@@ -277,8 +279,23 @@ def _cleared(desc, b):
     return pts[:-1], pts[-1]
 
 
+def _small_triples(m, depth):
+    """Every window atom and sum of two of them of real value up to 1, and
+    a few rationals."""
+    desc = atoms(m, depth).atoms
+    sums = {x + y for i, x in enumerate(desc) for y in desc[i:]}
+    weights = (1, 2**0.5, 3**0.5)
+    small = {b for b in (*desc, *sums) if sum(float(c) * w for c, w in zip(b.value, weights)) <= 1}
+    return sorted(small, key=str) + [triple(x, 0, 0) for x in (F(1, 2), F(2, 3), 1, F(4, 3))]
+
+
 Z3 = Group("lex", rank=3)
 F = Fraction
+# sqrt2 - 1, 3 - 2 sqrt2, sqrt3 - 1, 2 - sqrt3, sqrt3 - sqrt2 and 1: mixed
+# signs within each atom, and no symmetry swapping sqrt2 and sqrt3
+FG_T = FiniteGenerated(tuple(triple(*t) for t in (
+    (-1, 1, 0), (3, -2, 0), (-1, 0, 1), (2, 0, -1), (0, -1, 1), (1, 0, 0),
+)))
 ORACLE_CASES = [
     ("numerical", numerical(4, 7, 9, 11), DEFAULT_DEPTH, [rational(k) for k in range(1, 41)]),
     (
@@ -320,19 +337,44 @@ ORACLE_CASES = [
         2,
         [lexvec(Z3, x, y, z) for x in (1, 2) for y in (-2, 0, 3) for z in (-1, 2)],
     ),
+    (
+        "conductive-Z3-(1,0,0)",
+        Conductive(lexvec(Z3, 1, 0, 0)),
+        2,
+        [lexvec(Z3, x, y, z) for x in (1, 2, 3) for y in (-1, 0, 3) for z in (-2, 0, 1)],
+    ),
+    (
+        "mixed-Z2",
+        FiniteGenerated((lexvec(Z2, 0, 1), lexvec(Z2, 1, 2), lexvec(Z2, 2, 3))),
+        DEFAULT_DEPTH,
+        [lexvec(Z2, x, y) for x in range(4) for y in range(-2, 9) if x or y >= 0],
+    ),
+    *(
+        (f"{name}-depth{depth}", m, depth, _small_triples(m, depth))
+        for name, m in (
+            ("alphabeta-2/3", AlphaBeta(F(2, 3))),
+            ("alphabeta-3/4", AlphaBeta(F(3, 4))),
+            ("nearly", NearlyAtomicAlpha()),
+        )
+        for depth in (2, 3, 4)
+    ),
+    ("fg-T", FG_T, DEFAULT_DEPTH, _small_triples(FG_T, DEFAULT_DEPTH)),
 ]
 
 
 @pytest.mark.parametrize("name,m,depth,targets", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_factorizations_match_vector_oracle(name, m, depth, targets):
     """The ordered factorization list, and its prefix under max_count 1
-    and 3, against nested loops over the cleared window."""
+    and 3, against nested loops over the cleared window (over exact real
+    comparisons in the sqrt2/sqrt3 group)."""
     desc = atoms(m, depth).atoms[::-1]
     members = [b for b in targets if not b.is_zero and contains(m, b, depth).is_in]
     assert members
     for b in members:
-        apts, t = _cleared(desc, b)
-        expected = brute_force_vector_factorizations(apts, t)
+        if b.group.kind == "sqrt23":
+            expected = brute_force_triple_factorizations([a.value for a in desc], b.value)
+        else:
+            expected = brute_force_vector_factorizations(*_cleared(desc, b))
         full = factorizations(m, b, depth)
         assert not full.truncated
         assert [_vector(desc, f) for f in full.factorizations] == expected, b
@@ -340,3 +382,4 @@ def test_factorizations_match_vector_oracle(name, m, depth, targets):
             cut = factorizations(m, b, depth, max_count=k)
             assert [_vector(desc, f) for f in cut.factorizations] == expected[:k], (b, k)
             assert cut.truncated == (len(expected) >= k), (b, k)
+

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elements_of, lex_ints, lex_rationals, rationals, triples
-from oracles import interval_sign
+from oracles import exact_real_sign, interval_sign
 from posmon.elements import (
+    _int_triple_sign,
     EQ,
     GT,
     Group,
@@ -172,6 +173,16 @@ class TestTripleSign:
 
     def test_zero_triple(self):
         assert compare(zero(T), triple(0, 0, 0)) == EQ
+
+    def test_int_entry_refines_past_the_first_precision(self):
+        # Pell convergents p/q of sqrt2 and sqrt3 with q past 2^130:
+        # p - q*sqrt(d) is about 1/q, far below the 64-bit first interval
+        for d, (p, q), (x, y) in ((2, (1, 1), (3, 2)), (3, (2, 1), (2, 1))):
+            for _ in range(70):
+                p, q = p * x + d * q * y, p * y + q * x
+                for a, b, c in ((p, -q, 0), (-p, q, 0), (p, 0, -q), (0, q, -p)):
+                    v = (a, b, c) if d == 2 else (a, c, b)
+                    assert _int_triple_sign(*v) == exact_real_sign(*v), v
 
 
 class TestTextForms:

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import brute_force_factorizations, minimal_numerical_monoids
 from posmon.classify import classify_conductive
-from posmon.elements import Z, Z2, Z2_SECOND, GroupMismatch, lexvec, rational, zero
+from posmon.elements import Z, Z2, Z2_SECOND, GroupMismatch, lexvec, rational, triple, zero
 from posmon.factor import (
     atoms,
     factorizations,
@@ -19,6 +19,7 @@ from posmon.factor import (
     probe_property,
 )
 from posmon.monoids import (
+    AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
     FULL_CONE,
@@ -255,6 +256,21 @@ class TestIsAtomicElement:
         # 1/3 is not a member at all -> raises
         with pytest.raises(NotAMember):
             is_atomic_element(m, rational(Fraction(1, 3)))
+
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    @pytest.mark.parametrize("t", [(0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)], ids=str)
+    def test_alphabeta_targets_answer(self, t, depth):
+        # the first factorization takes 7 to 13 copies of one of the
+        # window's smallest atoms, deep in an order-only search tree
+        m, b = AlphaBeta(Fraction(2, 3)), triple(*t)
+        w = is_atomic_element(m, b, depth)
+        assert w.status == "yes"
+        window = set(atoms(m, depth).atoms)
+        total = zero(m.group)
+        for a, c in w.factorization.pairs:
+            assert a in window and c > 0
+            total = total + a.scale(c)
+        assert total == b
 
 
 class TestProbes:

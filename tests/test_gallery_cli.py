@@ -129,6 +129,11 @@ class TestCliCommands:
         assert out["lengths"] == [2, 3, 5, 7, 11, 13]
         assert out["complete"] is False
 
+    def test_lengths_in_the_sqrt_group(self, capsys):
+        code = main(["lengths", "malphabeta:2/3", "0 + 1*sqrt2 + 1*sqrt3", "--depth", "6"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("L(0 + 1*sqrt2 + 1*sqrt3) = {")
+
     def test_probe_refuted_exit_one(self, capsys):
         code = main(["probe", "conductive:Z:a=3", "HFM", "--bound", "60", "--json"])
         out = json.loads(capsys.readouterr().out)
