@@ -443,6 +443,14 @@ def to_text(g: GroupElement) -> str:
     return f"{c0} + {c1}*sqrt2 + {c2}*sqrt3"
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), reporting a zero denominator as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_element(group: Group, text: str) -> GroupElement:
     """Parse the canonical text form of an element of `group`.
 
@@ -450,7 +458,7 @@ def parse_element(group: Group, text: str) -> GroupElement:
     """
     text = text.strip()
     if group.kind == "Q":
-        return GroupElement(group, Fraction(text))
+        return GroupElement(group, parse_fraction(text))
     if group.kind == "lex":
         m = _LEX_RE.match(text)
         if not m:
@@ -463,15 +471,15 @@ def parse_element(group: Group, text: str) -> GroupElement:
                 f"priority {prio} does not match group {group.token}"
             )
         parts = [p for p in body.split(",") if p.strip() != ""]
-        return GroupElement(group, tuple(Fraction(p) for p in parts))
+        return GroupElement(group, tuple(parse_fraction(p) for p in parts))
     parts = [p.strip() for p in text.split("+")]
     if len(parts) != 3 or not parts[1].endswith("*sqrt2") or not parts[2].endswith("*sqrt3"):
         raise ValueError(f"malformed triple {text!r}")
     return GroupElement(
         group,
         (
-            Fraction(parts[0]),
-            Fraction(parts[1][: -len("*sqrt2")]),
-            Fraction(parts[2][: -len("*sqrt3")]),
+            parse_fraction(parts[0]),
+            parse_fraction(parts[1][: -len("*sqrt2")]),
+            parse_fraction(parts[2][: -len("*sqrt3")]),
         ),
     )

@@ -1124,6 +1124,8 @@ def members_within(m: MonoidDescriptor, bound) -> tuple[Element, ...]:
     """
     if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
         limit = Fraction(bound)
+        if limit < 0:
+            raise ValueError(f"negative bound {limit}")
         dens = lcm(limit.denominator, *[g.value.denominator for g in m.generators])
         gens = sorted({int(g.value * dens) for g in m.generators})
         top = int(limit * dens)
@@ -1156,6 +1158,8 @@ def _normalize_box(group: Group, bound) -> tuple[int, ...]:
         box = (int(bound),) * group.rank
     if len(box) != group.rank:
         raise ValueError("box rank mismatch")
+    if min(box, default=0) < 0:
+        raise ValueError(f"negative box entry in {box}")
     return box
 
 

@@ -5,9 +5,10 @@ the chain head), and the witnesses separating the quasi/almost/nearly
 atomic classes.
 
 Every certificate replays: its ``verify`` routine re-checks all recorded
-identities in exact arithmetic and re-runs the exhaustive exclusion
-searches.  Certificates serialize to JSON with full transcripts; the CLI
-``verify`` subcommand re-checks any certificate file.
+identities in exact arithmetic and proves each recorded exclusion from
+its own head and generators by one gcd.  Certificates serialize to JSON
+with full transcripts; the CLI ``verify`` subcommand re-checks any
+certificate file.
 
 Construction is deterministic: wherever an existential step permits a
 choice, the minimal admissible index is taken.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .elements import Q, rational, triple, zero
@@ -112,38 +114,39 @@ def mq_chain(q: Fraction, depth: int) -> ChainCertificate:
 
 @dataclass(frozen=True)
 class ExclusionTranscript:
-    """Exhaustive-search record that the head is not generated by the
-    combined elements: no multiplicity vector within the bounds hits it."""
+    """Record that the head is not generated by the combined elements.
+
+    The proof is one gcd.  Let D clear every denominator of the head and
+    the generators, and let g = gcd(D * generators).  Every element of the
+    generated group, and so of the generated monoid, is D^-1 g times an
+    integer; hence g not dividing D * head excludes the head.  ``bounds``
+    records int(head / generator) per generator.  ``combinations_checked``
+    is kept for the document format: builds write 0 there, and older
+    documents carry the size of the exhaustive search that used to stand in
+    for the gcd; ``verify`` does not read it.
+    """
 
     head: Fraction
     generators: tuple[Fraction, ...]
     bounds: tuple[int, ...]
     combinations_checked: int
 
+    def obstruction(self) -> tuple[int, int, int]:
+        """(D, g, D * head), with D the common denominator of the head and
+        the generators and g = gcd(D * generators)."""
+        den = lcm(self.head.denominator, *(x.denominator for x in self.generators))
+        g = gcd(*((x * den).numerator for x in self.generators))
+        return den, g, (self.head * den).numerator
+
     def verify(self) -> None:
-        expected_bounds = tuple(int(self.head / g) for g in self.generators)
-        if self.bounds != expected_bounds:
+        if self.bounds != _bounds(self.head, self.generators):
             raise CertificateError("exclusion bounds do not match the head")
-        checked = 0
-        stack = [(0, Fraction(0))]
-        while stack:
-            i, acc = stack.pop()
-            if i == len(self.generators):
-                checked += 1
-                if acc == self.head:
-                    raise CertificateError(
-                        f"exclusion broken: {self.head} is generated"
-                    )
-                continue
-            g = self.generators[i]
-            for c in range(self.bounds[i] + 1):
-                nxt = acc + c * g
-                if nxt <= self.head:
-                    stack.append((i + 1, nxt))
-                else:
-                    checked += 1  # pruned branch counts as examined
-        if checked != self.combinations_checked:
-            raise CertificateError("exclusion transcript count mismatch")
+        den, g, target = self.obstruction()
+        if (target % g == 0) if g else target == 0:
+            raise CertificateError(
+                f"exclusion not certified: gcd {g} of the generators times {den}"
+                f" divides {den} * {self.head}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -163,27 +166,8 @@ class ExclusionTranscript:
         )
 
 
-def _run_exclusion(head: Fraction, gens: tuple[Fraction, ...]) -> ExclusionTranscript:
-    bounds = tuple(int(head / g) for g in gens)
-    checked = 0
-    hit = False
-    stack = [(0, Fraction(0))]
-    while stack:
-        i, acc = stack.pop()
-        if i == len(gens):
-            checked += 1
-            if acc == head:
-                hit = True
-            continue
-        for c in range(bounds[i] + 1):
-            nxt = acc + c * gens[i]
-            if nxt <= head:
-                stack.append((i + 1, nxt))
-            else:
-                checked += 1
-    if hit:
-        raise CertificateError(f"{head} is generated; exclusion impossible")
-    return ExclusionTranscript(head, gens, bounds, checked)
+def _bounds(head: Fraction, generators: tuple[Fraction, ...]) -> tuple[int, ...]:
+    return tuple(int(head / g) for g in generators)
 
 
 @dataclass(frozen=True)
@@ -200,7 +184,7 @@ class BreakStep:
 class HereditaryBreakCertificate:
     """Transcript of the constructive half of the chain-vs-hereditary
     atomicity equivalence: combined differences a'_k with (1) the head
-    excluded from <a'_1..a'_k> by exhaustive search, (2) every a'_k in the
+    excluded from <a'_1..a'_k> by a subgroup gcd, (2) every a'_k in the
     head's Archimedean class, (3) s'_k dividing a chain partial sum."""
 
     ratio: Fraction
@@ -275,88 +259,55 @@ class HereditaryBreakCertificate:
 
 
 def synthesize_break(
-    q: Fraction, steps: int, depth: int = 400
+    q: Fraction, steps: int, depth: Optional[int] = None
 ) -> HereditaryBreakCertificate:
     """Run the constructive synthesis for the chain of M_q.
 
     Step 1 combines the first difference with the earliest later one whose
     sum fails to generate the head; step k+1 combines the difference just
     past the current divisibility index with the earliest admissible later
-    one (no element of the finite excluded set is an integer multiple of
-    the sum).  Exclusions are certified by exhaustive bounded knapsack,
-    which is absolute here because all combined elements are positive
-    rationals.
+    one.  For q = n/d the earliest one is always admissible: the head is
+    q0 = d, the differences are a_i = (d - n) q^(i-1), and
+
+        a_(2k-1) + a_(2k) = (d - n)(d + n) n^(2k-2) / d^(2k-1)
+
+    lies in the subgroup (d^2 - n^2) Z[1/d], which misses d because
+    d^2 - n^2 > 1 is coprime to d.  So step k combines chain indices
+    (2k-1, 2k), its partial sum is the chain prefix sum s_(2k) with no
+    leftover, and each exclusion is certified by that subgroup's gcd.
+
+    ``depth`` is the chain depth; it defaults to 2 * steps, the least that
+    holds every combined index.
     """
     q = Fraction(q)
-    chain = mq_chain(q, depth)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    a = chain.differences
-    q0 = chain.elements[0]
-    s = [Fraction(0)]
-    for x in a:
-        s.append(s[-1] + x)
+    if depth is None:
+        depth = 2 * steps
+    if depth < 2 * steps:
+        raise ValueError(
+            f"chain depth {depth} cannot hold {steps} steps; it needs {2 * steps}"
+        )
+    chain = mq_chain(q, depth)
+    a, q0 = chain.differences, chain.elements[0]
     built: list[BreakStep] = []
     running: list[Fraction] = []
-    m_index = 0
     for k in range(1, steps + 1):
-        excluded = _positive_remainders(q0, tuple(running))
-        if k == 1:
-            lo = 2
-            base_idx = 1
-        else:
-            lo = m_index + 2
-            base_idx = m_index + 1
-        choice = None
-        for j in range(lo, len(a) + 1):
-            cand = a[base_idx - 1] + a[j - 1]
-            if all((r / cand).denominator != 1 for r in excluded):
-                choice = j
-                break
-        if choice is None:
-            raise RuntimeError(
-                f"step {k}: no admissible index within chain depth {depth}; "
-                "increase the depth"
+        running.append(a[2 * k - 2] + a[2 * k - 1])
+        gens = tuple(running)
+        built.append(
+            BreakStep(
+                combined=running[-1],
+                chain_indices=(2 * k - 1, 2 * k),
+                partial_sum=sum(running, Fraction(0)),
+                divides_index=2 * k,
+                leftover_indices=(),
+                exclusion=ExclusionTranscript(q0, gens, _bounds(q0, gens), 0),
             )
-        cand = a[base_idx - 1] + a[choice - 1]
-        running.append(cand)
-        leftover = tuple(range(base_idx + 1, choice)) + tuple(
-            built[-1].leftover_indices if built else ()
         )
-        step = BreakStep(
-            combined=cand,
-            chain_indices=(base_idx, choice),
-            partial_sum=sum(running, Fraction(0)),
-            divides_index=choice,
-            leftover_indices=tuple(sorted(leftover)),
-            exclusion=_run_exclusion(q0, tuple(running)),
-        )
-        built.append(step)
-        m_index = choice
     cert = HereditaryBreakCertificate(q, chain, tuple(built))
     cert.verify()
     return cert
-
-
-def _positive_remainders(q0: Fraction, gens: tuple[Fraction, ...]) -> list[Fraction]:
-    """The finite set (q0 - <gens>) intersected with the positives,
-    including q0 itself (the empty combination)."""
-    out: set[Fraction] = set()
-    stack = [(0, Fraction(0))]
-    while stack:
-        i, acc = stack.pop()
-        if i == len(gens):
-            if acc < q0:
-                out.add(q0 - acc)
-            continue
-        c = 0
-        while True:
-            nxt = acc + c * gens[i]
-            if nxt >= q0:
-                break
-            stack.append((i + 1, nxt))
-            c += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

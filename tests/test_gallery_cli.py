@@ -3,6 +3,7 @@ subcommands, exit codes, and output determinism."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,34 @@ class TestCliCommands:
         assert code == EXIT_REFUTED
         assert main(["verify", str(path)]) == EXIT_OK
         capsys.readouterr()
+
+    def test_verify_legacy_break_document(self, capsys):
+        # written before exclusions were certified by a gcd: the exhaustive
+        # search counts it records are no longer replayed
+        path = Path(__file__).parent / "data" / "break_legacy.json"
+        steps = json.loads(path.read_text())["steps"]
+        assert all(st["exclusion"]["combinations_checked"] > 0 for st in steps)
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factorize", "nm:3,5", "1/0"],
+            ["factorize", "cone:NxZ", "(1/0,2)"],
+            ["probe", "nm:3,5", "HFM", "--bound", "1/0"],
+            ["probe", "nm:3,5", "HFM", "--bound", "-1"],
+            ["probe", "cone:NxZ", "HFM", "--bound", "(1,-2)"],
+            ["classify", "mq:1/0"],
+            ["break", "mq:2/3", "--depth", "1", "--steps", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_exit_usage(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err and err.startswith(("error:", "cannot parse"))
 
     def test_verify_tampered_exit_two(self, capsys, tmp_path):
         path = tmp_path / "chain.json"

@@ -3,16 +3,18 @@ quasi/almost/nearly separating witnesses, and certificate replay."""
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import greedy_prime_prefix
+from oracles import brute_force_membership, greedy_prime_prefix
 from posmon.monoids import NotAMember, contains, quasi_not_almost_instance
 from posmon.elements import rational
 from posmon.witness import (
     CertificateError,
     ChainCertificate,
+    ExclusionTranscript,
     HereditaryBreakCertificate,
     PrimeSumCertificate,
     mq_chain,
@@ -94,26 +96,36 @@ class TestBreakSynthesis:
             assert leftover >= 0
 
     def test_exclusions_are_exhaustive(self):
-        cert = synthesize_break(Fraction(2, 3), 3, depth=40)
-        for step in cert.steps:
-            # brute-force re-check of the exclusion, independent of the
-            # transcript machinery
-            gens = step.exclusion.generators
-            head = step.exclusion.head
+        # every gcd-certified exclusion, re-checked by brute-force membership
+        for q in (Fraction(2, 3), Fraction(3, 4), Fraction(3, 5)):
+            n, d = q.numerator, q.denominator
+            cert = synthesize_break(q, 5, depth=10)
+            for k, step in enumerate(cert.steps, 1):
+                ex = step.exclusion
+                assert not brute_force_membership(list(ex.generators), ex.head)
+                den, g, target = ex.obstruction()
+                assert g == d * d - n * n and target % g != 0
+                assert step.chain_indices == (2 * k - 1, 2 * k)
+                assert step.leftover_indices == ()
 
-            def hit(i, acc):
-                if acc == head:
-                    return True
-                if i == len(gens) or acc > head:
-                    return False
-                c = 0
-                while acc + c * gens[i] <= head:
-                    if hit(i + 1, acc + c * gens[i]):
-                        return True
-                    c += 1
-                return False
+    def test_generated_head_rejected(self):
+        ex = ExclusionTranscript(Fraction(3), (Fraction(1),), (3,), 0)
+        with pytest.raises(CertificateError):
+            ex.verify()
 
-            assert not hit(0, Fraction(0))
+    @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(2, 5)], ids=str)
+    def test_twelve_steps_build_and_replay_fast(self, q):
+        start = time.monotonic()
+        cert = synthesize_break(q, 12, depth=60)
+        blob = json.loads(json.dumps(cert.to_json()))
+        assert verify_certificate_json(blob) == "hereditary-break"
+        assert len(cert.steps) == 12
+        assert time.monotonic() - start < 2.0
+
+    def test_default_depth_is_twice_the_steps(self):
+        assert synthesize_break(Fraction(2, 3), 4).chain.depth == 8
+        with pytest.raises(ValueError):
+            synthesize_break(Fraction(2, 3), 4, depth=7)
 
     def test_other_ratio(self):
         cert = synthesize_break(Fraction(3, 5), 3, depth=60)
