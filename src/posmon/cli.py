@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
-from .classify import classify_known
+from .classify import PROPERTIES, classify_known
 from .elements import group_from_token, parse_element, parse_fraction
 from .factor import atoms, factorizations, length_set, probe_property, PROBEABLE
 from .gallery import by_id, gallery_list, run_entry
@@ -125,7 +126,6 @@ def cmd_atoms(args) -> int:
         "depth": a.depth,
         "atoms": [str(x) for x in a.atoms],
         "complete": a.complete,
-        "exhaustive_below": str(a.exhaustive_below) if a.exhaustive_below else None,
         "note": a.note,
     }
     lines = [f"Atoms({m}) at depth {a.depth}:"]
@@ -179,7 +179,7 @@ def cmd_classify(args) -> int:
     report = classify_known(m, depth=args.depth)
     payload = report.to_json()
     lines = [f"Classification of {m}:"]
-    for prop in ("UFM", "HFM", "LFM", "FFM", "BFM", "ACCP", "SAM", "ATM", "NAM", "AAM", "QAM"):
+    for prop in PROPERTIES:
         v = report.verdicts[prop]
         lines.append(f"  {prop:5s} {v.status:15s} [{v.source}]")
     lines.append(f"  chain consistent: {report.chain_ok}")
@@ -321,7 +321,10 @@ def cmd_gallery(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     p = argparse.ArgumentParser(
         prog="posmon",
         description="Exact workbench for factorization and atomicity in positive monoids",

@@ -29,11 +29,9 @@ a complete atom list, so there the enumeration itself decides membership
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
 
-Property probes over encoded windows of rank 1, and of rank 2 whose atoms
-and members have leading coordinate at least 1, are decided by one
-saturated (value, length) counting table over an integer code of the
-window, built once for all members.  Other windows enumerate the window
-factorizations of each member.
+Property probes are decided by one saturated (value, length) counting
+table over a mixed-radix integer code of the encoded window, built once
+for all members (``_codes``, ``_count_cells``).
 """
 
 from __future__ import annotations
@@ -88,26 +86,15 @@ PROBEABLE = ("ATM", "BFM", "FFM", "HFM", "LFM", "UFM")
 class AtomSet:
     """Atoms of a monoid found at a window depth.
 
-    ``complete`` means the listed atoms are all of A(M).  Otherwise
-    ``exhaustive_below`` (when set) bounds a region in which the listing
-    is known exhaustive.  Every listed atom has passed a decomposition
-    search against the generator window.
+    ``complete`` means the listed atoms are all of A(M).  Every listed
+    atom has passed a decomposition search against the generator window.
     """
 
     descriptor: MonoidDescriptor
     depth: int
     atoms: tuple[GroupElement, ...]
     complete: bool
-    exhaustive_below: Optional[GroupElement] = None
     note: Optional[str] = None
-
-    def covers(self, b: Element) -> bool:
-        """True when every atom that could divide b is listed."""
-        if self.complete:
-            return True
-        if self.exhaustive_below is None:
-            return False
-        return b <= self.exhaustive_below
 
 
 @dataclass(frozen=True)
@@ -200,7 +187,7 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
 
 @lru_cache(maxsize=4096)
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
-    candidates, complete, below, note, mode = _atom_candidates(m, depth)
+    candidates, complete, note, mode = _atom_candidates(m, depth)
     window = generators(m, depth).generators
     out = []
     for t in candidates:
@@ -214,7 +201,7 @@ def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
         elif ok:
             out.append(t)
     out.sort()
-    return AtomSet(m, depth, tuple(out), complete, below, note)
+    return AtomSet(m, depth, tuple(out), complete, note)
 
 
 def _no_window_decomposition(
@@ -231,14 +218,13 @@ def _no_window_decomposition(
 
 
 def _atom_candidates(m: MonoidDescriptor, depth: int):
-    """(candidates, complete, exhaustive_below, note, verify_mode)."""
+    """(candidates, complete, note, verify_mode)."""
     if isinstance(m, FiniteGenerated):
-        return sorted(set(m.generators)), True, None, None, "filter"
+        return sorted(set(m.generators)), True, None, "filter"
     if isinstance(m, GeometricPuiseux):
         return (
             [rational(m.q**i) for i in range(depth + 1)],
             False,
-            None,
             "atoms are the powers of the ratio",
             "assert",
         )
@@ -246,7 +232,6 @@ def _atom_candidates(m: MonoidDescriptor, depth: int):
         return (
             [rational(Fraction(1, p)) for p in first_primes(depth)],
             False,
-            None,
             "atoms are the prime reciprocals",
             "assert",
         )
@@ -256,34 +241,32 @@ def _atom_candidates(m: MonoidDescriptor, depth: int):
         return _lexcone_atom_candidates(m, depth)
     if isinstance(m, Localized):
         if m.min_nonzero == 0:
-            return [], True, None, "antimatter: every member halves", "assert"
+            return [], True, "antimatter: every member halves", "assert"
         window = generators(m, depth).generators
         t2 = m.min_nonzero * 2
         cands = [g for g in window if g.value < t2]
-        return cands, False, None, "atoms fill [t, 2t) in the ray", "assert"
+        return cands, False, "atoms fill [t, 2t) in the ray", "assert"
     if isinstance(m, UnionShift):
         if m.mode == UNION:
             return (
                 [rational(Fraction(1, p)) for p in first_primes(depth)],
                 False,
-                None,
                 "atoms are the prime reciprocals of the base",
                 "assert",
             )
         tail_window = generators(m.tail, depth).generators
-        return list(tail_window), False, None, None, "filter"
+        return list(tail_window), False, None, "filter"
     if isinstance(m, AlphaBeta):
         cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
         for s in alphabeta_domain(m.q, depth):
             cands.append(alphabeta_atom(m.q, s, "alpha"))
             cands.append(alphabeta_atom(m.q, s, "beta"))
-        return cands, False, None, "ratio powers plus the two sqrt directions", "assert"
+        return cands, False, "ratio powers plus the two sqrt directions", "assert"
     if isinstance(m, NearlyAtomicAlpha):
         cands = [nearly_atom(x) for x in calkin_wilf(depth)]
         return (
             cands,
             False,
-            None,
             "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms",
             "assert",
         )
@@ -306,31 +289,31 @@ def _conductive_atom_candidates(m: Conductive, depth: int):
                 coords = list(a.value)
                 coords[last] += t
                 out.append(GroupElement(g, tuple(coords)))
-            return out, True, None, None, "assert"
+            return out, True, None, "assert"
         box = _box_elements(g, (depth,) * g.rank)
         cands = [v for v in box if a <= v < two_a]
-        return cands, False, None, "interval [a, 2a) meets the window box", "assert"
+        return cands, False, "interval [a, 2a) meets the window box", "assert"
     if g.kind == "Q":
         window = generators(m, depth).generators
         cands = [v for v in window if a <= v < two_a]
-        return cands, False, None, "interval [a, 2a) sampled on the window grid", "assert"
+        return cands, False, "interval [a, 2a) sampled on the window grid", "assert"
     raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
 
 
 def _lexcone_atom_candidates(m: LexCone, depth: int):
     g = m.lex_group
     if g.rational_coords:
-        return [], True, None, "antimatter: every member halves", "assert"
+        return [], True, "antimatter: every member halves", "assert"
     if m.rule == FULL_CONE:
         coords = [0] * g.rank
         coords[g.priority_order[-1]] = 1
-        return [GroupElement(g, tuple(coords))], True, None, None, "assert"
+        return [GroupElement(g, tuple(coords))], True, None, "assert"
     cands = [
         v
         for v in _box_elements(g, (depth,) * g.rank)
         if v.value[g.priority] == 1
     ]
-    return cands, False, None, "atoms have leading coordinate 1", "assert"
+    return cands, False, "atoms have leading coordinate 1", "assert"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +343,7 @@ def factorizations(
         Factorization(tuple((a, c) for a, c in zip(desc, vec) if c > 0), b)
         for vec in counts
     )
-    complete = atom_set.covers(b) and not truncated
+    complete = atom_set.complete and not truncated
     return FactorizationSearch(m, b, facts, complete, truncated)
 
 
@@ -379,7 +362,7 @@ def length_set(
     desc = atom_set.atoms[::-1]
     lens, truncated = _enumerate(desc, b, max_count, lengths_only=True)
     _require_found(m, b, lens)
-    complete = atom_set.covers(b) and not truncated
+    complete = atom_set.complete and not truncated
     return LengthSet(b, tuple(sorted(set(lens))), complete)
 
 
@@ -401,7 +384,7 @@ def is_atomic_element(
         _require_found(m, b, counts)
     else:
         truncated = False
-    if atom_set.covers(b) and not truncated:
+    if atom_set.complete and not truncated:
         return AtomicityWitness(
             "no", note="atom window is exhaustive below the element; search exhausted"
         )
@@ -748,11 +731,7 @@ def _residue(plan, r) -> int:
 
 
 def probe_property(
-    m: MonoidDescriptor,
-    prop: str,
-    bound,
-    depth: Optional[int] = None,
-    max_count: int = DEFAULT_MAX_COUNT,
+    m: MonoidDescriptor, prop: str, bound, depth: Optional[int] = None
 ) -> ProbeResult:
     """Bounded check of one atomicity/factorization property over all
     members below the bound (a coordinate box for lex families).
@@ -761,9 +740,8 @@ def probe_property(
     carries a finite witness (two conflicting factorizations, or a member
     provably outside the atomic set).
 
-    Windows with an integer code (``_codes``) are decided by one
-    saturated counting table built for all members at once; any other
-    window enumerates the window factorizations of each member in turn.
+    One saturated counting table over the integer codes of the window
+    (``_codes``) gives the factorization lengths of every member at once.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
@@ -774,15 +752,9 @@ def probe_property(
         else:
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
-    desc = atom_set.atoms[::-1]
-    codes = _codes(desc, members)
-    if codes is None:
-        cells = _search_cells(desc, members, max_count)
-    else:
-        cells = _count_cells(*codes)
-    any_incomplete = False
-    for checked, (b, (lens, truncated)) in enumerate(zip(members, cells), 1):
-        complete = atom_set.covers(b) and not truncated
+    complete = atom_set.complete
+    cells = _count_cells(*_codes(atom_set.atoms, members))
+    for checked, (b, lens) in enumerate(zip(members, cells), 1):
         if not lens:
             if complete:
                 witness = {"element": b, "reason": "no factorization into atoms"}
@@ -795,7 +767,6 @@ def probe_property(
                 {"element": b, "reason": "window search found nothing"},
                 checked,
             )
-        any_incomplete = any_incomplete or not complete
         bad = (
             (prop == "HFM" and len(lens) > 1)
             or (prop == "LFM" and any(c >= 2 for c in lens.values()))
@@ -807,48 +778,71 @@ def probe_property(
                 {"element": b, "factorizations": _conflict_pair(m, b, depth, prop)},
                 checked,
             )
-    note = "atom windows incomplete for some members" if any_incomplete else None
+    note = "atom windows incomplete for some members" if members and not complete else None
     return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
 
 
-def _codes(desc, members):
-    """Positive int codes for the atoms and the nonzero members, such that
-    a multiset of atoms sums to a member exactly when its codes sum to the
-    member's code; None when the shapes have no such code.
+def _codes(atom_list, members):
+    """(atom codes, member codes): positive ints for the atoms and, per
+    member, an int or None, such that a multiset of atoms sums to a member
+    exactly when its codes sum to the member's code.  None marks a member
+    that no atom sum reaches.
 
-    ``_encode`` gives the points, and every atom and member must then have
-    at most two coordinates and a leading coordinate x >= 1.  Scalar
-    points are their own codes.  A rank-2 point (x, y) gets the code
-    x*W + y.  Let L be the largest member x, lo and hi the least and
-    greatest atom ratio y/x, ymax = max(L*max(hi, 0), member y) and
-    ymin = min((L+1)*min(lo, 0), member y), and W = ymax - ymin + 1.  The
-    code is injective on the points with 0 <= x <= L and ymin <= y <= ymax.
-    They hold every member, and every atom sum with x <= L, whose y lies in
-    [x*lo, x*hi].  A sum with x >= L+1 has a code of at least
-    x*(W + lo) > L*W + ymax, above every member code.  Atom codes are
-    positive, so the counting table reaches a member's code only through
-    partial sums with smaller codes.
+    ``_encode`` gives int points (x, y_1, ..., y_k), and every atom must
+    have leading coordinate x >= 1, so every nonempty atom sum does too:
+    a member that encodes to None or has x < 1 gets None.  Let L be the
+    largest x of the members that keep a code.  Per trailing coordinate j, with lo_j
+    and hi_j the least and greatest atom ratio y_j/x, let
+    ymax_j = max(L*max(hi_j, 0), member y_j),
+    ymin_j = min((L+1)*min(lo_j, 0), member y_j) and
+    W_j = ymax_j - ymin_j + 1.  The code of a point starts at x and appends
+    one digit per trailing coordinate, code = code*W_j + y_j, so it is
+    linear and an atom sum's code is the sum of its atoms' codes.
+
+    Injective below L+1: every member, and every atom sum with x <= L
+    (whose y_j lies in [x*lo_j, x*hi_j]), has 0 <= x <= L and every y_j in
+    [ymin_j, ymax_j].  On those points the digits read back one at a time
+    from the last: y_k is the one integer in its window of W_k consecutive
+    values that is congruent to the code modulo W_k, and (code - y_k)/W_k
+    is the code of (x, y_1, ..., y_(k-1)); the leading x is what remains.
+
+    Nothing at or above L+1: let c_j = W_(j+1)*...*W_k (so c_k = 1 and
+    W_j*c_j = c_(j-1)).  An atom sum with leading coordinate x has code at
+    least x*K, K = c_0 + sum_j lo_j*c_j.  As (L+1)*lo_j >= ymin_j =
+    ymax_j + 1 - W_j, the sum telescopes to
+    (L+1)*K >= L*c_0 + sum_j ymax_j*c_j + 1, and no member code exceeds
+    L*c_0 + sum_j ymax_j*c_j >= 0.  So K > 0, every atom code is positive,
+    and an atom sum with x >= L+1 lies above every member code.  The counting table thus
+    reaches a member's code only through the partial sums of the atom
+    multisets that sum to the member.
     """
-    if not desc:
-        return None
-    apts, mpts, _ = _encode(desc, members)
-    if len(apts[0]) > 2 or any(p is None or p[0] < 1 for p in (*apts, *mpts)):
-        return None
-    if len(apts[0]) == 1:
-        return [x for (x,) in apts], [x for (x,) in mpts]
-    lead = max((x for x, _ in mpts), default=0)
-    ymax = max(0, *(-(-lead * y // x) for x, y in apts), *(y for _, y in mpts))
-    ymin = min(0, *((lead + 1) * y // x for x, y in apts), *(y for _, y in mpts))
-    w = ymax - ymin + 1
-    return [x * w + y for x, y in apts], [x * w + y for x, y in mpts]
+    if not atom_list:
+        return [], [None] * len(members)
+    apts, mpts, _ = _encode(atom_list, members)
+    if any(p[0] < 1 for p in apts):
+        raise AssertionError("a probed atom has leading coordinate below 1")
+    mpts = [p if p is not None and p[0] >= 1 else None for p in mpts]
+    reached = [p for p in mpts if p is not None]
+    lead = max((p[0] for p in reached), default=0)
+    acodes = [p[0] for p in apts]
+    mcodes = [None if p is None else p[0] for p in mpts]
+    for j in range(1, len(apts[0])):
+        ys = [p[j] for p in reached]
+        ymax = max(0, *(-(-lead * p[j] // p[0]) for p in apts), *ys)
+        ymin = min(0, *((lead + 1) * p[j] // p[0] for p in apts), *ys)
+        w = ymax - ymin + 1
+        acodes = [c * w + p[j] for c, p in zip(acodes, apts)]
+        mcodes = [None if p is None else c * w + p[j] for c, p in zip(mcodes, mpts)]
+    return acodes, mcodes
 
 
 def _count_cells(avals, mvals):
     """Saturated counting DP over (code, length): for each member code a
     {length: count} cell with counts exact up to the cap 2, which decides
     every probe predicate (no factorization, two lengths, a repeated
-    length, two factorizations).  Nothing is truncated."""
-    top = max(mvals, default=0)
+    length, two factorizations).  A member code of None gets an empty
+    cell."""
+    top = max((v for v in mvals if v is not None), default=0)
     table: list[dict[int, int]] = [dict() for _ in range(top + 1)]
     table[0][0] = 1
     for a in sorted(avals):
@@ -861,20 +855,7 @@ def _count_cells(avals, mvals):
                 nl = ln + 1
                 total = cur.get(nl, 0) + cnt
                 cur[nl] = 2 if total > 2 else total
-    return ((table[v], False) for v in mvals)
-
-
-def _search_cells(desc, members, max_count):
-    """The cells of _count_cells, member by member, from the window
-    enumeration; a cell is truncated when max_count cut the search."""
-    for b in members:
-        lens, truncated = (
-            _enumerate(desc, b, max_count, lengths_only=True) if desc else ([], False)
-        )
-        cell: dict[int, int] = {}
-        for ln in lens:
-            cell[ln] = 2 if ln in cell else 1
-        yield cell, truncated
+    return ({} if v is None else table[v] for v in mvals)
 
 
 def _conflict_pair(m, b, depth, prop) -> tuple[Factorization, Factorization]:

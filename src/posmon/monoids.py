@@ -1123,6 +1123,8 @@ def members_within(m: MonoidDescriptor, bound) -> tuple[Element, ...]:
     is a coordinate box (b_1, ..., b_k) and "below" means |coord_i| <= b_i.
     """
     if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
+        if isinstance(bound, (tuple, list)):
+            raise ValueError(f"a value-ordered family takes a number bound, not the box {bound}")
         limit = Fraction(bound)
         if limit < 0:
             raise ValueError(f"negative bound {limit}")

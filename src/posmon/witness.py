@@ -193,6 +193,10 @@ class HereditaryBreakCertificate:
 
     def verify(self) -> None:
         self.chain.verify()
+        self.verify_steps()
+
+    def verify_steps(self) -> None:
+        """Check every step against the chain, taking the chain as verified."""
         q0 = self.chain.elements[0]
         a = self.chain.differences  # a_1 ... (index shift: a[i-1] = a_i)
         s = [Fraction(0)]
@@ -306,7 +310,7 @@ def synthesize_break(
             )
         )
     cert = HereditaryBreakCertificate(q, chain, tuple(built))
-    cert.verify()
+    cert.verify_steps()  # mq_chain verified the chain
     return cert
 
 
@@ -495,17 +499,14 @@ def _greedy_primes(excluded: Iterable[int], count: int) -> list[int]:
     return out
 
 
-def prime_sum_refutation(
-    q: Fraction, prime_cap: Optional[int] = None
-) -> PrimeSumCertificate:
+def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     """Construct the greedy refuting prime set for candidate q: the minimal
     prefix of the primes outside the support of d(q) whose reciprocal sum
     exceeds q + 2, verified by exact rational arithmetic.
 
     A float scan locates the crossover; the boundary is then confirmed
-    exactly with balanced tree sums.  ``prime_cap`` aborts early when the
-    scan would exceed it (the construction for small q needs millions of
-    primes; see verify_almost_not_nearly for estimates).
+    exactly with balanced tree sums.  The construction for small q needs
+    millions of primes; see verify_almost_not_nearly for estimates.
     """
     q = Fraction(q)
     if q <= 0:
@@ -526,10 +527,6 @@ def prime_sum_refutation(
         approx += 1.0 / p
         if approx > tfloat + 1e-7:
             break
-        if prime_cap is not None and p > prime_cap:
-            raise RuntimeError(
-                f"candidate {q} needs primes beyond the cap {prime_cap}"
-            )
     # exact confirmation at the float crossover, stepping as needed
     num, den = _sum_reciprocals(primes)
     while not num * threshold.denominator > threshold.numerator * den:
@@ -605,7 +602,7 @@ def verify_almost_not_nearly(
                 (str(q), f"estimated crossover near prime {est:d} exceeds the cap")
             )
             continue
-        done.append(prime_sum_refutation(q, prime_cap=None))
+        done.append(prime_sum_refutation(q))
     return NearRefutationReport(tuple(done), tuple(skipped))
 
 

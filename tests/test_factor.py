@@ -9,7 +9,7 @@ import pytest
 
 from oracles import brute_force_factorizations, minimal_numerical_monoids
 from posmon.classify import classify_conductive
-from posmon.elements import Z, Z2, Z2_SECOND, GroupMismatch, lexvec, rational, triple, zero
+from posmon.elements import Z, Z2, Z2_SECOND, Group, GroupMismatch, lexvec, rational, triple, zero
 from posmon.factor import (
     atoms,
     factorizations,
@@ -34,6 +34,8 @@ from posmon.monoids import (
     quasi_not_almost_instance,
 )
 from posmon.primes import first_primes
+
+Z3 = Group("lex", rank=3)
 
 
 class TestAtoms:
@@ -298,20 +300,25 @@ class TestProbes:
         "m",
         [LexCone(Z2, FIRST_POSITIVE)]
         + [Conductive(lexvec(Z2, *a)) for a in ((1, -3), (1, 0), (1, 5), (2, -5), (3, 1))]
-        # shapes without an integer code: a member, or the only atom, has
-        # leading coordinate 0
-        + [Conductive(lexvec(Z2, 0, 2)), LexCone(Z2, FULL_CONE)],
+        # every atom has leading coordinate 0, so the code drops that
+        # coordinate and the members nonzero there are unreachable
+        + [Conductive(lexvec(Z2, 0, 2)), LexCone(Z2, FULL_CONE)]
+        + [LexCone(Z3, FIRST_POSITIVE)]
+        + [Conductive(lexvec(Z3, *a)) for a in ((1, 0, 0), (1, -1, 2), (0, 1, -1))],
         ids=str,
     )
     def test_probe_matches_per_member_search(self, m):
         verdicts = set()
-        # tall boxes at small depths; a box of atoms as tall as the window,
-        # where the codes of two-atom sums come closest to member codes;
-        # short boxes at the default depth
-        windows = [
-            *product(((2, 12), (2, 20), (3, 12)), (1, 2, 3)),
-            ((1, 6), 6), ((2, 6), None), ((3, 4), None),
-        ]
+        if m.group.rank == 2:
+            # tall boxes at small depths; a box of atoms as tall as the
+            # window, where the codes of two-atom sums come closest to
+            # member codes; short boxes at the default depth
+            windows = [
+                *product(((2, 12), (2, 20), (3, 12)), (1, 2, 3)),
+                ((1, 6), 6), ((2, 6), None), ((3, 4), None),
+            ]
+        else:
+            windows = list(product(((1, 2, 2), (2, 2, 2)), (2, 3)))
         for prop, (box, depth) in product(("ATM", "HFM", "LFM", "UFM"), windows):
             r = probe_property(m, prop, box, depth=depth)
             verdict, checked, note, element = _probe_by_search(m, prop, box, depth)
@@ -320,7 +327,7 @@ class TestProbes:
             )
             assert (r.witness or {}).get("element") == element, (prop, box, depth)
             verdicts.add(r.verdict)
-        if all(a.value[0] >= 1 for a in atoms(m, 1).atoms):
+        if m.group.rank == 2 and all(a.value[0] >= 1 for a in atoms(m, 1).atoms):
             # tall boxes at small depths leave members out of the window's
             # reach: their codes must stay unreachable in the table
             assert "inconclusive" in verdicts

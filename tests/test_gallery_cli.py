@@ -186,6 +186,7 @@ class TestCliCommands:
             ["probe", "nm:3,5", "HFM", "--bound", "1/0"],
             ["probe", "nm:3,5", "HFM", "--bound", "-1"],
             ["probe", "cone:NxZ", "HFM", "--bound", "(1,-2)"],
+            ["probe", "nm:3,5", "HFM", "--bound", "(1,2)"],
             ["classify", "mq:1/0"],
             ["break", "mq:2/3", "--depth", "1", "--steps", "1"],
         ],
@@ -274,6 +275,12 @@ class TestCliCommands:
         second = capsys.readouterr().out
         assert code == EXIT_OK
         assert first == second
+
+    def test_gallery_run_all_matches_committed_output(self, capsys):
+        expected = Path(__file__).parents[1] / "perfbench" / "gallery_run_all.json"
+        code = main(["gallery", "--run-all", "--json"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == expected.read_text()
 
     def test_gallery_jobs_flag(self, capsys):
         code = main(["gallery", "--run-all", "--jobs", "4", "--depth", "6"])

@@ -140,6 +140,20 @@ class TestBreakSynthesis:
         with pytest.raises(CertificateError):
             HereditaryBreakCertificate.from_json(blob).verify()
 
+    def test_build_replays_the_chain_once(self, monkeypatch):
+        calls = []
+        replay = ChainCertificate.verify
+        monkeypatch.setattr(ChainCertificate, "verify", lambda c: calls.append(c) or replay(c))
+        cert = synthesize_break(Fraction(2, 3), 3)
+        assert len(calls) == 1
+        # a document read back still replays its chain: an element off the
+        # chain identity, which no step reads, is caught
+        blob = json.loads(json.dumps(cert.to_json()))
+        blob["chain"]["elements"][3] = "1/7"
+        with pytest.raises(CertificateError):
+            verify_certificate_json(blob)
+        assert len(calls) == 2
+
 
 class TestQuasiWitness:
     @pytest.mark.parametrize(
