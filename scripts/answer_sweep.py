@@ -1,0 +1,146 @@
+"""Print one JSON line (sorted keys) per query, for a before/after answer diff.
+
+The queries cover:
+
+- the atom windows of every gallery instance and of every family the
+  benchmark workloads query, at depths 1-30;
+- the atom windows of conductive monoids whose threshold has coordinates
+  in [-2, 2], over Z, Z^2 and Q^2, at depths 1-8;
+- membership in M_q on a grid of values, certificate included;
+- ascending-chain certificates that must verify or be rejected.
+
+Usage (stdlib only):
+
+    PYTHONPATH=src python scripts/answer_sweep.py > sweep.txt
+
+Run it on two checkouts and compare the outputs with ``diff``; any line
+that differs is a changed answer.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from itertools import product
+
+from posmon.elements import Q2, Z, Z2, lexvec, rational, triple
+from posmon.factor import atoms
+from posmon.gallery import gallery_list
+from posmon.monoids import (
+    AlphaBeta,
+    Conductive,
+    FiniteGenerated,
+    GeometricPuiseux,
+    contains,
+    numerical,
+)
+from posmon.witness import ChainCertificate, mq_chain, verify_certificate_json
+
+RATIOS = tuple(Fraction(r) for r in (
+    "2/3", "3/4", "2/5", "3/5", "4/5", "5/6", "3/7", "4/7", "5/7",
+    "5/8", "7/8", "4/9", "7/9", "7/10", "9/10",
+))
+NUMERICAL = (
+    (1,), (2, 3), (3, 5), (3, 7), (4, 5, 6), (5, 7, 9), (4, 7, 9, 11),
+    (6, 10, 15), (4, 6, 9), (3, 5, 6, 8, 9, 10), (4, 8, 12, 13),
+)
+EXTRA_FINITE = (
+    FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6"))),
+    FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((0, 1), (1, 2), (2, 3), (1, 3)))),
+    FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((1, 0), (2, 0), (3, 0)))),
+    FiniteGenerated(tuple(triple(*t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)))),
+)
+LEX_THRESHOLDS = [(x, y) for x in (1, 2) for y in range(-3, 4)] + [(0, 1), (0, 2), (0, 3)]
+SMALL = range(-2, 3)
+
+
+def emit(obj: dict) -> None:
+    print(json.dumps(obj, sort_keys=True))
+
+
+def error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def atoms_line(m, depth: int) -> None:
+    try:
+        s = atoms(m, depth)
+        out = {"atoms": [str(a) for a in s.atoms], "complete": s.complete, "note": s.note}
+    except Exception as exc:  # the answer under test includes the failure
+        out = {"error": error(exc)}
+    emit({"query": "atoms", "instance": str(m), "depth": depth, **out})
+
+
+def atom_windows() -> None:
+    families = [e.descriptor for e in gallery_list()]
+    families += [GeometricPuiseux(q) for q in RATIOS]
+    families += [numerical(*g) for g in NUMERICAL] + list(EXTRA_FINITE)
+    families += [AlphaBeta(Fraction(r)) for r in ("3/4", "3/5")]
+    families += [Conductive(lexvec(Z2, *a)) for a in LEX_THRESHOLDS]
+    for m in families:
+        for depth in range(1, 31):
+            atoms_line(m, depth)
+    small = [Conductive(lexvec(Z, a)) for a in SMALL if a > 0]
+    for group in (Z2, Q2):
+        small += [Conductive(lexvec(group, *a)) for a in product(SMALL, SMALL) if a > (0, 0)]
+    for m in small:
+        for depth in range(1, 9):
+            atoms_line(m, depth)
+
+
+def mq_grid() -> None:
+    for q in RATIOS:
+        m, d = GeometricPuiseux(q), q.denominator
+        dens = sorted({1, d, d**2, d**3, 2, 4, 5, 6, 7, 2 * d, 3 * d})
+        for den in dens:
+            for k in range(0, 61):
+                x = Fraction(k, den)
+                v = contains(m, rational(x))
+                cert = [[str(g), c] for g, c in v.certificate] if v.is_in else None
+                emit({"query": "contains", "instance": str(m), "x": str(x),
+                      "verdict": v.status, "certificate": cert})
+
+
+def verify_line(case: str, q: Fraction, cert: ChainCertificate) -> None:
+    try:
+        cert.verify()
+        verdict = "verified"
+    except Exception as exc:  # the rejection message is the answer
+        verdict = error(exc)
+    try:
+        replay = verify_certificate_json(json.loads(json.dumps(cert.to_json())))
+    except Exception as exc:
+        replay = error(exc)
+    emit({"query": "chain-verify", "case": case, "ratio": str(q),
+          "depth": cert.depth, "verdict": verdict, "replay": replay})
+
+
+def chains() -> None:
+    for q in RATIOS:
+        n, d = q.numerator, q.denominator
+        for depth in (0, 1, 2, 5, 12, 30):
+            verify_line("built", q, mq_chain(q, depth))
+        cert = mq_chain(q, 30)
+        els, diffs = list(cert.elements), list(cert.differences)
+        # two consecutive steps merged: still a member difference
+        verify_line("merged", q, ChainCertificate(q, tuple(els[:3] + els[4:]), tuple(
+            diffs[:2] + [diffs[2] + diffs[3]] + diffs[4:])))
+        # q_3 shifted by x, both differences beside it adjusted: the chain
+        # identities hold, and a_3 - x and a_4 + x decide the verdict
+        for x in (Fraction(1, 6), Fraction(1, 5), Fraction(1, 2 * d), q**40, Fraction(1, d)):
+            bent = els[:]
+            bent[3] += x
+            verify_line(f"bent {x}", q, ChainCertificate(q, tuple(bent), tuple(
+                diffs[:2] + [diffs[2] - x] + [diffs[3] + x] + diffs[4:])))
+        verify_line("tampered", q, ChainCertificate(q, tuple(els), tuple(diffs[:-1] + [diffs[-1] + 1])))
+        verify_line("non-positive", q, ChainCertificate(q, tuple([els[0]] * len(els)), tuple([Fraction(0)] * len(diffs))))
+        verify_line("short", q, ChainCertificate(q, tuple(els[:-1]), tuple(diffs)))
+        small = Fraction(n - 1, d) if n > 2 else Fraction(1, d)
+        verify_line("non-member", q, ChainCertificate(q, (small, Fraction(0)), (small,)))
+        verify_line("sixth", q, ChainCertificate(q, (Fraction(1, 6), Fraction(0)), (Fraction(1, 6),)))
+
+
+if __name__ == "__main__":
+    atom_windows()
+    mq_grid()
+    chains()

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import sub
 from typing import Callable, Optional
 
 from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational
@@ -61,6 +62,8 @@ from .monoids import (
     UnionShift,
     UnsupportedFamily,
     _box_elements,
+    _mq_digits,
+    _mq_exponent,
     _zero_of,
     alphabeta_atom,
     alphabeta_domain,
@@ -187,21 +190,93 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
 
 @lru_cache(maxsize=4096)
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
+    """Candidates pass when no window generator g leaves t - g a nonzero
+    member of m.  The differences are decided in ints wherever the family
+    allows it (``_int_decompositions``): M_q, conductive monoids over Q and
+    lex groups, lex cones, and finitely generated monoids whose window
+    encodes to rank 1.  The other families decide each difference by
+    ``contains``.
+    """
     candidates, complete, note, mode = _atom_candidates(m, depth)
     window = generators(m, depth).generators
+    splits = _int_decompositions(m, candidates, window) if candidates else None
+    if splits is None:
+        splits = (not _no_window_decomposition(m, t, window, depth) for t in candidates)
     out = []
-    for t in candidates:
-        ok = _no_window_decomposition(m, t, window, depth)
+    for t, split in zip(candidates, splits):
         if mode == "assert":
-            if not ok:
+            if split:
                 raise AssertionError(
                     f"closed-form atom {t} of {m} failed its decomposition check"
                 )
             out.append(t)
-        elif ok:
+        elif not split:
             out.append(t)
     out.sort()
     return AtomSet(m, depth, tuple(out), complete, note)
+
+
+def _int_decompositions(m: MonoidDescriptor, candidates, window):
+    """For each candidate t, lazily and in order, whether some window
+    generator g leaves t - g a nonzero member of m, decided in ints; None
+    for the families that decide only through ``contains``.
+
+    The candidates, the window and any threshold are encoded once by
+    ``_encode`` (lex coordinates in priority order, so the group order is
+    tuple order and is invariant under translation):
+
+    - M_q: t - g is decided by its canonical representation, at the least
+      level that holds both t and g (the unit encodes last, as (D,));
+    - conductive: t - g >= a exactly when g <= t - a, and then t - g is
+      nonzero since a > 0;
+    - lex cones: t - g lies in a first-positive cone when its priority
+      coordinate is positive, and in a full cone when it is positive;
+    - finitely generated monoids of encoded rank 1: the scalar loop looks
+      for one combination of the generators summing to t - g.
+    """
+    if m.group.kind == "sqrt23":
+        return None
+    count = len(candidates)
+    if isinstance(m, GeometricPuiseux):
+        *pts, (den,) = _encode([*candidates, *window, rational(1)], ())[0]
+        n, d = m.q.numerator, m.q.denominator
+        top = _mq_exponent(d, den)
+        # x / den as (d^top x / den, its least level l, d^(top - l)); at the
+        # greater level l of t and g, t - g is d^l (t - g) / d^top
+        keyed = []
+        for (x,) in pts:
+            level = _mq_exponent(d, den // gcd(x, den))
+            keyed.append((x * d**top // den, level, d ** (top - level)))
+        return (
+            any(
+                g < t and _mq_digits(n, d, (t - g) // min(ct, cg), max(lt, lg)) is not None
+                for g, lg, cg in keyed[count:]
+            )
+            for t, lt, ct in keyed[:count]
+        )
+    if isinstance(m, Conductive):
+        *pts, a = _encode([*candidates, *window, m.threshold], ())[0]
+        gs = pts[count:]
+        return (any(g <= ta for g in gs) for ta in (tuple(map(sub, t, a)) for t in pts[:count]))
+    if isinstance(m, LexCone):
+        pts, _, keep = _encode([*candidates, *window], ())
+        gs = pts[count:]
+        if m.rule == FULL_CONE:
+            return (any(g < t for g in gs) for t in pts[:count])
+        if keep[0] != 0:  # the priority coordinate is 0 on every point
+            return (False for _ in candidates)
+        return (any(g[0] < t[0] for g in gs) for t in pts[:count])
+    if isinstance(m, FiniteGenerated):
+        pts, _, keep = _encode([*candidates, *window], ())
+        if len(keep) > 1:
+            return None
+        vals = [x for (x,) in pts]
+        gens = sorted(set(vals[count:]), reverse=True)
+        return (
+            any(g < t and _scalar_search(gens, t - g, 1, True)[0] for g in vals[count:])
+            for t in vals[:count]
+        )
+    return None
 
 
 def _no_window_decomposition(

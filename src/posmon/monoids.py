@@ -4,7 +4,7 @@ membership and divisibility decision procedures.
 Membership is exact (In/Out) wherever a decision procedure exists:
 finitely generated monoids (the integer knapsack engine of ``factor``,
 stopped at the first combination), conductive monoids and lex cones (cone
-rule), the geometric monoid <q^n> (denominator descent), the
+rule), the geometric monoid <q^n> (canonical representation), the
 prime-reciprocal monoid <1/p> (residue decomposition), localized rays
 Z[1/p]_{>=t}, their unions, and direct products.  The two families built
 around an irrational basis element only admit bounded verdicts, reported
@@ -37,7 +37,14 @@ from .elements import (
     triple,
     zero,
 )
-from .primes import calkin_wilf, factorize, first_primes, is_prime, is_squarefree
+from .primes import (
+    calkin_wilf,
+    calkin_wilf_index,
+    factorize,
+    first_primes,
+    is_prime,
+    is_squarefree,
+)
 
 DEFAULT_DEPTH = 12
 
@@ -505,15 +512,15 @@ def alphabeta_phi(q: Fraction, s: Fraction) -> int:
 
 
 def nearly_phi(x: Fraction) -> int:
-    """phi(x) for the Calkin-Wilf enumeration of Q_{>=0}."""
+    """phi(x) for the Calkin-Wilf enumeration of Q_{>=0}: the prime at
+    x's position, read from the first 16 * 2^j primes that reach it."""
+    index = calkin_wilf_index(Fraction(x), 21)
+    if index is None:
+        raise RuntimeError(f"{x} not reached within the enumeration cap")
     count = 16
-    while True:
-        dom = calkin_wilf(count)
-        if x in dom:
-            return first_primes(len(dom))[dom.index(x)]
-        if count > 1 << 20:
-            raise RuntimeError(f"{x} not reached within the enumeration cap")
+    while count <= index:
         count *= 2
+    return first_primes(count)[index]
 
 
 def nearly_atom(x: Fraction) -> GroupElement:
@@ -799,66 +806,74 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
 # -- geometric <q^n> ---------------------------------------------------------
 
 
-def _den_support_ok(den: int, d: int) -> bool:
-    """den divides a power of d."""
-    t = den
-    g = gcd(t, d)
-    while g > 1:
-        while t % g == 0:
-            t //= g
-        g = gcd(t, d)
-    return t == 1
+def _mq_exponent(d: int, den: int) -> Optional[int]:
+    """The least K with den | d^K, or None when den has a prime factor
+    that d lacks.  Each gcd step lowers every exponent of den by that of
+    d, so the loop runs exactly K times."""
+    k = 0
+    while den > 1:
+        g = gcd(den, d)
+        if g == 1:
+            return None
+        den //= g
+        k += 1
+    return k
+
+
+def _mq_digits(n: int, d: int, big: int, k: int) -> Optional[list[int]]:
+    """The canonical coefficients c_0..c_k of big over q = n/d, or None.
+
+    They satisfy sum c_i n^i d^(k-i) == big with every c_i >= 0 and
+    c_i < d for i >= 1.  Modulo d only the top term survives, so c_k is
+    forced to big * n^-k (mod d); subtracting it and dividing by d leaves
+    the same problem one level down.  Once the remainder is negative no
+    nonnegative completion exists.
+    """
+    digits = [0] * (k + 1)
+    inv = pow(n, -1, d)
+    step = pow(inv, k, d)  # n^-i mod d at level i
+    power = n**k
+    for i in range(k, 0, -1):
+        if big <= 0:
+            break
+        c = big % d * step % d
+        big = (big - c * power) // d
+        digits[i] = c
+        power //= n
+        step = step * n % d
+    if big < 0:
+        return None
+    digits[0] = big
+    return digits
 
 
 @lru_cache(maxsize=65536)
 def _mq_solve(q: Fraction, x: Fraction) -> Optional[tuple[tuple[int, int], ...]]:
-    """Coefficients ((i, c_i), ...) with sum c_i q^i == x, or None.
+    """The canonical representation ((i, c_i), ...) of x in M_q, with
+    sum c_i q^i == x and 0 < c_i < d(q) for i >= 1, or None when x is
+    not a member.
 
-    Descends one power at a time: the coefficient at the current level is
-    congruent to the residue of the value modulo n(q), and subtracting it
-    and dividing by q strictly reduces the d(q)-part of the denominator.
-    The candidates at a level are tried from the largest down; the descent
-    keeps its levels on an explicit stack, so its depth is not bounded by
-    the interpreter's recursion limit.
+    Existence: applied from the top index down, the trade
+    d q^(i+1) = n q^i turns any representation of a member into one with
+    every coefficient at index >= 1 below d.  Uniqueness: the residues of
+    ``_mq_digits`` force each such coefficient, so there is no search.
+    The least K with den(x) | d^K suffices: if 0 < c_j < d at the top
+    index j >= 1, then d^j x is an integer that d does not divide, so
+    d^(j-1) x is not an integer and den(x) divides no d^(j-1); hence
+    j <= K.  See S. T. Chapman, F. Gotti and M. Gotti, "Factorization
+    invariants of Puiseux monoids generated by geometric sequences",
+    Comm. Algebra 48 (2020).
     """
-    n, d = q.numerator, q.denominator
-    memo: dict[Fraction, Optional[list[int]]] = {}
-    stack: list[list] = []  # [value, coefficient being tried] per open level
-    y = Fraction(x)
-    while True:
-        # settle y, or open a level for it
-        if y < 0:
-            sub: Optional[list[int]] = None
-        elif y.denominator == 1:
-            sub = [int(y)]
-        elif y in memo:
-            sub = memo[y]
-        elif not _den_support_ok(y.denominator, d):
-            sub = memo[y] = None
-        else:
-            r = (y.numerator * pow(y.denominator, -1, n)) % n
-            top = y.numerator // y.denominator
-            if top < r:
-                sub = memo[y] = None
-            else:
-                c0 = top - ((top - r) % n)
-                stack.append([y, c0])
-                y = (y - c0) / q
-                continue
-        # close levels until one has a smaller coefficient left to try
-        while stack:
-            value, c0 = stack[-1]
-            if sub is None and c0 >= n:
-                stack[-1][1] = c0 - n
-                y = (value - c0 + n) / q
-                break
-            sub = memo[value] = None if sub is None else [c0] + sub
-            stack.pop()
-        else:
-            break
-    if sub is None:
+    if x < 0:
         return None
-    return tuple((i, c) for i, c in enumerate(sub) if c > 0)
+    n, d = q.numerator, q.denominator
+    k = _mq_exponent(d, x.denominator)
+    if k is None:
+        return None
+    digits = _mq_digits(n, d, x.numerator * (d**k // x.denominator), k)
+    if digits is None:
+        return None
+    return tuple((i, c) for i, c in enumerate(digits) if c > 0)
 
 
 def _mq_contains(m: GeometricPuiseux, x: GroupElement) -> MembershipVerdict:

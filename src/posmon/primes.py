@@ -7,9 +7,11 @@ call pattern warrants it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from math import gcd
+from typing import Iterator, Optional
 
 _SMALL_SIEVE_LIMIT = 1 << 16
 
@@ -56,14 +58,43 @@ def first_primes(n: int) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)); above it primality falls back to trial division.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n < _SMALL_SIEVE_LIMIT:
         ps = primes_below(_SMALL_SIEVE_LIMIT)
-        # binary search not worth it at this size
-        return n in ps if n < 100 else _trial_division(n)
+        i = bisect_left(ps, n)
+        return i < len(ps) and ps[i] == n
+    if n < _MR_LIMIT:
+        return _miller_rabin(n)
     return _trial_division(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of n > 41 to every base in _MR_BASES;
+    exact for n < _MR_LIMIT."""
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _trial_division(n: int) -> bool:
@@ -78,19 +109,87 @@ def _trial_division(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    The sieve primes are divided out first, which settles every n below
+    the square of the sieve limit.  A larger cofactor has no prime factor
+    below the sieve limit: below _MR_LIMIT it is split by Pollard's rho
+    until Miller-Rabin certifies every part; above it trial division
+    continues from the sieve limit.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    d = 2
+    for p in primes_below(_SMALL_SIEVE_LIMIT):
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    # every prime factor left is past the sieve (the last sieve prime may
+    # have divided n down to 1)
+    if n == 1:
+        return out
+    if n >= _MR_LIMIT:
+        _factor_by_trial(n, _SMALL_SIEVE_LIMIT + 1, out)
+        return out
+    stack = [n]  # divisors of n, so free of primes below the sieve limit
+    while stack:
+        m = stack.pop()
+        if m < _SMALL_SIEVE_LIMIT**2 or _miller_rabin(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _factor_by_trial(n: int, d: int, out: dict[int, int]) -> None:
+    """Trial division of n by the odd d, d + 2, ...; records into out."""
     while d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
+        d += 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    cycle detection and batched gcds, over x -> x^2 + c for c = 1, 2, ...
+    until one splits n (deterministic)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_squarefree(n: int) -> bool:
@@ -118,3 +217,33 @@ def calkin_wilf(count: int) -> tuple[Fraction, ...]:
         out.append(q)
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
     return tuple(out)
+
+
+def calkin_wilf_index(x: Fraction, bits: int) -> Optional[int]:
+    """The position of x >= 0 in ``calkin_wilf``, or None when it is
+    2^bits or more (or x is negative).
+
+    Position 0 holds 0.  A positive a/b sits at index n of the Calkin-Wilf
+    tree (root 1/1 at n = 1): its children a/(a+b) and (a+b)/b sit at 2n
+    and 2n + 1, so the bits of n after the leading 1 spell the path from
+    1/1.  Walking up from a/b, a run of k steps in one direction is one
+    division, as in Euclid's algorithm.
+    """
+    if x <= 0:
+        return 0 if x == 0 else None
+    a, b = x.numerator, x.denominator
+    index, shift = 0, 0
+    while a != b:
+        if a > b:
+            k = (a - 1) // b  # right steps: (a - b)/b is the parent of a/b
+            if shift + k >= bits:
+                return None
+            a -= k * b
+            index |= ((1 << k) - 1) << shift
+        else:
+            k = (b - 1) // a  # left steps: a/(b - a) is the parent of a/b
+            if shift + k >= bits:
+                return None
+            b -= k * a
+        shift += k
+    return index | (1 << shift)

@@ -31,6 +31,7 @@ from posmon.monoids import (
     FiniteGenerated,
     NearlyAtomicAlpha,
     UnsupportedFamily,
+    _mq_solve,
     alphabeta_domain,
     alphabeta_phi,
     contains,
@@ -39,9 +40,68 @@ from posmon.monoids import (
     replay_certificate,
 )
 from posmon.elements import Z
+from posmon.primes import factorize, is_prime
 
 
 RATIOS = [Fraction(2, 3), Fraction(3, 5), Fraction(4, 7), Fraction(5, 8), Fraction(7, 9)]
+# every ratio the benchmark workloads query
+ALL_RATIOS = [Fraction(r) for r in (
+    "2/3", "3/4", "2/5", "3/5", "4/5", "5/6", "3/7", "4/7", "5/7",
+    "5/8", "7/8", "4/9", "7/9", "7/10", "9/10",
+)]
+
+
+def _check_canonical(q, x, rep):
+    assert sum(c * q**i for i, c in rep) == x, (q, x, rep)
+    assert all(c > 0 for _, c in rep)
+    assert all(c < q.denominator for i, c in rep if i >= 1), (q, x, rep)
+
+
+class TestCanonicalRepresentation:
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_matches_brute_force(self, q):
+        # a member whose denominator divides d^2 has its canonical
+        # representation at indices <= 2, so the oracle over q^0, q^1, q^2
+        # is complete on this grid (which holds every divisor of d^2)
+        d = q.denominator
+        gens = [q**i for i in range(3)]
+        for k in range(0, 3 * d * d + 1):
+            x = Fraction(k, d * d)
+            rep = _mq_solve(q, x)
+            assert (rep is not None) == brute_force_membership(gens, x), (q, x)
+            if rep is not None:
+                _check_canonical(q, x, rep)
+
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_members_have_canonical_forms(self, q):
+        for x in mq_members_below(q, 4, q.denominator + 1, Fraction(4)):
+            rep = _mq_solve(q, x)
+            assert rep is not None, (q, x)
+            _check_canonical(q, x, rep)
+
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_edge_values(self, q):
+        d = q.denominator
+        assert _mq_solve(q, Fraction(0)) == ()
+        assert _mq_solve(q, Fraction(-1)) is None
+        assert _mq_solve(q, Fraction(-1, d)) is None
+        assert _mq_solve(q, q**3) == ((3, 1),)
+        # a denominator with a prime that d lacks (1/5 and 1/6 at 2/3): no
+        # power of d clears it, so this must end without a search
+        for p in (2, 3, 5, 7, 11):
+            if d % p:
+                assert _mq_solve(q, Fraction(1, p)) is None
+                assert _mq_solve(q, Fraction(1, p * d)) is None
+                assert _mq_solve(q, Fraction(p * d + 1, p * d)) is None
+
+    def test_denominator_properly_dividing_a_power_of_d(self):
+        q = Fraction(3, 4)
+        gens = [q**i for i in range(4)]
+        assert _mq_solve(q, Fraction(1, 2)) is None
+        assert not brute_force_membership(gens, Fraction(1, 2))
+        assert _mq_solve(q, Fraction(3, 2)) == ((1, 2),)
+        assert _mq_solve(q, Fraction(9, 8)) == ((2, 2),)
+        assert brute_force_membership(gens, Fraction(9, 8))
 
 
 class TestGeometricMembershipWide:
@@ -194,6 +254,37 @@ class TestQuasiMembershipWide:
                     cert = dict()
                     total = replay_certificate(got, zero(Q))
                     assert total == rational(x)
+
+
+def _trial_factorization(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactorization:
+    def test_matches_trial_division(self):
+        # past the sieve's square (2^32) the cofactor goes through Pollard
+        # rho and Miller-Rabin
+        rng = random.Random(5)
+        nums = list(range(1, 3000)) + [rng.randrange(2**32, 2**35) for _ in range(12)]
+        nums += [65521**2, 65521**3, 65537 * 65539, 65537**3, 1000003 * 1000033, 3 * 65521 * 65537]
+        for n in nums:
+            expected = _trial_factorization(n)
+            assert factorize(n) == expected, n
+            assert is_prime(n) == (expected == {n: 1}), n
+
+    @pytest.mark.parametrize("p, q", [(1000000007, 1000000009), (274177, 67280421310721)])
+    def test_large_semiprimes(self, p, q):
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert is_prime(p) and is_prime(q) and not is_prime(p * q)
 
 
 class TestPhiDeterminism:

@@ -2,6 +2,7 @@
 brute-force oracle, length sets, atomicity witnesses, and probes."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,8 @@ import pytest
 
 from oracles import brute_force_factorizations, minimal_numerical_monoids
 from posmon.classify import classify_conductive
-from posmon.elements import Z, Z2, Z2_SECOND, Group, GroupMismatch, lexvec, rational, triple, zero
+import posmon.factor as factor_module
+from posmon.elements import Q2, Z, Z2, Z2_SECOND, Group, GroupMismatch, lexvec, rational, triple, zero
 from posmon.factor import (
     atoms,
     factorizations,
@@ -23,12 +25,14 @@ from posmon.monoids import (
     Conductive,
     FIRST_POSITIVE,
     FULL_CONE,
+    FiniteGenerated,
     GeometricPuiseux,
     LexCone,
     NotAMember,
     PrimeReciprocal,
     UnsupportedFamily,
     contains,
+    generators,
     members_within,
     numerical,
     quasi_not_almost_instance,
@@ -103,6 +107,72 @@ class TestAtoms:
                 den //= 3
             assert den == 1
             assert Fraction(4, 3) <= v < Fraction(7, 3)
+
+
+# the families whose atom windows are re-verified in ints, with one wrong
+# closed-form candidate each: t = g + (nonzero member) for a window g
+INT_CHECKED = [
+    (GeometricPuiseux(Fraction(2, 3)), rational(Fraction(5, 3))),
+    (GeometricPuiseux(Fraction(3, 4)), rational(Fraction(3, 2))),
+    (LexCone(Z2, FIRST_POSITIVE), lexvec(Z2, 2, 5)),
+    (LexCone(Z2, FULL_CONE), lexvec(Z2, 1, 0)),
+    (Conductive(lexvec(Z2, 1, 0)), lexvec(Z2, 2, 0)),
+    (Conductive(lexvec(Z2, 0, 2)), lexvec(Z2, 0, 4)),
+    (Conductive(rational(Fraction(3, 2))), rational(Fraction(7, 2))),
+    (Conductive(lexvec(Z, 3)), lexvec(Z, 6)),
+]
+
+
+class TestAtomReverification:
+    @pytest.mark.parametrize("m, wrong", INT_CHECKED, ids=lambda v: str(v))
+    def test_injected_wrong_candidate_raises(self, monkeypatch, m, wrong):
+        real = factor_module._atom_candidates
+
+        def injected(m_, depth):
+            cands, complete, note, mode = real(m_, depth)
+            assert mode == "assert"
+            return [*cands, wrong], complete, note, mode
+
+        def no_contains(*args, **kwargs):
+            raise AssertionError("the int path called contains")
+
+        monkeypatch.setattr(factor_module, "_atom_candidates", injected)
+        monkeypatch.setattr(factor_module, "contains", no_contains)
+        factor_module._atoms_cached.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="failed its decomposition check"):
+                atoms(m, 5)
+        finally:
+            factor_module._atoms_cached.cache_clear()
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for m, _ in INT_CHECKED]
+        + [
+            numerical(3, 5, 6, 8, 9, 10),
+            numerical(4, 8, 12, 13),
+            FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6", "4/3"))),
+            FiniteGenerated((lexvec(Z2, 1, 0), lexvec(Z2, 2, 0), lexvec(Z2, 3, 0))),
+            Conductive(lexvec(Q2, 1, -1)),
+            LexCone(Z2_SECOND, FIRST_POSITIVE),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_int_path_matches_contains(self, m, depth):
+        cands = factor_module._atom_candidates(m, depth)[0]
+        window = generators(m, depth).generators
+        got = list(factor_module._int_decompositions(m, cands, window))
+        assert got == [
+            not factor_module._no_window_decomposition(m, t, window, depth) for t in cands
+        ]
+        assert not any(got) or isinstance(m, FiniteGenerated)
+
+    def test_deep_geometric_window_is_fast(self):
+        start = time.perf_counter()
+        a = atoms(GeometricPuiseux(Fraction(2, 3)), 120)
+        assert len(a.atoms) == 121
+        assert time.perf_counter() - start < 5.0
 
 
 class TestFactorizations:

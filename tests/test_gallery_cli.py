@@ -2,6 +2,7 @@
 subcommands, exit codes, and output determinism."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +244,17 @@ class TestCliCommands:
         assert code == EXIT_OK
         assert "0 found (window-limited)" in captured.out
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["factorize", "lengths"])
+    def test_m0_semiprime_denominator_is_prompt(self, capsys, command):
+        # 1000000016000000063 = 1000000007 * 1000000009: squarefree, and
+        # the forced residues overshoot 1/(pq) by one, so not a member
+        start = time.perf_counter()
+        code = main([command, "m0", "1/1000000016000000063"])
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "is not a member of M_0" in err and "Traceback" not in err
 
     def test_unknown_instance_exit_usage(self, capsys):
         code = main(["atoms", "mystery:9"])

@@ -39,6 +39,7 @@ from posmon.monoids import (
     quasi_not_almost_instance,
     replay_certificate,
 )
+from posmon.primes import calkin_wilf, calkin_wilf_index, first_primes
 
 MQ = GeometricPuiseux(Fraction(2, 3))
 M0 = PrimeReciprocal()
@@ -282,6 +283,20 @@ class TestIrrationalFamilies:
         assert nearly_phi(Fraction(1)) == 3
         assert nearly_phi(Fraction(1, 2)) == 5
         assert nearly_phi(Fraction(2)) == 7
+
+    def test_nearly_phi_matches_the_enumeration(self):
+        terms = calkin_wilf(3000)
+        primes = first_primes(len(terms))
+        assert [nearly_phi(x) for x in terms] == list(primes)
+        assert [calkin_wilf_index(x, 21) for x in terms] == list(range(len(terms)))
+
+    def test_nearly_phi_cap(self):
+        # 1/n sits at index 2^(n-1): inside the cap up to n = 21
+        assert calkin_wilf_index(Fraction(1, 21), 21) == 1 << 20
+        assert calkin_wilf_index(Fraction(1, 22), 21) is None
+        assert calkin_wilf_index(Fraction(10**9, 1), 21) is None
+        with pytest.raises(RuntimeError, match="enumeration cap"):
+            nearly_phi(Fraction(1, 10**12))
 
 
 class TestProduct:

@@ -56,6 +56,36 @@ class TestChain:
         with pytest.raises(CertificateError):
             broken.verify()
 
+    def test_difference_outside_the_denominator_support_rejected(self):
+        # 1/6 has the prime 2 outside d(2/3) = 3
+        a = Fraction(1, 6)
+        c = ChainCertificate(Fraction(2, 3), (a, Fraction(0)), (a,))
+        with pytest.raises(CertificateError, match="not a member"):
+            c.verify()
+
+    def test_non_member_difference_rejected(self):
+        # 1/3 = c_0 + c_1 * 2/3 forces c_1 = 2, which leaves c_0 < 0
+        a = Fraction(1, 3)
+        assert not brute_force_membership([Fraction(2, 3) ** i for i in range(6)], a)
+        c = ChainCertificate(Fraction(2, 3), (a, Fraction(0)), (a,))
+        with pytest.raises(CertificateError, match="difference 1 is not a member"):
+            c.verify()
+
+    @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(3, 4), Fraction(5, 8)], ids=str)
+    def test_merged_steps_verify(self, q):
+        # a_2 + a_3 is a member but not a single canonical power multiple
+        c = mq_chain(q, 6)
+        els, diffs = c.elements, c.differences
+        merged = ChainCertificate(q, els[:2] + els[3:], diffs[:1] + (diffs[1] + diffs[2],) + diffs[3:])
+        merged.verify()
+        assert verify_certificate_json(json.loads(json.dumps(merged.to_json()))) == "ascending-chain"
+
+    def test_deep_chain_is_fast(self):
+        start = time.perf_counter()
+        c = mq_chain(Fraction(2, 3), 400)
+        assert c.depth == 400
+        assert time.perf_counter() - start < 2.0
+
     def test_json_roundtrip(self):
         c = mq_chain(Fraction(4, 7), 6)
         blob = json.dumps(c.to_json(), sort_keys=True)
