@@ -7,7 +7,11 @@ The queries cover:
 - the atom windows of conductive monoids whose threshold has coordinates
   in [-2, 2], over Z, Z^2 and Q^2, at depths 1-8;
 - membership in M_q on a grid of values, certificate included;
-- ascending-chain certificates that must verify or be rejected.
+- ascending-chain certificates that must verify or be rejected;
+- length sets of N x Z cone and conductive Z^2 targets on a grid at
+  depths 4-12, of numerical and M_0 targets, each at max_count 1, 3 and
+  the default;
+- property probes over cone and conductive boxes and numerical bounds.
 
 Usage (stdlib only):
 
@@ -24,13 +28,16 @@ from fractions import Fraction
 from itertools import product
 
 from posmon.elements import Q2, Z, Z2, lexvec, rational, triple
-from posmon.factor import atoms
+from posmon.factor import DEFAULT_MAX_COUNT, PROBEABLE, atoms, length_set, probe_property
 from posmon.gallery import gallery_list
 from posmon.monoids import (
     AlphaBeta,
     Conductive,
+    FIRST_POSITIVE,
     FiniteGenerated,
     GeometricPuiseux,
+    LexCone,
+    PrimeReciprocal,
     contains,
     numerical,
 )
@@ -52,6 +59,9 @@ EXTRA_FINITE = (
 )
 LEX_THRESHOLDS = [(x, y) for x in (1, 2) for y in range(-3, 4)] + [(0, 1), (0, 2), (0, 3)]
 SMALL = range(-2, 3)
+CONE = LexCone(Z2, FIRST_POSITIVE)
+PLANE_THRESHOLDS = ((1, -2), (1, 1), (2, 0), (0, 2), (3, 1))
+M0_TARGETS = tuple(Fraction(x) for x in ("1", "5/6", "31/30", "18/77", "2", "71/78", "3/2", "1/4"))
 
 
 def emit(obj: dict) -> None:
@@ -140,7 +150,66 @@ def chains() -> None:
         verify_line("sixth", q, ChainCertificate(q, (Fraction(1, 6), Fraction(0)), (Fraction(1, 6),)))
 
 
+def length_line(m, b, depth: int) -> None:
+    for max_count in (1, 3, DEFAULT_MAX_COUNT):
+        try:
+            ls = length_set(m, b, depth, max_count)
+            out = {"lengths": list(ls.lengths), "complete": ls.complete}
+        except Exception as exc:  # NotAMember is the answer for a non-member
+            out = {"error": error(exc)}
+        emit({"query": "length_set", "instance": str(m), "value": str(b), "depth": depth,
+              "max_count": max_count, **out})
+
+
+def length_sets() -> None:
+    for depth in range(4, 13):
+        for x, y in product(range(1, 7), range(-10, 11)):
+            length_line(CONE, lexvec(Z2, x, y), depth)
+        for a in PLANE_THRESHOLDS:
+            m = Conductive(lexvec(Z2, *a))
+            for x, y in product(range(0, 7), range(-6, 7)):
+                if x or y > 0:
+                    length_line(m, lexvec(Z2, x, y), depth)
+    for gens in NUMERICAL:
+        for k in range(1, 41):
+            length_line(numerical(*gens), rational(k), 12)
+    for depth in range(4, 9):
+        for x in M0_TARGETS:
+            length_line(PrimeReciprocal(), rational(x), depth)
+
+
+def probe_line(m, prop: str, bound, depth=None) -> None:
+    try:
+        r = probe_property(m, prop, bound, depth)
+        element = r.witness["element"] if r.witness else None
+        out = {"verdict": r.verdict, "members_checked": r.members_checked, "note": r.note,
+               "witness": None if element is None else str(element)}
+    except Exception as exc:  # the answer under test includes the failure
+        out = {"error": error(exc)}
+    emit({"query": "probe", "instance": str(m), "property": prop, "bound": str(bound),
+          "depth": depth, **out})
+
+
+def probes() -> None:
+    boxed = [CONE] + [Conductive(lexvec(Z2, *a)) for a in LEX_THRESHOLDS]
+    for m in boxed:
+        for box in product(range(1, 5), range(1, 9)):
+            for prop in PROBEABLE:
+                # a shallow window leaves tall boxes inconclusive
+                for depth in (None, 3):
+                    probe_line(m, prop, box, depth)
+    for m in [numerical(*g) for g in NUMERICAL] + [Conductive(lexvec(Z, a)) for a in range(1, 6)]:
+        for bound in (0, 5, 12, 30, 60):
+            for prop in PROBEABLE:
+                probe_line(m, prop, bound)
+    for bound in ("0", "7/2", "10/3", "6"):
+        for prop in PROBEABLE:
+            probe_line(EXTRA_FINITE[0], prop, Fraction(bound))
+
+
 if __name__ == "__main__":
     atom_windows()
     mq_grid()
     chains()
+    length_sets()
+    probes()

@@ -28,10 +28,13 @@ a complete atom list, so there the enumeration itself decides membership
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
+Length sets of plane windows expand each node (level, residual) of the
+plane loop once and keep its lengths as a bitmask (``_plane_lengths``).
 
 Property probes are decided by one saturated (value, length) counting
 table over a mixed-radix integer code of the encoded window, built once
-for all members (``_codes``, ``_count_cells``).
+for all members (``_codes``, ``_count_cells``).  The members come as int
+points from ``monoids._member_points``; only a witness becomes an element.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ from .monoids import (
     UnionShift,
     UnsupportedFamily,
     _box_elements,
+    _member_points,
     _mq_digits,
     _mq_exponent,
+    _point_element,
     _zero_of,
     alphabeta_atom,
     alphabeta_domain,
@@ -426,8 +431,14 @@ def length_set(
     m: MonoidDescriptor, b: Element, depth: int = DEFAULT_DEPTH,
     max_count: int = DEFAULT_MAX_COUNT,
 ) -> LengthSet:
-    """The set of factorization lengths of b found at the window depth;
-    enumerates lengths without materializing the factorizations."""
+    """The set of factorization lengths of b found at the window depth,
+    from the first max_count factorizations in enumeration order.
+
+    No factorization is materialized: the scalar and vector loops emit
+    lengths only, and a plane window (rank 2, every atom's leading
+    coordinate at least 1) expands each search node once
+    (``_plane_lengths``).  ``complete`` is False when max_count cut the
+    search or the atom window is not all of A(M)."""
     _require_member(m, b, depth)
     if b.is_zero:
         return LengthSet(b, (0,), True)
@@ -485,23 +496,28 @@ def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
 
 # -- enumeration --------------------------------------------------------------
 #
-# Every search emits either full multiplicity vectors or (for probes) just
-# factorization lengths; the latter avoids materializing large tuples.
+# Every search emits either full multiplicity vectors or (for length sets)
+# just factorization lengths; the latter avoids materializing large tuples.
 # Each emits in lexicographic order of the multiplicity vector over the
 # descending atoms and stops at max_count, so the answer and the truncated
-# flag do not depend on which search ran.
+# flag do not depend on which search ran.  Plane length sets come from a
+# memo over the plane loop's nodes that keeps the same count.
 
 
 def _enumerate(atoms_desc, target, max_count, lengths_only: bool = False):
     """(solutions, truncated) for target over the descending atoms: the
-    scalar, plane or vector loop, by the shape of the encoded window."""
+    scalar, plane or vector loop, by the shape of the encoded window.  With
+    lengths_only the solutions are factorization lengths; a plane window
+    then gives each length once (``_plane_lengths``)."""
     pts, (t,), keep = _encode(atoms_desc, (target,))
     if t is None:
         return [], False
     if len(t) == 1:
         return _scalar_search([x for (x,) in pts], t[0], max_count, lengths_only)
     if len(t) == 2 and all(x >= 1 for x, _ in pts):
-        return _plane_search(pts, t, max_count, lengths_only)
+        if lengths_only:
+            return _plane_lengths(pts, t, max_count)
+        return _plane_search(pts, t, max_count)
     lex = atoms_desc[0].group.kind == "lex"
     return _vector_search(pts, t, max_count, lengths_only, None if lex else keep)
 
@@ -516,22 +532,33 @@ def _encode(desc, targets):
     target that is nonzero there has no factorization and encodes as None.
     The positions of the coordinates that are kept come last.
     """
-    g = desc[0].group
-    values = (*desc, *targets)
+    pts, _ = _points((*desc, *targets))
+    n = len(desc)
+    return _keep_touched(pts[:n], pts[n:])
+
+
+def _points(values):
+    """(int tuples, the denominator cleared): the coordinates of the
+    values in priority order (lex) or as (1, sqrt2, sqrt3) coefficients,
+    times the least common denominator."""
+    g = values[0].group
     if g.kind == "Q":
         fracs = [v.value for v in values]
         dens = lcm(*[f.denominator for f in fracs])
-        pts = [(f.numerator * (dens // f.denominator),) for f in fracs]
-    else:
-        pts = [v.value for v in values]
-        if g.priority:
-            order = g.priority_order
-            pts = [tuple(p[i] for i in order) for p in pts]
-        if g.rational_coords or g.kind == "sqrt23":
-            dens = lcm(*[c.denominator for p in pts for c in p])
-            pts = [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts]
-    n = len(desc)
-    apts, tpts = pts[:n], pts[n:]
+        return [(f.numerator * (dens // f.denominator),) for f in fracs], dens
+    pts = [v.value for v in values]
+    if g.priority:
+        order = g.priority_order
+        pts = [tuple(p[i] for i in order) for p in pts]
+    if g.rational_coords or g.kind == "sqrt23":
+        dens = lcm(*[c.denominator for p in pts for c in p])
+        return [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts], dens
+    return pts, 1
+
+
+def _keep_touched(apts, tpts):
+    """``_encode``'s last step: drop the coordinates that are 0 on every
+    atom (a target nonzero there becomes None)."""
     rank = len(apts[0])
     # atoms are nonzero, so a scalar window drops nothing
     keep = [k for k in range(rank) if any(p[k] for p in apts)] if rank > 1 else [0]
@@ -606,7 +633,24 @@ def _scalar_search(vals, tgt, max_count, lengths_only):
             counts[i] = 0
 
 
-def _plane_search(pts, tgt, max_count, lengths_only):
+def _plane_tables(pts):
+    """Per level i of a rank-2 window: the least and greatest ratio y / x
+    over the atoms from i on, as integer pairs (lo_n, lo_d, hi_n, hi_d)."""
+    n = len(pts)
+    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
+    lo = hi = pts[-1][::-1]
+    for i in range(n - 1, -1, -1):
+        x, y = pts[i]
+        if y * lo[1] < lo[0] * x:
+            lo = (y, x)
+        if y * hi[1] > hi[0] * x:
+            hi = (y, x)
+        lo_n[i], lo_d[i] = lo
+        hi_n[i], hi_d[i] = hi
+    return lo_n, lo_d, hi_n, hi_d
+
+
+def _plane_search(pts, tgt, max_count):
     """Solutions over rank-2 int atoms (x, y) with x >= 1, in descending
     order.
 
@@ -620,38 +664,27 @@ def _plane_search(pts, tgt, max_count, lengths_only):
     last = n - 1
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
-    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
-    lo = hi = (ys[last], xs[last])
-    for i in range(last, -1, -1):
-        y, x = ys[i], xs[i]
-        if y * lo[1] < lo[0] * x:
-            lo = (y, x)
-        if y * hi[1] > hi[0] * x:
-            hi = (y, x)
-        lo_n[i], lo_d[i] = lo
-        hi_n[i], hi_d[i] = hi
+    lo_n, lo_d, hi_n, hi_d = _plane_tables(pts)
     out: list = []
     counts = [0] * n
     ms = [0] * n  # leading residual entering each level
     rs = [0] * n  # trailing residual entering each level
-    lens = [0] * n
-    i, ln = 0, 0
+    i = 0
     m, r = tgt
     while True:
         while m and i < last:
             if m * lo_n[i] > r * lo_d[i] or r * hi_d[i] > m * hi_n[i]:
                 break
-            ms[i], rs[i], lens[i] = m, r, ln
+            ms[i], rs[i] = m, r
             i += 1
         else:
             if m:
                 # i == last: only the largest multiplicity can clear m
                 counts[last] = c = m // xs[last]
-                ln += c
                 m -= c * xs[last]
                 r -= c * ys[last]
             if m == 0 and r == 0:
-                out.append(ln if lengths_only else tuple(counts))
+                out.append(tuple(counts))
                 if len(out) >= max_count:
                     return out, True
             counts[last] = 0
@@ -664,10 +697,111 @@ def _plane_search(pts, tgt, max_count, lengths_only):
             if m >= 0:
                 counts[i] = c
                 r = rs[i] - c * ys[i]
-                ln = lens[i] + c
                 i += 1
                 break
             counts[i] = 0
+
+
+def _plane_lengths(pts, tgt, max_count):
+    """(lengths, truncated) of ``_plane_search``'s first max_count
+    solutions, each length once, without walking its whole tree.
+
+    A node of that tree is (level i, leading residual m, trailing residual
+    r), and the completions below it depend on nothing else.  So each node
+    is expanded once, with the same ratio prune, and its value is kept:
+    the completion lengths as a bitmask and the number of completions.  A
+    node met again adds its stored count at once, unless that would count
+    past max_count; then it is expanded again, as the enumeration would
+    enter it.  The running count follows the enumeration order, so no
+    node is expanded that ``_plane_search`` does not visit before it
+    stops.  At max_count the lengths of the solutions counted so far are
+    the open nodes' masks, folded up the levels.
+
+    Let x_min be the least leading coordinate.  A budget m below x_min is
+    spent, and one below 2 * x_min has room for a single atom, so the
+    node is a leaf: it completes exactly when (m, r) is an atom at level
+    i or after.  A level whose leading coordinate exceeds m takes
+    multiplicity 0 only: the walk passes it without opening a node.
+    """
+    # like the other loops, stop no sooner than at the first solution
+    max_count = max(max_count, 1)
+    n = len(pts)
+    last = n - 1
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    lo_n, lo_d, hi_n, hi_d = _plane_tables(pts)
+    low = min(xs)
+    at = {p: k for k, p in enumerate(pts)}
+    memo: list[dict] = [{} for _ in range(n)]
+    # per level: passed or open; the open node (m, r), the multiplicity of
+    # its current child, and the mask and count its earlier children gave
+    passed = [False] * n
+    ms, rs, cs = [0] * n, [0] * n, [0] * n
+    masks, cnts = [0] * n, [0] * n
+    found = 0
+    i = 0
+    m, r = tgt
+    while True:
+        # the value (mask, cnt) of node (i, m, r), or open it at its first child
+        while True:
+            if not m:
+                mask = cnt = 1 if r == 0 else 0
+                break
+            if m < low:
+                mask = cnt = 0
+                break
+            if m < 2 * low:
+                # room for one atom only: (m, r) itself, here or further on
+                mask, cnt = (2, 1) if at.get((m, r), -1) >= i else (0, 0)
+                break
+            if i == last:
+                c, rest = divmod(m, xs[last])
+                mask, cnt = (1 << c, 1) if not rest and r == c * ys[last] else (0, 0)
+                break
+            if xs[i] > m:
+                passed[i] = True
+                i += 1
+                continue
+            if m * lo_n[i] > r * lo_d[i] or r * hi_d[i] > m * hi_n[i]:
+                mask = cnt = 0
+                break
+            hit = memo[i].get((m, r))
+            if hit is not None and found + hit[1] <= max_count:
+                mask, cnt = hit
+                break
+            passed[i] = False
+            ms[i], rs[i], cs[i], masks[i], cnts[i] = m, r, 0, 0, 0
+            i += 1
+        found += cnt
+        if found >= max_count:
+            for j in range(i - 1, -1, -1):
+                if not passed[j]:
+                    mask = masks[j] | mask << cs[j]
+            return _bits(mask), True
+        # hand the value up, closing every node whose children are done
+        while True:
+            i -= 1
+            if i < 0:
+                return _bits(mask), False
+            if passed[i]:
+                continue
+            c = cs[i]
+            masks[i] |= mask << c
+            cnts[i] += cnt
+            c += 1
+            m = ms[i] - c * xs[i]
+            if m >= 0:
+                cs[i] = c
+                r = rs[i] - c * ys[i]
+                i += 1
+                break
+            mask, cnt = masks[i], cnts[i]
+            memo[i][ms[i], rs[i]] = (mask, cnt)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
@@ -817,10 +951,13 @@ def probe_property(
 
     One saturated counting table over the integer codes of the window
     (``_codes``) gives the factorization lengths of every member at once.
+    The members stay int points (``monoids._member_points``); only the
+    witness is built as an element.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
-    members = [b for b in members_within(m, bound) if not b.is_zero]
+    pts, den = _member_points(m, bound)
+    members = [p for p in pts if any(p)]
     if depth is None:
         if isinstance(bound, (tuple, list)):
             depth = max(int(x) for x in bound) + 5
@@ -828,9 +965,10 @@ def probe_property(
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
     complete = atom_set.complete
-    cells = _count_cells(*_codes(atom_set.atoms, members))
-    for checked, (b, lens) in enumerate(zip(members, cells), 1):
+    cells = _count_cells(*_codes(atom_set.atoms, members, den))
+    for checked, (p, lens) in enumerate(zip(members, cells), 1):
         if not lens:
+            b = _point_element(m.group, p, den)
             if complete:
                 witness = {"element": b, "reason": "no factorization into atoms"}
                 return ProbeResult(m, prop, bound, "refuted", witness, checked)
@@ -848,6 +986,7 @@ def probe_property(
             or (prop == "UFM" and sum(lens.values()) >= 2)
         )
         if bad:
+            b = _point_element(m.group, p, den)
             return ProbeResult(
                 m, prop, bound, "refuted",
                 {"element": b, "factorizations": _conflict_pair(m, b, depth, prop)},
@@ -857,17 +996,20 @@ def probe_property(
     return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
 
 
-def _codes(atom_list, members):
+def _codes(atom_list, members, den):
     """(atom codes, member codes): positive ints for the atoms and, per
     member, an int or None, such that a multiset of atoms sums to a member
     exactly when its codes sum to the member's code.  None marks a member
-    that no atom sum reaches.
+    that no atom sum reaches.  The members are int points over den, as
+    ``monoids._member_points`` gives them; no member becomes an element.
 
-    ``_encode`` gives int points (x, y_1, ..., y_k), and every atom must
-    have leading coordinate x >= 1, so every nonempty atom sum does too:
-    a member that encodes to None or has x < 1 gets None.  Let L be the
-    largest x of the members that keep a code.  Per trailing coordinate j, with lo_j
-    and hi_j the least and greatest atom ratio y_j/x, let
+    The atoms and the members are put over one denominator and lose the
+    coordinates that are 0 on every atom, as ``_encode`` does it; a member
+    nonzero there gets None.  That leaves int points (x, y_1, ..., y_k),
+    and every atom must have leading coordinate x >= 1, so every nonempty
+    atom sum does too: a member with x < 1 gets None.  Let L be the
+    largest x of the members that keep a code.  Per trailing coordinate
+    j, with lo_j and hi_j the least and greatest atom ratio y_j/x, let
     ymax_j = max(L*max(hi_j, 0), member y_j),
     ymin_j = min((L+1)*min(lo_j, 0), member y_j) and
     W_j = ymax_j - ymin_j + 1.  The code of a point starts at x and appends
@@ -887,13 +1029,19 @@ def _codes(atom_list, members):
     ymax_j + 1 - W_j, the sum telescopes to
     (L+1)*K >= L*c_0 + sum_j ymax_j*c_j + 1, and no member code exceeds
     L*c_0 + sum_j ymax_j*c_j >= 0.  So K > 0, every atom code is positive,
-    and an atom sum with x >= L+1 lies above every member code.  The counting table thus
-    reaches a member's code only through the partial sums of the atom
+    and an atom sum with x >= L+1 lies above every member code.  The
+    counting table thus reaches a member's code only through the partial sums of the atom
     multisets that sum to the member.
     """
     if not atom_list:
         return [], [None] * len(members)
-    apts, mpts, _ = _encode(atom_list, members)
+    apts, aden = _points(atom_list)
+    common = lcm(aden, den)
+    if common != aden:
+        apts = [tuple(c * (common // aden) for c in p) for p in apts]
+    if common != den:
+        members = [tuple(c * (common // den) for c in p) for p in members]
+    apts, mpts, _ = _keep_touched(apts, members)
     if any(p[0] < 1 for p in apts):
         raise AssertionError("a probed atom has leading coordinate below 1")
     mpts = [p if p is not None and p[0] >= 1 else None for p in mpts]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -617,9 +618,9 @@ def _conductive_window(m: Conductive, depth: int) -> list[GroupElement]:
         lead = a.value[0]
         return [GroupElement(g, (lead + t,)) for t in range(depth + 1)]
     if g.kind == "lex":
-        # a slice of the cone anchored at the conductor: a + box offsets
-        out = [a + delta for delta in _lex_box(g, depth)]
-        return sorted(v for v in out if v >= a)
+        # a slice of the cone anchored at the conductor: a + box offsets,
+        # in order, as translation keeps it
+        return [v for v in (a + delta for delta in _lex_box(g, depth)) if v >= a]
     if g.kind == "Q":
         vals = sorted(
             {
@@ -1136,6 +1137,21 @@ def members_within(m: MonoidDescriptor, bound) -> tuple[Element, ...]:
 
     For value-ordered families the bound is a number; for lex families it
     is a coordinate box (b_1, ..., b_k) and "below" means |coord_i| <= b_i.
+    The members are the points of ``_member_points``, in ascending order.
+    """
+    pts, den = _member_points(m, bound)
+    return tuple(_point_element(m.group, p, den) for p in pts)
+
+
+def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
+    """(points, den): the members below the bound as int tuples in
+    ascending order, with zero.  A point p stands for the value p[0] / den
+    (Q) or for the coordinates p in priority order (lex, den = 1).
+
+    A finitely generated monoid over Q reaches its members in one table
+    over the multiples of 1/den, den the generators' common denominator;
+    a lex family filters its box, enumerated in priority order, by the
+    threshold or the cone rule.
     """
     if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
         if isinstance(bound, (tuple, list)):
@@ -1143,29 +1159,42 @@ def members_within(m: MonoidDescriptor, bound) -> tuple[Element, ...]:
         limit = Fraction(bound)
         if limit < 0:
             raise ValueError(f"negative bound {limit}")
-        dens = lcm(limit.denominator, *[g.value.denominator for g in m.generators])
-        gens = sorted({int(g.value * dens) for g in m.generators})
-        top = int(limit * dens)
+        den = lcm(*[g.value.denominator for g in m.generators])
+        top = int(limit * den)
         reach = bytearray(top + 1)
         reach[0] = 1
-        for g in gens:
+        for g in sorted({int(g.value * den) for g in m.generators}):
             for v in range(g, top + 1):
                 if reach[v - g]:
                     reach[v] = 1
-        return tuple(
-            rational(Fraction(v, dens)) for v in range(top + 1) if reach[v]
-        )
+        return [(v,) for v in range(top + 1) if reach[v]], den
     if isinstance(m, Conductive) and m.group.kind == "lex":
-        box = _normalize_box(m.group, bound)
-        return tuple(
-            v for v in _box_elements(m.group, box) if v.is_zero or v >= m.threshold
-        )
+        a = tuple(m.threshold.value[i] for i in m.group.priority_order)
+        return [p for p in _box_points(m.group, bound) if p >= a or not any(p)], 1
     if isinstance(m, LexCone) and not m.lex_group.rational_coords:
-        box = _normalize_box(m.lex_group, bound)
-        return tuple(v for v in _box_elements(m.lex_group, box) if _cone_holds(m, v))
+        pts = _box_points(m.lex_group, bound)
+        if m.rule == FULL_CONE:
+            return [p for p in pts if p >= (0,) * m.lex_group.rank], 1
+        return [p for p in pts if p[0] > 0 or not any(p)], 1
     raise UnsupportedFamily(
         f"member enumeration below a bound is not exact/finite for {m.family}"
     )
+
+
+def _point_element(group: Group, p: tuple, den: int) -> GroupElement:
+    """The element that a point of ``_member_points`` stands for."""
+    if group.kind == "Q":
+        return rational(Fraction(p[0], den))
+    coords = [0] * group.rank
+    for i, c in zip(group.priority_order, p):
+        coords[i] = c
+    return GroupElement(group, tuple(coords))
+
+
+def _box_points(group: Group, bound):
+    """The integer points of the box in priority order, ascending."""
+    box = _normalize_box(group, bound)
+    return product(*(range(-box[i], box[i] + 1) for i in group.priority_order))
 
 
 def _normalize_box(group: Group, bound) -> tuple[int, ...]:
@@ -1181,12 +1210,7 @@ def _normalize_box(group: Group, bound) -> tuple[int, ...]:
 
 
 def _box_elements(group: Group, box: tuple[int, ...]) -> list[GroupElement]:
-    coords: list[tuple[int, ...]] = [()]
-    for b in box:
-        coords = [c + (v,) for c in coords for v in range(-b, b + 1)]
-    out = [GroupElement(group, c) for c in coords]
-    out.sort()
-    return out
+    return [_point_element(group, p, 1) for p in _box_points(group, box)]
 
 
 # ---------------------------------------------------------------------------

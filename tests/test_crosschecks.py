@@ -3,6 +3,7 @@ against unstructured brute force, plus determinism properties the other
 modules rely on."""
 
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -17,7 +18,7 @@ from oracles import (
     mq_members_below,
 )
 from posmon.elements import Group, Q, Z2, lexvec, rational, triple, zero
-from posmon.factor import atoms, factorizations, is_atomic_element
+from posmon.factor import _enumerate, atoms, factorizations, is_atomic_element, length_set
 from posmon.monoids import (
     AlphaBeta,
     DEFAULT_DEPTH,
@@ -346,15 +347,42 @@ class TestEngineEdges:
     def test_plane_search_agrees_with_oracle(self, mm, nn):
         m = LexCone(Z2, FIRST_POSITIVE)
         desc = atoms(m, 8).atoms[::-1]
-        found = factorizations(m, lexvec(Z2, mm, nn), 8)
+        b = lexvec(Z2, mm, nn)
+        found = factorizations(m, b, 8)
         assert not found.truncated
         expected = brute_force_vector_factorizations([a.value for a in desc], (mm, nn))
         assert [_vector(desc, f) for f in found.factorizations] == expected
+        _check_length_sets(m, b, 8, expected)
+
+    def test_plane_lengths_do_not_recurse(self):
+        """A plane window with more levels than the recursion limit: (3, 6)
+        keeps a node open on every level down to the atom (1, 2), so the
+        length walk holds one open node per level."""
+        levels = sys.getrecursionlimit() + 200
+        desc = [lexvec(Z2, 1, y) for y in range(levels - 1, -1, -1)]
+        for target, max_count in (((3, 6), 100), ((3, 6), 3), ((2, 0), 1), ((3, 1), 100)):
+            b = lexvec(Z2, *target)
+            vectors, truncated = _enumerate(desc, b, max_count)
+            lengths = _enumerate(desc, b, max_count, lengths_only=True)
+            assert sorted(set(lengths[0])) == sorted({sum(v) for v in vectors}), target
+            assert lengths[1] == truncated, target
 
 
 def _vector(desc, f):
     mults = dict(f.pairs)
     return tuple(mults.get(a, 0) for a in desc)
+
+
+def _check_length_sets(m, b, depth, expected):
+    """length_set under max_count 1 and 3 and in full: the lengths of the
+    first max_count oracle vectors, and the completeness of the
+    factorization search with the same max_count."""
+    for k in (1, 3, None):
+        cut = expected if k is None else expected[:k]
+        kwargs = {} if k is None else {"max_count": k}
+        ls = length_set(m, b, depth, **kwargs)
+        assert ls.lengths == tuple(sorted({sum(v) for v in cut})), (b, k)
+        assert ls.complete == factorizations(m, b, depth, **kwargs).complete, (b, k)
 
 
 def _cleared(desc, b):
@@ -457,7 +485,8 @@ ORACLE_CASES = [
 def test_factorizations_match_vector_oracle(name, m, depth, targets):
     """The ordered factorization list, and its prefix under max_count 1
     and 3, against nested loops over the cleared window (over exact real
-    comparisons in the sqrt2/sqrt3 group)."""
+    comparisons in the sqrt2/sqrt3 group); the length sets against the
+    lengths of the same prefixes."""
     desc = atoms(m, depth).atoms[::-1]
     members = [b for b in targets if not b.is_zero and contains(m, b, depth).is_in]
     assert members
@@ -473,4 +502,5 @@ def test_factorizations_match_vector_oracle(name, m, depth, targets):
             cut = factorizations(m, b, depth, max_count=k)
             assert [_vector(desc, f) for f in cut.factorizations] == expected[:k], (b, k)
             assert cut.truncated == (len(expected) >= k), (b, k)
+        _check_length_sets(m, b, depth, expected)
 

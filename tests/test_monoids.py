@@ -4,13 +4,16 @@ difference groups, generator windows, and the JSON forms."""
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_membership, mq_members_below
-from posmon.elements import GroupMismatch, Q, Q2, Z, Z2, lexvec, rational, triple, zero
+from posmon.elements import (
+    Group, GroupElement, GroupMismatch, Q, Q2, Z, Z2, Z2_SECOND, lexvec, rational, triple, zero,
+)
 from posmon.monoids import (
     AlphaBeta,
     Conductive,
@@ -34,6 +37,7 @@ from posmon.monoids import (
     divides,
     generators,
     gp_membership,
+    members_within,
     nearly_phi,
     numerical,
     quasi_not_almost_instance,
@@ -344,6 +348,73 @@ class TestMonotonicity:
         deep = contains(m, x, depth=6)
         assert deep.is_in
         assert shallow.status in ("unknown", "in")
+
+
+Z3 = Group("lex", rank=3)
+FG_Q = FiniteGenerated(tuple(rational(Fraction(x)) for x in ("1/2", "2/3", "5/4")))
+
+
+def _brute_box(group, box, keep):
+    """The box points in natural coordinate order, as elements, kept by
+    the rule and sorted by the group's own comparison."""
+    pts = product(*(range(-b, b + 1) for b in box))
+    return tuple(sorted(v for v in (GroupElement(group, p) for p in pts) if keep(v)))
+
+
+class TestMembersWithin:
+    """members_within against filters that share no code with it."""
+
+    @pytest.mark.parametrize(
+        "m,box,keep",
+        [
+            (LexCone(Z2, FIRST_POSITIVE), (3, 5), lambda v: v.is_zero or v.value[0] > 0),
+            (LexCone(Z2_SECOND, FIRST_POSITIVE), (4, 2), lambda v: v.is_zero or v.value[1] > 0),
+            (LexCone(Z2, FULL_CONE), (2, 4), lambda v: not v.is_negative),
+            (LexCone(Z3, FIRST_POSITIVE), (2, 1, 2), lambda v: v.is_zero or v.value[0] > 0),
+            (Conductive(lexvec(Z, 3)), (9,), lambda v: v.is_zero or v.value[0] >= 3),
+            (Conductive(lexvec(Z2, 1, -2)), (3, 4), lambda v: v.is_zero or v >= lexvec(Z2, 1, -2)),
+            (Conductive(lexvec(Z2, 0, 2)), (2, 5), lambda v: v.is_zero or v >= lexvec(Z2, 0, 2)),
+            (
+                Conductive(GroupElement(Z2_SECOND, (-1, 1))),
+                (3, 2),
+                lambda v: v.is_zero or v >= GroupElement(Z2_SECOND, (-1, 1)),
+            ),
+            (
+                Conductive(lexvec(Q2, 0, Fraction(3, 2))),
+                (2, 3),
+                lambda v: v.is_zero or v >= lexvec(Q2, 0, Fraction(3, 2)),
+            ),
+        ],
+        ids=lambda x: None if callable(x) else str(x),
+    )
+    def test_lex_boxes(self, m, box, keep):
+        assert members_within(m, box) == _brute_box(m.group, box, keep)
+
+    def test_scalar_bound_is_a_cube(self):
+        m = Conductive(lexvec(Z2, 1, 0))
+        assert members_within(m, 2) == members_within(m, (2, 2))
+
+    @pytest.mark.parametrize(
+        "m,bound",
+        [
+            (numerical(3, 5), 20),
+            (numerical(4, 6, 9), Fraction(31, 2)),
+            (FG_Q, 0),
+            (FG_Q, Fraction(7, 2)),
+            (FG_Q, Fraction(10, 3)),
+            (FG_Q, 4),
+        ],
+        ids=str,
+    )
+    def test_rational_reach(self, m, bound):
+        gens = [g.value for g in m.generators]
+        grid = 24 * Fraction(bound).denominator  # a multiple of every denominator
+        expected = tuple(
+            rational(Fraction(k, grid))
+            for k in range(int(bound * grid) + 1)
+            if brute_force_membership(gens, Fraction(k, grid))
+        )
+        assert members_within(m, bound) == expected
 
 
 class TestGpMembership:
