@@ -11,6 +11,12 @@ The queries cover:
 - length sets of N x Z cone and conductive Z^2 targets on a grid at
   depths 4-12, of numerical and M_0 targets, each at max_count 1, 3 and
   the default;
+- factorizations (the count, the first three and a digest of all
+  vectors in emission order, with the complete/truncated flags) at
+  max_count 1, 3 and the default, and the ``is_atomic_element`` witness,
+  of the same cone and conductive Z^2 targets, of the numerical targets
+  and of sums and differences of generators of the other finitely
+  generated monoids;
 - property probes over cone and conductive boxes and numerical bounds.
 
 Usage (stdlib only):
@@ -23,12 +29,21 @@ that differs is a changed answer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
 
 from posmon.elements import Q2, Z, Z2, lexvec, rational, triple
-from posmon.factor import DEFAULT_MAX_COUNT, PROBEABLE, atoms, length_set, probe_property
+from posmon.factor import (
+    DEFAULT_MAX_COUNT,
+    PROBEABLE,
+    atoms,
+    factorizations,
+    is_atomic_element,
+    length_set,
+    probe_property,
+)
 from posmon.gallery import gallery_list
 from posmon.monoids import (
     AlphaBeta,
@@ -161,21 +176,67 @@ def length_line(m, b, depth: int) -> None:
               "max_count": max_count, **out})
 
 
-def length_sets() -> None:
+def grid_targets():
+    """(monoid, target, depth): the N x Z cone and conductive Z^2 grid at
+    depths 4-12, then the numerical targets 1-40."""
     for depth in range(4, 13):
         for x, y in product(range(1, 7), range(-10, 11)):
-            length_line(CONE, lexvec(Z2, x, y), depth)
+            yield CONE, lexvec(Z2, x, y), depth
         for a in PLANE_THRESHOLDS:
             m = Conductive(lexvec(Z2, *a))
             for x, y in product(range(0, 7), range(-6, 7)):
                 if x or y > 0:
-                    length_line(m, lexvec(Z2, x, y), depth)
+                    yield m, lexvec(Z2, x, y), depth
     for gens in NUMERICAL:
         for k in range(1, 41):
-            length_line(numerical(*gens), rational(k), 12)
+            yield numerical(*gens), rational(k), 12
+
+
+def length_sets() -> None:
+    for m, b, depth in grid_targets():
+        length_line(m, b, depth)
     for depth in range(4, 9):
         for x in M0_TARGETS:
             length_line(PrimeReciprocal(), rational(x), depth)
+
+
+def factorization_line(m, b, depth: int) -> None:
+    for max_count in (1, 3, DEFAULT_MAX_COUNT):
+        try:
+            s = factorizations(m, b, depth, max_count)
+            vectors = [str(f) for f in s.factorizations]
+            digest = hashlib.sha256("\n".join(vectors).encode()).hexdigest()
+            out = {"count": len(vectors), "first": vectors[:3], "sha256": digest,
+                   "complete": s.complete, "truncated": s.truncated, "note": s.note}
+        except Exception as exc:  # NotAMember is the answer for a non-member
+            out = {"error": error(exc)}
+        emit({"query": "factorizations", "instance": str(m), "value": str(b), "depth": depth,
+              "max_count": max_count, **out})
+    try:
+        w = is_atomic_element(m, b, depth)
+        out = {"status": w.status, "note": w.note,
+               "factorization": None if w.factorization is None else str(w.factorization)}
+    except Exception as exc:
+        out = {"error": error(exc)}
+    emit({"query": "is_atomic_element", "instance": str(m), "value": str(b), "depth": depth, **out})
+
+
+def finite_targets(m) -> list:
+    """The sums of one to three generators of m and the differences of two."""
+    gens = sorted(set(m.generators))
+    sums, level = set(gens), set(gens)
+    for _ in range(2):
+        level = {x + g for x in level for g in gens}
+        sums |= level
+    return sorted(sums) + [g - h for g in gens for h in gens if g != h]
+
+
+def factorization_sets() -> None:
+    for m, b, depth in grid_targets():
+        factorization_line(m, b, depth)
+    for m in EXTRA_FINITE:
+        for b in finite_targets(m):
+            factorization_line(m, b, 12)
 
 
 def probe_line(m, prop: str, bound, depth=None) -> None:
@@ -212,4 +273,5 @@ if __name__ == "__main__":
     mq_grid()
     chains()
     length_sets()
+    factorization_sets()
     probes()

@@ -12,24 +12,27 @@ one scalar loop: with suffix gcds g_i = gcd(v_i, g_(i+1)), the
 multiplicity at level i solves c * v_i = r (mod g_(i+1)), so it steps
 through one residue class modulo g_(i+1) / g_i (n(q) for M_q, the prime
 p_i for M_0).  Rank 2 with every atom's leading coordinate at least 1
-runs one loop in which the leading coordinate is a length budget and the
-trailing one is bounded by suffix ratio ranges, compared by integer
-cross-multiplication.  Neither needs the group's order, so they also
-serve sqrt2/sqrt3 windows of those shapes.  Every other window (lex
-windows of encoded rank 3 and up or with mixed leading coordinates, and
-the other sqrt2/sqrt3 windows) runs one vector loop: the scalar rule per
-coordinate, combined by CRT, and an order bound by tuple comparison (lex)
-or exact signs (sqrt2/sqrt3).  All three loops are iterative, with
-per-level arrays in place of recursion.  Every search emits in
-lexicographic order of the multiplicity vector over the descending atoms,
-so reports are reproducible.  A finitely generated monoid is atomic with
-a complete atom list, so there the enumeration itself decides membership
-(an empty one raises NotAMember).
+(a plane window) runs one walk in which the leading coordinate is a
+length budget and the trailing one is bounded by suffix ratio ranges,
+compared by integer cross-multiplication; budgets with room for at most
+one atom are leaves, and each node (level, residual) is expanded once
+and its value kept (``_plane_walk``).  Neither needs the group's order,
+so they also serve sqrt2/sqrt3 windows of those shapes.  Every other
+window (lex windows of encoded rank 3 and up or with mixed leading
+coordinates, and the other sqrt2/sqrt3 windows) runs one vector loop: the
+scalar rule per coordinate, combined by CRT, and an order bound by tuple
+comparison (lex) or exact signs (sqrt2/sqrt3).  All three loops are
+iterative, with per-level arrays in place of recursion, and
+``_enumerate`` is the only way into them: factorizations, length sets,
+atomicity witnesses, the atoms of finitely generated monoids and their
+membership all go through it.  Every search emits in lexicographic order
+of the multiplicity vector over the descending atoms, so reports are
+reproducible.  A finitely generated monoid is atomic with a complete atom
+list, so there the enumeration itself decides membership (an empty one
+raises NotAMember).
 
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
-Length sets of plane windows expand each node (level, residual) of the
-plane loop once and keep its lengths as a bitmask (``_plane_lengths``).
 
 Property probes are decided by one saturated (value, length) counting
 table over a mixed-radix integer code of the encoded window, built once
@@ -196,11 +199,10 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
 @lru_cache(maxsize=4096)
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
     """Candidates pass when no window generator g leaves t - g a nonzero
-    member of m.  The differences are decided in ints wherever the family
-    allows it (``_int_decompositions``): M_q, conductive monoids over Q and
-    lex groups, lex cones, and finitely generated monoids whose window
-    encodes to rank 1.  The other families decide each difference by
-    ``contains``.
+    member of m.  The splits are decided in ints wherever the family
+    allows it (``_int_decompositions``): finitely generated monoids over
+    every group, M_q, conductive monoids over Q and lex groups, and lex
+    cones.  The other families decide each difference by ``contains``.
     """
     candidates, complete, note, mode = _atom_candidates(m, depth)
     window = generators(m, depth).generators
@@ -226,19 +228,25 @@ def _int_decompositions(m: MonoidDescriptor, candidates, window):
     generator g leaves t - g a nonzero member of m, decided in ints; None
     for the families that decide only through ``contains``.
 
-    The candidates, the window and any threshold are encoded once by
-    ``_encode`` (lex coordinates in priority order, so the group order is
-    tuple order and is invariant under translation):
+    A finitely generated monoid, over any group, splits t exactly when
+    ``_enumerate`` finds one combination of the distinct generators below
+    t that sums to t: every term of t = g + (nonzero member) lies below t,
+    and a sum of two or more positive terms is such a split.  For the
+    other families the candidates, the window and any threshold are
+    encoded once by ``_encode`` (lex coordinates in priority order, so the
+    group order is tuple order and is invariant under translation):
 
     - M_q: t - g is decided by its canonical representation, at the least
       level that holds both t and g (the unit encodes last, as (D,));
     - conductive: t - g >= a exactly when g <= t - a, and then t - g is
       nonzero since a > 0;
     - lex cones: t - g lies in a first-positive cone when its priority
-      coordinate is positive, and in a full cone when it is positive;
-    - finitely generated monoids of encoded rank 1: the scalar loop looks
-      for one combination of the generators summing to t - g.
+      coordinate is positive, and in a full cone when it is positive.
     """
+    if isinstance(m, FiniteGenerated):
+        # the candidates are the distinct generators in ascending order
+        return (k > 0 and bool(_enumerate(candidates[k - 1::-1], t, 1)[0])
+                for k, t in enumerate(candidates))
     if m.group.kind == "sqrt23":
         return None
     count = len(candidates)
@@ -271,16 +279,6 @@ def _int_decompositions(m: MonoidDescriptor, candidates, window):
         if keep[0] != 0:  # the priority coordinate is 0 on every point
             return (False for _ in candidates)
         return (any(g[0] < t[0] for g in gs) for t in pts[:count])
-    if isinstance(m, FiniteGenerated):
-        pts, _, keep = _encode([*candidates, *window], ())
-        if len(keep) > 1:
-            return None
-        vals = [x for (x,) in pts]
-        gens = sorted(set(vals[count:]), reverse=True)
-        return (
-            any(g < t and _scalar_search(gens, t - g, 1, True)[0] for g in vals[count:])
-            for t in vals[:count]
-        )
     return None
 
 
@@ -436,8 +434,8 @@ def length_set(
 
     No factorization is materialized: the scalar and vector loops emit
     lengths only, and a plane window (rank 2, every atom's leading
-    coordinate at least 1) expands each search node once
-    (``_plane_lengths``).  ``complete`` is False when max_count cut the
+    coordinate at least 1) keeps each search node's lengths as a bitmask
+    (``_plane_walk``).  ``complete`` is False when max_count cut the
     search or the atom window is not all of A(M)."""
     _require_member(m, b, depth)
     if b.is_zero:
@@ -500,24 +498,22 @@ def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
 # just factorization lengths; the latter avoids materializing large tuples.
 # Each emits in lexicographic order of the multiplicity vector over the
 # descending atoms and stops at max_count, so the answer and the truncated
-# flag do not depend on which search ran.  Plane length sets come from a
-# memo over the plane loop's nodes that keeps the same count.
+# flag do not depend on which search ran.
 
 
 def _enumerate(atoms_desc, target, max_count, lengths_only: bool = False):
     """(solutions, truncated) for target over the descending atoms: the
-    scalar, plane or vector loop, by the shape of the encoded window.  With
+    scalar loop, the plane walk or the vector loop, by the shape of the
+    encoded window; this is the only caller of the three.  With
     lengths_only the solutions are factorization lengths; a plane window
-    then gives each length once (``_plane_lengths``)."""
+    then gives each length once."""
     pts, (t,), keep = _encode(atoms_desc, (target,))
     if t is None:
         return [], False
     if len(t) == 1:
-        return _scalar_search([x for (x,) in pts], t[0], max_count, lengths_only)
+        return _scalar_search(pts, t, max_count, lengths_only)
     if len(t) == 2 and all(x >= 1 for x, _ in pts):
-        if lengths_only:
-            return _plane_lengths(pts, t, max_count)
-        return _plane_search(pts, t, max_count)
+        return _plane_walk(pts, t, max_count, lengths_only)
     lex = atoms_desc[0].group.kind == "lex"
     return _vector_search(pts, t, max_count, lengths_only, None if lex else keep)
 
@@ -572,8 +568,8 @@ def _keep_touched(apts, tpts):
     return apts, tpts, keep
 
 
-def _scalar_search(vals, tgt, max_count, lengths_only):
-    """Knapsack solutions over positive int atoms in descending order.
+def _scalar_search(pts, tgt, max_count, lengths_only):
+    """Knapsack solutions over positive int atoms (x,) in descending order.
 
     With suffix gcds g_i = gcd(v_i, g_(i+1)), the residual r entering level
     i is a multiple of g_i, and what it leaves to the later levels must be
@@ -581,6 +577,8 @@ def _scalar_search(vals, tgt, max_count, lengths_only):
     steps through one residue class modulo g_(i+1) / g_i.  The last level
     has the single multiplicity r / v_last.
     """
+    vals = [x for (x,) in pts]
+    (tgt,) = tgt
     n = len(vals)
     last = n - 1
     # per level: g_i, the step g_(i+1) / g_i and the inverse of v_i / g_i
@@ -633,95 +631,36 @@ def _scalar_search(vals, tgt, max_count, lengths_only):
             counts[i] = 0
 
 
-def _plane_tables(pts):
-    """Per level i of a rank-2 window: the least and greatest ratio y / x
-    over the atoms from i on, as integer pairs (lo_n, lo_d, hi_n, hi_d)."""
-    n = len(pts)
-    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
-    lo = hi = pts[-1][::-1]
-    for i in range(n - 1, -1, -1):
-        x, y = pts[i]
-        if y * lo[1] < lo[0] * x:
-            lo = (y, x)
-        if y * hi[1] > hi[0] * x:
-            hi = (y, x)
-        lo_n[i], lo_d[i] = lo
-        hi_n[i], hi_d[i] = hi
-    return lo_n, lo_d, hi_n, hi_d
-
-
-def _plane_search(pts, tgt, max_count):
+def _plane_walk(pts, tgt, max_count, lengths_only):
     """Solutions over rank-2 int atoms (x, y) with x >= 1, in descending
-    order.
+    order: multiplicity vectors, or with lengths_only each length once.
 
-    The leading coordinate is a length budget.  A completion from level i
-    with budget m has trailing coordinate in [m * lo_i, m * hi_i], where
-    lo_i and hi_i are the least and greatest ratio y / x over the atoms
-    from i on, kept as integer pairs and compared by cross-multiplication.
-    The residual stays two plain ints.
-    """
-    n = len(pts)
-    last = n - 1
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    lo_n, lo_d, hi_n, hi_d = _plane_tables(pts)
-    out: list = []
-    counts = [0] * n
-    ms = [0] * n  # leading residual entering each level
-    rs = [0] * n  # trailing residual entering each level
-    i = 0
-    m, r = tgt
-    while True:
-        while m and i < last:
-            if m * lo_n[i] > r * lo_d[i] or r * hi_d[i] > m * hi_n[i]:
-                break
-            ms[i], rs[i] = m, r
-            i += 1
-        else:
-            if m:
-                # i == last: only the largest multiplicity can clear m
-                counts[last] = c = m // xs[last]
-                m -= c * xs[last]
-                r -= c * ys[last]
-            if m == 0 and r == 0:
-                out.append(tuple(counts))
-                if len(out) >= max_count:
-                    return out, True
-            counts[last] = 0
-        while True:
-            i -= 1
-            if i < 0:
-                return out, False
-            c = counts[i] + 1
-            m = ms[i] - c * xs[i]
-            if m >= 0:
-                counts[i] = c
-                r = rs[i] - c * ys[i]
-                i += 1
-                break
-            counts[i] = 0
-
-
-def _plane_lengths(pts, tgt, max_count):
-    """(lengths, truncated) of ``_plane_search``'s first max_count
-    solutions, each length once, without walking its whole tree.
-
-    A node of that tree is (level i, leading residual m, trailing residual
-    r), and the completions below it depend on nothing else.  So each node
-    is expanded once, with the same ratio prune, and its value is kept:
-    the completion lengths as a bitmask and the number of completions.  A
-    node met again adds its stored count at once, unless that would count
-    past max_count; then it is expanded again, as the enumeration would
-    enter it.  The running count follows the enumeration order, so no
-    node is expanded that ``_plane_search`` does not visit before it
-    stops.  At max_count the lengths of the solutions counted so far are
-    the open nodes' masks, folded up the levels.
+    The leading coordinate is a length budget.  A node of the search tree
+    is (level i, leading residual m, trailing residual r), and the
+    completions below it depend on nothing else.  A completion from node
+    (i, m, r) has trailing coordinate in [m * lo_i, m * hi_i], where lo_i
+    and hi_i are the least and greatest ratio y / x over the atoms from i
+    on, kept as integer pairs and compared by cross-multiplication; a node
+    outside that range is pruned.
 
     Let x_min be the least leading coordinate.  A budget m below x_min is
     spent, and one below 2 * x_min has room for a single atom, so the
     node is a leaf: it completes exactly when (m, r) is an atom at level
-    i or after.  A level whose leading coordinate exceeds m takes
-    multiplicity 0 only: the walk passes it without opening a node.
+    i or after.  At the last level only the multiplicity m / x_last can
+    clear m.  A level whose leading coordinate exceeds m takes
+    multiplicity 0 only: the walk passes it without opening a node.  A
+    completing leaf's vector is the open levels' current multiplicities,
+    0 on the passed levels, plus the leaf's own atom.
+
+    Each node is expanded once and its value is kept: the number of
+    completions and, for lengths, the completion lengths as a bitmask.  A
+    node met again adds its stored value at once, unless that would count
+    past max_count, or it has completions whose vectors must be emitted;
+    then it is expanded again, as the enumeration would enter it.  The
+    running count follows the enumeration order, so the walk stops at the
+    same solution as a plain depth-first enumeration.  At max_count the
+    lengths of the solutions counted so far are the open nodes' masks,
+    folded up the levels.
     """
     # like the other loops, stop no sooner than at the first solution
     max_count = max(max_count, 1)
@@ -729,34 +668,52 @@ def _plane_lengths(pts, tgt, max_count):
     last = n - 1
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
-    lo_n, lo_d, hi_n, hi_d = _plane_tables(pts)
+    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
+    ln, ld = hn, hd = ys[last], xs[last]
+    for i in range(last, -1, -1):
+        x, y = pts[i]
+        if y * ld < ln * x:
+            ln, ld = y, x
+        if y * hd > hn * x:
+            hn, hd = y, x
+        lo_n[i], lo_d[i], hi_n[i], hi_d[i] = ln, ld, hn, hd
     low = min(xs)
     at = {p: k for k, p in enumerate(pts)}
     memo: list[dict] = [{} for _ in range(n)]
     # per level: passed or open; the open node (m, r), the multiplicity of
-    # its current child, and the mask and count its earlier children gave
+    # its current child (0 from the current level on, so cs is the vector
+    # of a completion), and the mask and count its earlier children gave
     passed = [False] * n
     ms, rs, cs = [0] * n, [0] * n, [0] * n
     masks, cnts = [0] * n, [0] * n
+    out: list = []
     found = 0
     i = 0
     m, r = tgt
     while True:
         # the value (mask, cnt) of node (i, m, r), or open it at its first child
         while True:
-            if not m:
-                mask = cnt = 1 if r == 0 else 0
-                break
-            if m < low:
-                mask = cnt = 0
-                break
-            if m < 2 * low:
-                # room for one atom only: (m, r) itself, here or further on
-                mask, cnt = (2, 1) if at.get((m, r), -1) >= i else (0, 0)
-                break
-            if i == last:
-                c, rest = divmod(m, xs[last])
-                mask, cnt = (1 << c, 1) if not rest and r == c * ys[last] else (0, 0)
+            if m < 2 * low or i == last:
+                # a leaf: at most one completion, whose last atom k takes
+                # multiplicity c (k = i and c = 0 when m is spent)
+                if not m:
+                    k, c = i if r == 0 else -1, 0
+                elif m < low:
+                    k = -1
+                elif m < 2 * low:
+                    k, c = at.get((m, r), -1), 1
+                else:
+                    c, rest = divmod(m, xs[last])
+                    k = last if not rest and r == c * ys[last] else -1
+                if k < i:
+                    mask = cnt = 0
+                elif lengths_only:
+                    mask, cnt = 1 << c, 1
+                else:
+                    mask, cnt = 0, 1
+                    cs[k] = c
+                    out.append(tuple(cs))
+                    cs[k] = 0
                 break
             if xs[i] > m:
                 passed[i] = True
@@ -766,14 +723,16 @@ def _plane_lengths(pts, tgt, max_count):
                 mask = cnt = 0
                 break
             hit = memo[i].get((m, r))
-            if hit is not None and found + hit[1] <= max_count:
+            if hit is not None and (not hit[1] or lengths_only and found + hit[1] <= max_count):
                 mask, cnt = hit
                 break
             passed[i] = False
-            ms[i], rs[i], cs[i], masks[i], cnts[i] = m, r, 0, 0, 0
+            ms[i], rs[i], masks[i], cnts[i] = m, r, 0, 0
             i += 1
         found += cnt
         if found >= max_count:
+            if not lengths_only:
+                return out, True
             for j in range(i - 1, -1, -1):
                 if not passed[j]:
                     mask = masks[j] | mask << cs[j]
@@ -782,7 +741,7 @@ def _plane_lengths(pts, tgt, max_count):
         while True:
             i -= 1
             if i < 0:
-                return _bits(mask), False
+                return (_bits(mask) if lengths_only else out), False
             if passed[i]:
                 continue
             c = cs[i]
@@ -795,6 +754,7 @@ def _plane_lengths(pts, tgt, max_count):
                 r = rs[i] - c * ys[i]
                 i += 1
                 break
+            cs[i] = 0
             mask, cnt = masks[i], cnts[i]
             memo[i][ms[i], rs[i]] = (mask, cnt)
 

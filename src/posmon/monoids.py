@@ -440,10 +440,9 @@ def almost_not_nearly_instance() -> UnionShift:
 # phi enumerations
 
 
-@lru_cache(maxsize=None)
 def _sqrt2_floor_check(value: Fraction) -> bool:
     """value < sqrt2, exactly (value assumed >= 0)."""
-    return value.numerator**2 * 1 < 2 * value.denominator**2
+    return value.numerator**2 < 2 * value.denominator**2
 
 
 @lru_cache(maxsize=None)

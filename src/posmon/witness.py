@@ -28,6 +28,7 @@ from .monoids import (
     GeometricPuiseux,
     NotAMember,
     _mq_solve,
+    _sqrt2_floor_check,
     almost_not_nearly_instance,
     alphabeta_atom,
     alphabeta_domain,
@@ -721,8 +722,7 @@ def verify_not_strongly_atomic(
     for d in domain[: max(4, depth // 2)]:
         k = None
         for kk in range(1, depth + 1):
-            u = d + q**kk
-            if u.numerator**2 < 2 * u.denominator**2:  # u < sqrt2
+            if _sqrt2_floor_check(d + q**kk):
                 k = kk
                 break
         if k is None:

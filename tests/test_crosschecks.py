@@ -18,7 +18,14 @@ from oracles import (
     mq_members_below,
 )
 from posmon.elements import Group, Q, Z2, lexvec, rational, triple, zero
-from posmon.factor import _enumerate, atoms, factorizations, is_atomic_element, length_set
+from posmon.factor import (
+    _enumerate,
+    _vector_search,
+    atoms,
+    factorizations,
+    is_atomic_element,
+    length_set,
+)
 from posmon.monoids import (
     AlphaBeta,
     DEFAULT_DEPTH,
@@ -357,15 +364,28 @@ class TestEngineEdges:
     def test_plane_lengths_do_not_recurse(self):
         """A plane window with more levels than the recursion limit: (3, 6)
         keeps a node open on every level down to the atom (1, 2), so the
-        length walk holds one open node per level."""
+        walk holds one open node per level.  Its vectors and its lengths
+        come from the same walk, and both are checked against the vector
+        loop on the same points, which shares no code with the walk.  The
+        vector loop is asked for the walk's solutions only, since
+        exhausting this window costs it about levels**3 nodes.  An
+        untruncated count is the number of partitions of the trailing
+        target into at most `leading` parts, so the walk's exhaustion is
+        checked too."""
         levels = sys.getrecursionlimit() + 200
-        desc = [lexvec(Z2, 1, y) for y in range(levels - 1, -1, -1)]
-        for target, max_count in (((3, 6), 100), ((3, 6), 3), ((2, 0), 1), ((3, 1), 100)):
+        ys = range(levels - 1, -1, -1)
+        desc = [lexvec(Z2, 1, y) for y in ys]
+        pts = [(1, y) for y in ys]
+        for target, max_count, count in (
+            ((3, 6), 100, 7), ((3, 6), 3, 3), ((2, 0), 1, 1), ((3, 1), 100, 1),
+        ):
             b = lexvec(Z2, *target)
             vectors, truncated = _enumerate(desc, b, max_count)
             lengths = _enumerate(desc, b, max_count, lengths_only=True)
-            assert sorted(set(lengths[0])) == sorted({sum(v) for v in vectors}), target
-            assert lengths[1] == truncated, target
+            assert len(vectors) == count and truncated == (count == max_count), target
+            assert vectors == _vector_search(pts, target, count, False)[0], target
+            reference = _vector_search(pts, target, count, True)[0]
+            assert lengths == (sorted(set(reference)), truncated), target
 
 
 def _vector(desc, f):
@@ -461,6 +481,12 @@ ORACLE_CASES = [
         Conductive(lexvec(Z3, 1, 0, 0)),
         2,
         [lexvec(Z3, x, y, z) for x in (1, 2, 3) for y in (-1, 0, 3) for z in (-2, 0, 1)],
+    ),
+    # budgets that leave less than the least leading coordinate die
+    *(
+        (f"conductive-Z2-{a}", Conductive(lexvec(Z2, *a)), depth,
+         [lexvec(Z2, x, y) for x in range(10) for y in range(-4, 5) if (x, y) > (0, 0)])
+        for a, depth in (((3, 1), 5), ((1, -2), 4), ((2, 0), 4))
     ),
     (
         "mixed-Z2",

@@ -153,6 +153,8 @@ class TestAtomReverification:
             numerical(4, 8, 12, 13),
             FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6", "4/3"))),
             FiniteGenerated((lexvec(Z2, 1, 0), lexvec(Z2, 2, 0), lexvec(Z2, 3, 0))),
+            FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((0, 1), (1, 2), (2, 3), (1, 3)))),
+            FiniteGenerated(tuple(triple(*t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)))),
             Conductive(lexvec(Q2, 1, -1)),
             LexCone(Z2_SECOND, FIRST_POSITIVE),
         ],
