@@ -6,6 +6,9 @@ The queries cover:
   benchmark workloads query, at depths 1-30;
 - the atom windows of conductive monoids whose threshold has coordinates
   in [-2, 2], over Z, Z^2 and Q^2, at depths 1-8;
+- the deep atom windows of ``conductive:Z2:a=(1,0)``, ``cone:NxZ``,
+  ``cone:ZxZ`` and the second-priority cone ``cone:ZxZp1`` at depths 60
+  and 120, and of the antimatter cone ``cone:QxQ`` at depth 30;
 - membership in M_q on a grid of values, certificate included;
 - ascending-chain certificates that must verify or be rejected;
 - length sets of N x Z cone and conductive Z^2 targets on a grid at
@@ -34,7 +37,7 @@ import json
 from fractions import Fraction
 from itertools import product
 
-from posmon.elements import Q2, Z, Z2, lexvec, rational, triple
+from posmon.elements import Q2, Z, Z2, Z2_SECOND, lexvec, rational, triple
 from posmon.factor import (
     DEFAULT_MAX_COUNT,
     PROBEABLE,
@@ -49,6 +52,7 @@ from posmon.monoids import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
+    FULL_CONE,
     FiniteGenerated,
     GeometricPuiseux,
     LexCone,
@@ -111,6 +115,11 @@ def atom_windows() -> None:
     for m in small:
         for depth in range(1, 9):
             atoms_line(m, depth)
+    deep = [Conductive(lexvec(Z2, 1, 0)), CONE, LexCone(Z2, FULL_CONE), LexCone(Z2_SECOND, FULL_CONE)]
+    for m in deep:
+        for depth in (60, 120):
+            atoms_line(m, depth)
+    atoms_line(LexCone(Q2, FIRST_POSITIVE), 30)
 
 
 def mq_grid() -> None:

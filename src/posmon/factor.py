@@ -45,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import sub
+from math import ceil, gcd, lcm
 from typing import Callable, Optional
 
 from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational
@@ -67,7 +66,6 @@ from .monoids import (
     UNION,
     UnionShift,
     UnsupportedFamily,
-    _box_elements,
     _member_points,
     _mq_digits,
     _mq_exponent,
@@ -186,28 +184,30 @@ class ProbeResult:
 
 
 def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
-    """The atom window of m.
+    """The atom window of m at the given depth (at least 1).
 
     Families with a known closed form emit it intersected with the window
     and re-verify every emitted atom by decomposition search; a failed
     re-verification raises.  The remaining families compute atoms by
     filtering window candidates through the same search.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     return _atoms_cached(m, depth)
 
 
 @lru_cache(maxsize=4096)
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
     """Candidates pass when no window generator g leaves t - g a nonzero
-    member of m.  The splits are decided in ints wherever the family
-    allows it (``_int_decompositions``): finitely generated monoids over
-    every group, M_q, conductive monoids over Q and lex groups, and lex
-    cones.  The other families decide each difference by ``contains``.
+    member of m.  ``_int_decompositions`` decides the splits without the
+    window for finitely generated monoids, M_q, conductive monoids and
+    lex cones over Z^n; only the other families build the window, when
+    there are candidates, and decide each difference by ``contains``.
     """
     candidates, complete, note, mode = _atom_candidates(m, depth)
-    window = generators(m, depth).generators
-    splits = _int_decompositions(m, candidates, window) if candidates else None
+    splits = _int_decompositions(m, candidates) if candidates else ()
     if splits is None:
+        window = generators(m, depth).generators
         splits = (not _no_window_decomposition(m, t, window, depth) for t in candidates)
     out = []
     for t, split in zip(candidates, splits):
@@ -223,35 +223,35 @@ def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
     return AtomSet(m, depth, tuple(out), complete, note)
 
 
-def _int_decompositions(m: MonoidDescriptor, candidates, window):
+def _int_decompositions(m: MonoidDescriptor, candidates):
     """For each candidate t, lazily and in order, whether some window
-    generator g leaves t - g a nonzero member of m, decided in ints; None
-    for the families that decide only through ``contains``.
+    generator g leaves t - g a nonzero member of m, decided without the
+    window; None for the families that decide only through ``contains``.
 
     A finitely generated monoid, over any group, splits t exactly when
     ``_enumerate`` finds one combination of the distinct generators below
     t that sums to t: every term of t = g + (nonzero member) lies below t,
-    and a sum of two or more positive terms is such a split.  For the
-    other families the candidates, the window and any threshold are
-    encoded once by ``_encode`` (lex coordinates in priority order, so the
-    group order is tuple order and is invariant under translation):
+    and a sum of two or more positive terms is such a split.  The M_q
+    candidates are its window, the powers of q; t - g is decided in ints
+    by its canonical representation, at the least level that holds both t
+    and g (the unit encodes last, as (D,)).
 
-    - M_q: t - g is decided by its canonical representation, at the least
-      level that holds both t and g (the unit encodes last, as (D,));
-    - conductive: t - g >= a exactly when g <= t - a, and then t - g is
-      nonzero since a > 0;
-    - lex cones: t - g lies in a first-positive cone when its priority
-      coordinate is positive, and in a full cone when it is positive.
+    In a conductive monoid and a lex cone over Z^n the nonzero members
+    form an up-set, so t splits exactly when it does against the least
+    window generator, one comparison per candidate:
+
+    - conductive: the window starts at a, so t splits when t >= 2a;
+    - full cone: the least generator is e, 1 in the last priority
+      coordinate, so t splits when t > e;
+    - first-positive cone: the least priority coordinate is 1, so t
+      splits when its priority coordinate is 2 or more.
     """
     if isinstance(m, FiniteGenerated):
         # the candidates are the distinct generators in ascending order
         return (k > 0 and bool(_enumerate(candidates[k - 1::-1], t, 1)[0])
                 for k, t in enumerate(candidates))
-    if m.group.kind == "sqrt23":
-        return None
-    count = len(candidates)
     if isinstance(m, GeometricPuiseux):
-        *pts, (den,) = _encode([*candidates, *window, rational(1)], ())[0]
+        *pts, (den,) = _encode([*candidates, rational(1)], ())[0]
         n, d = m.q.numerator, m.q.denominator
         top = _mq_exponent(d, den)
         # x / den as (d^top x / den, its least level l, d^(top - l)); at the
@@ -263,22 +263,19 @@ def _int_decompositions(m: MonoidDescriptor, candidates, window):
         return (
             any(
                 g < t and _mq_digits(n, d, (t - g) // min(ct, cg), max(lt, lg)) is not None
-                for g, lg, cg in keyed[count:]
+                for g, lg, cg in keyed
             )
-            for t, lt, ct in keyed[:count]
+            for t, lt, ct in keyed
         )
     if isinstance(m, Conductive):
-        *pts, a = _encode([*candidates, *window, m.threshold], ())[0]
-        gs = pts[count:]
-        return (any(g <= ta for g in gs) for ta in (tuple(map(sub, t, a)) for t in pts[:count]))
-    if isinstance(m, LexCone):
-        pts, _, keep = _encode([*candidates, *window], ())
-        gs = pts[count:]
+        two_a = m.threshold + m.threshold
+        return (t >= two_a for t in candidates)
+    if isinstance(m, LexCone) and not m.lex_group.rational_coords:
+        g = m.lex_group
         if m.rule == FULL_CONE:
-            return (any(g < t for g in gs) for t in pts[:count])
-        if keep[0] != 0:  # the priority coordinate is 0 on every point
-            return (False for _ in candidates)
-        return (any(g[0] < t[0] for g in gs) for t in pts[:count])
+            least = _point_element(g, (0,) * (g.rank - 1) + (1,), 1)
+            return (t > least for t in candidates)
+        return (t.value[g.priority] >= 2 for t in candidates)
     return None
 
 
@@ -354,26 +351,22 @@ def _atom_candidates(m: MonoidDescriptor, depth: int):
 def _conductive_atom_candidates(m: Conductive, depth: int):
     a = m.threshold
     g = m.group
-    two_a = a + a
     if g.kind == "lex":
-        order = g.priority_order
-        level = next(pos for pos, i in enumerate(order) if a.value[i] != 0)
-        if level == g.rank - 1:
+        lo = tuple(a.value[i] for i in g.priority_order)
+        if not any(lo[:-1]):
             # the interval [a, 2a) is the finite ladder a + t * e_last
-            last = order[-1]
-            lead = a.value[last]
-            out = []
-            for t in range(int(lead)):
-                coords = list(a.value)
-                coords[last] += t
-                out.append(GroupElement(g, tuple(coords)))
-            return out, True, None, "assert"
-        box = _box_elements(g, (depth,) * g.rank)
-        cands = [v for v in box if a <= v < two_a]
+            pts = [lo[:-1] + (lo[-1] + t,) for t in range(int(lo[-1]))]
+            return [_point_element(g, p, 1) for p in pts], True, None, "assert"
+        hi = tuple(2 * c for c in lo)
+        pts = _member_points(m, (depth,) * g.rank)[0]
+        cands = [_point_element(g, p, 1) for p in pts if lo <= p < hi]
         return cands, False, "interval [a, 2a) meets the window box", "assert"
     if g.kind == "Q":
-        window = generators(m, depth).generators
-        cands = [v for v in window if a <= v < two_a]
+        # the window's grid a + i/j (j <= depth, 0 <= i <= depth * j) below 2a
+        x = a.value
+        vals = {x + Fraction(i, j) for j in range(1, depth + 1)
+                for i in range(min(ceil(x * j), depth * j + 1))}
+        cands = [rational(v) for v in sorted(vals)]
         return cands, False, "interval [a, 2a) sampled on the window grid", "assert"
     raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
 
@@ -383,14 +376,9 @@ def _lexcone_atom_candidates(m: LexCone, depth: int):
     if g.rational_coords:
         return [], True, "antimatter: every member halves", "assert"
     if m.rule == FULL_CONE:
-        coords = [0] * g.rank
-        coords[g.priority_order[-1]] = 1
-        return [GroupElement(g, tuple(coords))], True, None, "assert"
-    cands = [
-        v
-        for v in _box_elements(g, (depth,) * g.rank)
-        if v.value[g.priority] == 1
-    ]
+        return [_point_element(g, (0,) * (g.rank - 1) + (1,), 1)], True, None, "assert"
+    pts = _member_points(m, (depth,) * g.rank)[0]
+    cands = [_point_element(g, p, 1) for p in pts if p[0] == 1]
     return cands, False, "atoms have leading coordinate 1", "assert"
 
 
@@ -1072,20 +1060,23 @@ def length_function_check(
     seed: int = 0,
 ) -> bool:
     """Verify ell(u) = 0 iff u = 0 and superadditivity ell(b+c) >= ell(b)+ell(c)
-    on sampled member pairs (the generator window is always included)."""
+    on sampled member pairs.  The pool is the nonzero members below the
+    bound when one is given and the family enumerates them; otherwise it
+    is the generator window at the default depth, built only then."""
     import random
 
     rng = random.Random(seed)
-    window = list(generators(m, DEFAULT_DEPTH).generators)
     z = _zero_of(m)
     if ell(z) != 0:
         return False
-    pool = list(window)
+    pool = None
     if bound is not None:
         try:
             pool = [v for v in members_within(m, bound) if not v.is_zero]
         except UnsupportedFamily:
             pass
+    if pool is None:
+        pool = list(generators(m, DEFAULT_DEPTH).generators)
     for u in pool[: min(len(pool), 64)]:
         if ell(u) == 0:
             return False

@@ -613,9 +613,6 @@ def _zero_of(m: MonoidDescriptor) -> Element:
 def _conductive_window(m: Conductive, depth: int) -> list[GroupElement]:
     g = m.group
     a = m.threshold
-    if g.kind == "lex" and g.rank == 1 and not g.rational_coords:
-        lead = a.value[0]
-        return [GroupElement(g, (lead + t,)) for t in range(depth + 1)]
     if g.kind == "lex":
         # a slice of the cone anchored at the conductor: a + box offsets,
         # in order, as translation keeps it
@@ -1206,10 +1203,6 @@ def _normalize_box(group: Group, bound) -> tuple[int, ...]:
     if min(box, default=0) < 0:
         raise ValueError(f"negative box entry in {box}")
     return box
-
-
-def _box_elements(group: Group, box: tuple[int, ...]) -> list[GroupElement]:
-    return [_point_element(group, p, 1) for p in _box_points(group, box)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import Iterator, Optional
 
@@ -50,12 +51,9 @@ def nth_prime(n: int) -> int:
 @lru_cache(maxsize=None)
 def first_primes(n: int) -> tuple[int, ...]:
     """The first n primes."""
-    out = []
-    for p in iter_primes():
-        out.append(p)
-        if len(out) == n:
-            return tuple(out)
-    raise AssertionError("unreachable")
+    if n < 0:
+        raise ValueError(f"prime count must be >= 0, got {n}")
+    return tuple(islice(iter_primes(), n))
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound

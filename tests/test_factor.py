@@ -122,6 +122,41 @@ INT_CHECKED = [
     (Conductive(lexvec(Z, 3)), lexvec(Z, 6)),
 ]
 
+# each family's int split rule against the full window scan through
+# contains; the Z^2 windows also at depth 8, and two rank-3 windows
+INT_PATH_CASES = [
+    (depth, m)
+    for depth in (1, 2, 4)
+    for m in [m for m, _ in INT_CHECKED]
+    + [
+        numerical(3, 5, 6, 8, 9, 10),
+        numerical(4, 8, 12, 13),
+        FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6", "4/3"))),
+        FiniteGenerated((lexvec(Z2, 1, 0), lexvec(Z2, 2, 0), lexvec(Z2, 3, 0))),
+        FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((0, 1), (1, 2), (2, 3), (1, 3)))),
+        FiniteGenerated(tuple(triple(*t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)))),
+        Conductive(lexvec(Q2, 1, -1)),
+        LexCone(Z2_SECOND, FIRST_POSITIVE),
+    ]
+]
+INT_PATH_CASES += [
+    (8, m)
+    for m in (
+        LexCone(Z2, FIRST_POSITIVE),
+        LexCone(Z2, FULL_CONE),
+        LexCone(Z2_SECOND, FIRST_POSITIVE),
+        LexCone(Z2_SECOND, FULL_CONE),
+        Conductive(lexvec(Z2, 1, 0)),
+        Conductive(lexvec(Z2, 0, 2)),
+        Conductive(lexvec(Z2, 2, -3)),
+    )
+]
+INT_PATH_CASES += [
+    (depth, m)
+    for depth in (1, 2, 3, 4)
+    for m in (LexCone(Z3, FIRST_POSITIVE), Conductive(lexvec(Z3, 1, -1, 2)))
+]
+
 
 class TestAtomReverification:
     @pytest.mark.parametrize("m, wrong", INT_CHECKED, ids=lambda v: str(v))
@@ -145,26 +180,11 @@ class TestAtomReverification:
         finally:
             factor_module._atoms_cached.cache_clear()
 
-    @pytest.mark.parametrize(
-        "m",
-        [m for m, _ in INT_CHECKED]
-        + [
-            numerical(3, 5, 6, 8, 9, 10),
-            numerical(4, 8, 12, 13),
-            FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6", "4/3"))),
-            FiniteGenerated((lexvec(Z2, 1, 0), lexvec(Z2, 2, 0), lexvec(Z2, 3, 0))),
-            FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((0, 1), (1, 2), (2, 3), (1, 3)))),
-            FiniteGenerated(tuple(triple(*t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)))),
-            Conductive(lexvec(Q2, 1, -1)),
-            LexCone(Z2_SECOND, FIRST_POSITIVE),
-        ],
-        ids=str,
-    )
-    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("depth, m", INT_PATH_CASES, ids=str)
     def test_int_path_matches_contains(self, m, depth):
         cands = factor_module._atom_candidates(m, depth)[0]
         window = generators(m, depth).generators
-        got = list(factor_module._int_decompositions(m, cands, window))
+        got = list(factor_module._int_decompositions(m, cands))
         assert got == [
             not factor_module._no_window_decomposition(m, t, window, depth) for t in cands
         ]

@@ -324,6 +324,12 @@ class TestCliCommands:
             ["atoms", "nm:3,5", "--depth", "x"],
             ["factorize", "nm:3,5", "8", "--max-count", "0"],
             ["factorize", "nm:3,5", "8", "--max-count", "-3"],
+            ["atoms", "conductive:Z2:a=(1,0)", "--depth", "0"],
+            ["atoms", "cone:QxQ", "--depth", "-2"],
+            ["factorize", "cone:NxZ", "(1,0)", "--depth", "0"],
+            ["lengths", "m0", "1", "--depth", "0"],
+            ["classify", "m0", "--depth", "0"],
+            ["gallery", "--run-all", "--depth", "0"],
         ],
         ids=" ".join,
     )

@@ -88,6 +88,12 @@ class TestGeneratorWindows:
             Fraction(1, 7),
         ]
 
+    def test_first_primes_edge_counts(self):
+        assert first_primes(0) == ()
+        assert first_primes(1) == (2,)
+        with pytest.raises(ValueError):
+            first_primes(-1)
+
     def test_conductive_window(self):
         w = generators(Conductive(lexvec(Z, 3)), 4)
         assert [g.value for g in w.generators] == [(3,), (4,), (5,), (6,), (7,)]
