@@ -20,7 +20,12 @@ The queries cover:
   of the same cone and conductive Z^2 targets, of the numerical targets
   and of sums and differences of generators of the other finitely
   generated monoids;
-- property probes over cone and conductive boxes and numerical bounds.
+- property probes over cone and conductive boxes and numerical bounds;
+- every gallery entry run at depths 1, 4, 6, 8 and 12: the ok flag, the
+  checks and the report JSON, or the error;
+- a digest of the generator windows of the conductive monoids whose
+  threshold has coordinates in [-2, 2] and of both lex cones, over Z,
+  Z^2, the second-priority Z^2 and Q^2, at depths 1-4.
 
 Usage (stdlib only):
 
@@ -47,7 +52,7 @@ from posmon.factor import (
     length_set,
     probe_property,
 )
-from posmon.gallery import gallery_list
+from posmon.gallery import gallery_list, run_entry
 from posmon.monoids import (
     AlphaBeta,
     Conductive,
@@ -58,6 +63,7 @@ from posmon.monoids import (
     LexCone,
     PrimeReciprocal,
     contains,
+    generators,
     numerical,
 )
 from posmon.witness import ChainCertificate, mq_chain, verify_certificate_json
@@ -277,6 +283,34 @@ def probes() -> None:
             probe_line(EXTRA_FINITE[0], prop, Fraction(bound))
 
 
+def gallery_runs() -> None:
+    for entry in gallery_list():
+        for depth in (1, 4, 6, 8, 12):
+            try:
+                r = run_entry(entry, depth)
+                out = {"ok": r.ok, "checks": [list(c) for c in r.checks],
+                       "report": r.report.to_json() if r.report else None}
+            except Exception as exc:  # the answer under test includes the failure
+                out = {"error": error(exc)}
+            emit({"query": "gallery", "id": entry.id, "depth": depth, **out})
+
+
+def window_digests() -> None:
+    for group in (Z, Z2, Z2_SECOND, Q2):
+        thresholds = [lexvec(group, *a) for a in product(SMALL, repeat=group.rank)]
+        families = [Conductive(a) for a in thresholds if a.is_positive]
+        families += [LexCone(group, rule) for rule in (FIRST_POSITIVE, FULL_CONE)]
+        for m in families:
+            for depth in range(1, 5):
+                try:
+                    gens = [str(g) for g in generators(m, depth).generators]
+                    digest = hashlib.sha256("\n".join(gens).encode()).hexdigest()
+                    out = {"count": len(gens), "sha256": digest}
+                except Exception as exc:
+                    out = {"error": error(exc)}
+                emit({"query": "generators", "instance": str(m), "depth": depth, **out})
+
+
 if __name__ == "__main__":
     atom_windows()
     mq_grid()
@@ -284,3 +318,5 @@ if __name__ == "__main__":
     length_sets()
     factorization_sets()
     probes()
+    gallery_runs()
+    window_digests()

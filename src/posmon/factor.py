@@ -353,8 +353,9 @@ def _conductive_atom_candidates(m: Conductive, depth: int):
     g = m.group
     if g.kind == "lex":
         lo = tuple(a.value[i] for i in g.priority_order)
-        if not any(lo[:-1]):
-            # the interval [a, 2a) is the finite ladder a + t * e_last
+        if not any(lo[:-1]) and not g.rational_coords:
+            # over integer coordinates the interval [a, 2a) is the finite
+            # ladder a + t * e_last
             pts = [lo[:-1] + (lo[-1] + t,) for t in range(int(lo[-1]))]
             return [_point_element(g, p, 1) for p in pts], True, None, "assert"
         hi = tuple(2 * c for c in lo)

@@ -1,10 +1,12 @@
 """The instance library: every example monoid with its expected
-classification fragments and a verification recipe that reproduces them.
+classification fragments and a verification recipe.
 
-Each entry is self-describing; ``run_entry`` executes the recipe and
-fails loudly when a computed verdict or a recipe check disagrees with the
-expectation.  Entries share no mutable state, so independent entries may
-run concurrently.
+An entry is data: an id, a descriptor, a headline and its expectations.
+``run_entry`` classifies the entry's descriptor and checks those
+expectations, and the entry's recipe adds the checks particular to its
+monoid; a computed verdict or a recipe check that disagrees fails loudly.
+The entries are built once at import and share no mutable state, so
+independent entries may run concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Optional
 
 from .classify import (
     PropertyReport,
-    classify_conductive,
     classify_known,
     check_chain_consistency,
     limit_point_bfm,
@@ -44,6 +45,7 @@ from .monoids import (
     PrimeReciprocal,
     Product,
     ProductElement,
+    UnionShift,
     almost_not_nearly_instance,
     contains,
     gp_membership,
@@ -78,7 +80,7 @@ class GalleryEntry:
     descriptor: MonoidDescriptor
     headline: str
     expected: tuple[tuple[str, str], ...]  # (property, status) fragments
-    recipe: Callable[[int], RecipeResult]
+    recipe: Callable[[MonoidDescriptor, int], list[Check]]
 
 
 def _check(name: str, passed: bool, detail: str = "") -> Check:
@@ -99,13 +101,11 @@ def _expected_checks(report: PropertyReport, expected) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# recipes
+# recipes: each takes the entry's descriptor and the depth, and returns the
+# checks that go beyond the expected verdicts
 
 
-def _recipe_antimatter(depth: int) -> RecipeResult:
-    m = LexCone(Q2, FIRST_POSITIVE)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["antimatter-QxQ"])
+def _recipe_antimatter(m: LexCone, depth: int) -> list[Check]:
     sample = []
     for num in range(1, min(depth, 4) + 1):
         for den in (1, 2, 3):
@@ -115,110 +115,80 @@ def _recipe_antimatter(depth: int) -> RecipeResult:
         contains(m, GroupElement(Q2, (b.value[0] / 2, b.value[1] / 2))).is_in
         for b in sample
     )
-    checks.append(_check("every window member halves", halves, f"{len(sample)} members"))
     window = atoms(m, min(depth, 4))
-    checks.append(_check("no atoms", window.atoms == () and window.complete))
-    return RecipeResult(report, tuple(checks))
+    return [
+        _check("every window member halves", halves, f"{len(sample)} members"),
+        _check("no atoms", window.atoms == () and window.complete),
+    ]
 
 
-def _recipe_nonatomic_cone(depth: int) -> RecipeResult:
-    m = LexCone(Z2, FULL_CONE)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["nonatomic-ZxZ"])
-    window = atoms(m, min(depth, 8))
-    checks.append(
-        _check(
-            "atoms = {(0,1)}",
-            [a.value for a in window.atoms] == [(0, 1)] and window.complete,
-        )
-    )
-    w = is_atomic_element(m, lexvec(Z2, 1, 0), min(depth, 8))
-    checks.append(_check("(1,0) provably not atomic", w.status == "no", w.note or ""))
-    return RecipeResult(report, tuple(checks))
+def _full_cone_recipe(atom: tuple[int, int], other: tuple[int, int]):
+    """A full lex cone over Z^2 has the one atom ``atom``, and ``other``
+    is provably not atomic."""
+
+    def recipe(m: LexCone, depth: int) -> list[Check]:
+        window = atoms(m, min(depth, 8))
+        w = is_atomic_element(m, lexvec(m.lex_group, *other), min(depth, 8))
+        return [
+            _check(
+                "atoms = {(%d,%d)}" % atom,
+                [a.value for a in window.atoms] == [atom] and window.complete,
+            ),
+            _check("(%d,%d) provably not atomic" % other, w.status == "no", w.note or ""),
+        ]
+
+    return recipe
 
 
-def _recipe_second_priority_cone(depth: int) -> RecipeResult:
-    m = LexCone(Z2_SECOND, FULL_CONE)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["cone-Z2-secondpriority"])
-    window = atoms(m, min(depth, 8))
-    checks.append(
-        _check(
-            "atoms = {(1,0)}",
-            [a.value for a in window.atoms] == [(1, 0)] and window.complete,
-        )
-    )
-    w = is_atomic_element(m, lexvec(Z2_SECOND, 0, 1), min(depth, 8))
-    checks.append(_check("(0,1) provably not atomic", w.status == "no", w.note or ""))
-    return RecipeResult(report, tuple(checks))
-
-
-def _recipe_alphabeta(depth: int) -> RecipeResult:
-    q = Fraction(2, 3)
-    m = AlphaBeta(q)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["malphabeta"])
+def _recipe_alphabeta(m: AlphaBeta, depth: int) -> list[Check]:
     d = min(depth, 10)
     window = atoms(m, d)
-    checks.append(
-        _check("atom window re-verifies", len(window.atoms) > 0, f"{len(window.atoms)} atoms")
-    )
-    checks.append(_check("alpha is a member", contains(m, triple(0, 1, 0), d).is_in))
-    checks.append(_check("beta is a member", contains(m, triple(0, 0, 1), d).is_in))
-    replays = verify_not_strongly_atomic(q, depth=max(d, 8))
-    checks.append(
+    replays = verify_not_strongly_atomic(m.q, depth=max(d, 8))
+    return [
+        _check("atom window re-verifies", len(window.atoms) > 0, f"{len(window.atoms)} atoms"),
+        _check("alpha is a member", contains(m, triple(0, 1, 0), d).is_in),
+        _check("beta is a member", contains(m, triple(0, 0, 1), d).is_in),
         _check(
             "common-divisor identities replay",
             len(replays) >= 4,
             f"{len(replays)} divisors checked",
-        )
-    )
-    return RecipeResult(report, tuple(checks))
+        ),
+    ]
 
 
-def _recipe_mq(depth: int) -> RecipeResult:
-    q = Fraction(2, 3)
-    m = GeometricPuiseux(q)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["mq-2/3"])
+def _recipe_mq(m: GeometricPuiseux, depth: int) -> list[Check]:
+    q = m.q
     cert = mq_chain(q, max(depth, 20))
-    checks.append(
-        _check("ascending chain replays", True, f"depth {cert.depth}, head {cert.elements[0]}")
-    )
     window = atoms(m, min(depth, 10))
     expect = sorted(q**i for i in range(min(depth, 10) + 1))
-    checks.append(
-        _check("atoms are the ratio powers", [a.value for a in window.atoms] == expect)
-    )
     lp = limit_point_bfm(m)
-    checks.append(_check("limit-point criterion not applicable", not lp.applicable, lp.reason))
     # cross-check for the hereditary direction: the chain failure comes
     # with a synthesized submonoid obstruction (head excluded from the
     # combined differences), exactly what a hereditarily atomic monoid
     # cannot have
     br = synthesize_break(q, 2, depth=30)
-    checks.append(
+    return [
+        _check("ascending chain replays", True, f"depth {cert.depth}, head {cert.elements[0]}"),
+        _check("atoms are the ratio powers", [a.value for a in window.atoms] == expect),
+        _check("limit-point criterion not applicable", not lp.applicable, lp.reason),
         _check(
             "hereditary obstruction synthesized",
             len(br.steps) == 2,
             f"head {br.chain.elements[0]} excluded from combined differences",
-        )
-    )
-    return RecipeResult(report, tuple(checks))
+        ),
+    ]
 
 
-def _recipe_m0(depth: int) -> RecipeResult:
-    m = PrimeReciprocal()
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["m0"])
+def _prime_reciprocal_check(m: MonoidDescriptor, depth: int) -> Check:
+    window = atoms(m, depth)
+    expect = sorted(Fraction(1, p) for p in first_primes(depth))
+    return _check("atoms are the prime reciprocals", [a.value for a in window.atoms] == expect)
+
+
+def _recipe_m0(m: PrimeReciprocal, depth: int) -> list[Check]:
     d = min(depth, 8)
-    window = atoms(m, d)
-    expect = sorted(Fraction(1, p) for p in first_primes(d))
-    checks.append(
-        _check("atoms are the prime reciprocals", [a.value for a in window.atoms] == expect)
-    )
-    search = factorizations(m, rational(1), d)
-    lens = set(search.lengths())
+    checks = [_prime_reciprocal_check(m, d)]
+    lens = set(factorizations(m, rational(1), d).lengths())
     checks.append(
         _check(
             "lengths of 1 are the window primes",
@@ -228,56 +198,37 @@ def _recipe_m0(depth: int) -> RecipeResult:
     )
     lp = limit_point_bfm(m)
     checks.append(_check("limit-point criterion not applicable", not lp.applicable, lp.reason))
-    return RecipeResult(report, tuple(checks))
+    return checks
 
 
-def _recipe_conductive_c1(depth: int) -> RecipeResult:
-    a = lexvec(Z2, 0, 1)
-    report = classify_conductive(a, min(depth, 8))
-    checks = _expected_checks(report, _EXPECTED["conductive-Z2-C1"])
-    m = Conductive(a)
+def _recipe_conductive_c1(m: Conductive, depth: int) -> list[Check]:
     w = is_atomic_element(m, lexvec(Z2, 1, 0), min(depth, 8))
-    checks.append(_check("(1,0) provably not atomic", w.status == "no", w.note or ""))
-    return RecipeResult(report, tuple(checks))
+    return [_check("(1,0) provably not atomic", w.status == "no", w.note or "")]
 
 
-def _recipe_conductive_c2(depth: int) -> RecipeResult:
-    a = lexvec(Z2, 1, 0)
-    report = classify_conductive(a, min(depth, 8))
-    checks = _expected_checks(report, _EXPECTED["conductive-Z2-C2"])
-    m = Conductive(a)
+def _recipe_conductive_c2(m: Conductive, depth: int) -> list[Check]:
     ok = length_function_check(m, lambda v: v.value[0], samples=1000, bound=(3, 8))
-    checks.append(_check("first coordinate is a length function", ok))
     probe = probe_property(m, "ATM", (3, 8), depth=12)
-    checks.append(_check("atomicity probe consistent", probe.consistent, probe.verdict))
-    return RecipeResult(report, tuple(checks))
+    return [
+        _check("first coordinate is a length function", ok),
+        _check("atomicity probe consistent", probe.consistent, probe.verdict),
+    ]
 
 
-def _recipe_nearly(depth: int) -> RecipeResult:
-    m = NearlyAtomicAlpha()
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["nearly-not-atomic"])
+def _recipe_nearly(m: NearlyAtomicAlpha, depth: int) -> list[Check]:
     rep = verify_nearly_atomic(min(depth, 8))
-    checks.append(
+    return [
         _check(
             "companion decompositions replay",
             len(rep.decompositions) >= 4,
             f"{len(rep.decompositions)} members",
-        )
-    )
-    checks.append(
-        _check(
-            "rational members obstructed",
-            len(rep.rational_obstructions) >= 3,
-        )
-    )
-    return RecipeResult(report, tuple(checks))
+        ),
+        _check("rational members obstructed", len(rep.rational_obstructions) >= 3),
+    ]
 
 
-def _recipe_almost(depth: int) -> RecipeResult:
-    m = almost_not_nearly_instance()
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["almost-not-nearly"])
+def _recipe_almost(m: UnionShift, depth: int) -> list[Check]:
+    checks = []
     for q in (Fraction(1, 5), Fraction(1, 7)):
         cert = prime_sum_refutation(q)
         checks.append(
@@ -287,18 +238,12 @@ def _recipe_almost(depth: int) -> RecipeResult:
                 f"{cert.count} primes up to {cert.last_prime}",
             )
         )
-    window = atoms(m, min(depth, 8))
-    expect = sorted(Fraction(1, p) for p in first_primes(min(depth, 8)))
-    checks.append(
-        _check("atoms are the prime reciprocals", [a.value for a in window.atoms] == expect)
-    )
-    return RecipeResult(report, tuple(checks))
+    checks.append(_prime_reciprocal_check(m, min(depth, 8)))
+    return checks
 
 
-def _recipe_quasi(depth: int) -> RecipeResult:
-    m = quasi_not_almost_instance()
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["quasi-not-almost"])
+def _recipe_quasi(m: UnionShift, depth: int) -> list[Check]:
+    checks = []
     for q in (Fraction(1, 2), Fraction(5, 4), Fraction(2), Fraction(17, 6)):
         w = verify_quasi_witness(q)
         checks.append(
@@ -308,209 +253,174 @@ def _recipe_quasi(depth: int) -> RecipeResult:
                 f"b={w.companion}, b+q={w.atomic_value}={w.multiplicity}*(4/3)",
             )
         )
-    checks.append(_check("1/2 is a member", contains(m, rational(Fraction(1, 2))).is_in))
-    checks.append(
-        _check(
-            "1/2 outside the atom group Z[1/3]",
-            not gp_membership(m, rational(Fraction(1, 2))),
-        )
-    )
+    half = rational(Fraction(1, 2))
+    checks.append(_check("1/2 is a member", contains(m, half).is_in))
+    checks.append(_check("1/2 outside the atom group Z[1/3]", not gp_membership(m, half)))
     w = is_atomic_element(m, rational(4), min(depth, 6))
-    checks.append(
-        _check("4 is an atomic element", w.status == "yes", str(w.factorization))
-    )
-    return RecipeResult(report, tuple(checks))
+    checks.append(_check("4 is an atomic element", w.status == "yes", str(w.factorization)))
+    return checks
 
 
-def _recipe_hfm_cone(depth: int) -> RecipeResult:
-    m = LexCone(Z2, FIRST_POSITIVE)
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["hfm-NxZ"])
+def _recipe_hfm_cone(m: LexCone, depth: int) -> list[Check]:
     probe = probe_property(m, "HFM", (4, 20), depth=25)
-    checks.append(_check("half-factorial probe consistent", probe.consistent, probe.verdict))
     search = factorizations(m, lexvec(Z2, 2, 0), depth=25)
-    checks.append(
+    return [
+        _check("half-factorial probe consistent", probe.consistent, probe.verdict),
         _check(
             ">= 10 factorizations of (2,0)",
             len(search.factorizations) >= 10 and not search.complete,
             f"{len(search.factorizations)} found, incomplete window",
-        )
-    )
-    all_len_two = all(f.length == 2 for f in search.factorizations)
-    checks.append(_check("all factorizations of (2,0) have length 2", all_len_two))
-    return RecipeResult(report, tuple(checks))
+        ),
+        _check(
+            "all factorizations of (2,0) have length 2",
+            all(f.length == 2 for f in search.factorizations),
+        ),
+    ]
 
 
-def _recipe_product(depth: int) -> RecipeResult:
-    q = Fraction(2, 3)
-    m = Product(GeometricPuiseux(q), Conductive(lexvec(Z, 1)))
-    report = classify_known(m)
-    checks = _expected_checks(report, _EXPECTED["mq-times-N0"])
-    cert = mq_chain(q, min(depth, 10))
+def _recipe_product(m: Product, depth: int) -> list[Check]:
+    cert = mq_chain(m.left.q, min(depth, 10))
     embedded = all(
         contains(m, ProductElement(rational(a), zero(Z))).is_in
         for a in cert.differences
     )
-    checks.append(_check("chain embeds in the left factor", embedded))
-    return RecipeResult(report, tuple(checks))
+    return [_check("chain embeds in the left factor", embedded)]
 
 
-def _recipe_conductive_z3(depth: int) -> RecipeResult:
-    a = lexvec(Z, 3)
-    report = classify_conductive(a)
-    checks = _expected_checks(report, _EXPECTED["conductive-Z-3"])
-    window = atoms(Conductive(a))
-    checks.append(
-        _check("atoms = {3,4,5}", [x.value for x in window.atoms] == [(3,), (4,), (5,)])
-    )
-    probe = probe_property(Conductive(a), "HFM", 60)
-    checks.append(
+def _recipe_conductive_z3(m: Conductive, depth: int) -> list[Check]:
+    window = atoms(m)
+    probe = probe_property(m, "HFM", 60)
+    return [
+        _check("atoms = {3,4,5}", [x.value for x in window.atoms] == [(3,), (4,), (5,)]),
         _check(
             "half-factoriality refuted by probe",
             probe.refuted and probe.witness["element"].value == (9,),
             "9 = 3+3+3 = 4+5",
-        )
-    )
-    return RecipeResult(report, tuple(checks))
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# the entries
+# the entries, in a fixed deterministic order
 
-_EXPECTED: dict[str, tuple[tuple[str, str], ...]] = {
-    "antimatter-QxQ": (("QAM", "Refuted"), ("ATM", "Refuted")),
-    "nonatomic-ZxZ": (("ATM", "Refuted"), ("QAM", "Refuted")),
-    "malphabeta": (("ATM", "Proved"), ("SAM", "Refuted"), ("NAM", "Proved")),
-    "mq-2/3": (("SAM", "Proved"), ("ACCP", "Refuted"), ("BFM", "Refuted"), ("ATM", "Proved")),
-    "m0": (("ACCP", "Proved"), ("BFM", "Refuted"), ("SAM", "Proved")),
-    "conductive-Z2-C1": (
-        ("ATM", "Refuted"),
-        ("QAM", "Refuted"),
-        ("BFM", "Refuted"),
-        ("NAM", "Refuted"),
-        ("AAM", "Refuted"),
+_ENTRIES: tuple[GalleryEntry, ...] = (
+    GalleryEntry(
+        "antimatter-QxQ",
+        LexCone(Q2, FIRST_POSITIVE),
+        "a positive cone of the rational lex plane with no atoms at all",
+        (("QAM", "Refuted"), ("ATM", "Refuted")),
+        _recipe_antimatter,
     ),
-    "conductive-Z2-C2": (("BFM", "Proved"), ("FFM", "Refuted"), ("ACCP", "Proved")),
-    "nearly-not-atomic": (("NAM", "Proved"), ("ATM", "Refuted"), ("AAM", "Proved")),
-    "almost-not-nearly": (("AAM", "Proved"), ("NAM", "Refuted"), ("QAM", "Proved")),
-    "quasi-not-almost": (("QAM", "Proved"), ("AAM", "Refuted"), ("NAM", "Refuted")),
-    "hfm-NxZ": (("HFM", "Proved"), ("FFM", "Refuted"), ("BFM", "Proved"), ("ATM", "Proved")),
-    "cone-Z2-secondpriority": (("ATM", "Refuted"), ("QAM", "Refuted")),
-    "mq-times-N0": (("SAM", "Proved"), ("ACCP", "Refuted")),
-    "conductive-Z-3": (("FFM", "Proved"), ("LFM", "Refuted"), ("BFM", "Proved")),
-}
+    GalleryEntry(
+        "nonatomic-ZxZ",
+        LexCone(Z2, FULL_CONE),
+        "the full integer lex cone: one atom, yet not even quasi-atomic",
+        (("ATM", "Refuted"), ("QAM", "Refuted")),
+        _full_cone_recipe((0, 1), (1, 0)),
+    ),
+    GalleryEntry(
+        "malphabeta",
+        AlphaBeta(Fraction(2, 3)),
+        "atomic but not strongly atomic (two irrational directions)",
+        (("ATM", "Proved"), ("SAM", "Refuted"), ("NAM", "Proved")),
+        _recipe_alphabeta,
+    ),
+    GalleryEntry(
+        "mq-2/3",
+        GeometricPuiseux(Fraction(2, 3)),
+        "strongly atomic but with a non-stabilizing chain of principal ideals",
+        (("SAM", "Proved"), ("ACCP", "Refuted"), ("BFM", "Refuted"), ("ATM", "Proved")),
+        _recipe_mq,
+    ),
+    GalleryEntry(
+        "m0",
+        PrimeReciprocal(),
+        "ascending chains stabilize, yet length sets are unbounded",
+        (("ACCP", "Proved"), ("BFM", "Refuted"), ("SAM", "Proved")),
+        _recipe_m0,
+    ),
+    GalleryEntry(
+        "conductive-Z2-C1",
+        Conductive(lexvec(Z2, 0, 1)),
+        "conductive monoid conducted from the infinitesimal class: nothing holds",
+        (("ATM", "Refuted"), ("QAM", "Refuted"), ("BFM", "Refuted"), ("NAM", "Refuted"),
+         ("AAM", "Refuted")),
+        _recipe_conductive_c1,
+    ),
+    GalleryEntry(
+        "conductive-Z2-C2",
+        Conductive(lexvec(Z2, 1, 0)),
+        "conductive monoid conducted from the dominant class: bounded but not finite factorizations",
+        (("BFM", "Proved"), ("FFM", "Refuted"), ("ACCP", "Proved")),
+        _recipe_conductive_c2,
+    ),
+    GalleryEntry(
+        "nearly-not-atomic",
+        NearlyAtomicAlpha(),
+        "a single companion makes every element atomic, yet the monoid is not atomic",
+        (("NAM", "Proved"), ("ATM", "Refuted"), ("AAM", "Proved")),
+        _recipe_nearly,
+    ),
+    GalleryEntry(
+        "almost-not-nearly",
+        almost_not_nearly_instance(),
+        "almost atomic, but no single companion works (prime-sum refutation)",
+        (("AAM", "Proved"), ("NAM", "Refuted"), ("QAM", "Proved")),
+        _recipe_almost,
+    ),
+    GalleryEntry(
+        "quasi-not-almost",
+        quasi_not_almost_instance(),
+        "quasi-atomic via the 4 n(q) companion, but the atom group misses 1/2",
+        (("QAM", "Proved"), ("AAM", "Refuted"), ("NAM", "Refuted")),
+        _recipe_quasi,
+    ),
+    GalleryEntry(
+        "hfm-NxZ",
+        LexCone(Z2, FIRST_POSITIVE),
+        "half-factorial (length = leading coordinate) without finite factorization",
+        (("HFM", "Proved"), ("FFM", "Refuted"), ("BFM", "Proved"), ("ATM", "Proved")),
+        _recipe_hfm_cone,
+    ),
+    GalleryEntry(
+        "cone-Z2-secondpriority",
+        LexCone(Z2_SECOND, FULL_CONE),
+        "the lex cone with priority in the second coordinate: a group's cone need not be atomic",
+        (("ATM", "Refuted"), ("QAM", "Refuted")),
+        _full_cone_recipe((1, 0), (0, 1)),
+    ),
+    GalleryEntry(
+        "mq-times-N0",
+        Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1))),
+        "product with the free rank-one monoid inherits the chain failure",
+        (("SAM", "Proved"), ("ACCP", "Refuted")),
+        _recipe_product,
+    ),
+    GalleryEntry(
+        "conductive-Z-3",
+        Conductive(lexvec(Z, 3)),
+        "a numerical conductive monoid: finite factorizations, lengths collide",
+        (("FFM", "Proved"), ("LFM", "Refuted"), ("BFM", "Proved")),
+        _recipe_conductive_z3,
+    ),
+)
+
+_BY_ID: dict[str, GalleryEntry] = {e.id: e for e in _ENTRIES}
 
 
 def gallery_list() -> tuple[GalleryEntry, ...]:
     """All entries, in a fixed deterministic order."""
-    return (
-        GalleryEntry(
-            "antimatter-QxQ",
-            LexCone(Q2, FIRST_POSITIVE),
-            "a positive cone of the rational lex plane with no atoms at all",
-            _EXPECTED["antimatter-QxQ"],
-            _recipe_antimatter,
-        ),
-        GalleryEntry(
-            "nonatomic-ZxZ",
-            LexCone(Z2, FULL_CONE),
-            "the full integer lex cone: one atom, yet not even quasi-atomic",
-            _EXPECTED["nonatomic-ZxZ"],
-            _recipe_nonatomic_cone,
-        ),
-        GalleryEntry(
-            "malphabeta",
-            AlphaBeta(Fraction(2, 3)),
-            "atomic but not strongly atomic (two irrational directions)",
-            _EXPECTED["malphabeta"],
-            _recipe_alphabeta,
-        ),
-        GalleryEntry(
-            "mq-2/3",
-            GeometricPuiseux(Fraction(2, 3)),
-            "strongly atomic but with a non-stabilizing chain of principal ideals",
-            _EXPECTED["mq-2/3"],
-            _recipe_mq,
-        ),
-        GalleryEntry(
-            "m0",
-            PrimeReciprocal(),
-            "ascending chains stabilize, yet length sets are unbounded",
-            _EXPECTED["m0"],
-            _recipe_m0,
-        ),
-        GalleryEntry(
-            "conductive-Z2-C1",
-            Conductive(lexvec(Z2, 0, 1)),
-            "conductive monoid conducted from the infinitesimal class: nothing holds",
-            _EXPECTED["conductive-Z2-C1"],
-            _recipe_conductive_c1,
-        ),
-        GalleryEntry(
-            "conductive-Z2-C2",
-            Conductive(lexvec(Z2, 1, 0)),
-            "conductive monoid conducted from the dominant class: bounded but not finite factorizations",
-            _EXPECTED["conductive-Z2-C2"],
-            _recipe_conductive_c2,
-        ),
-        GalleryEntry(
-            "nearly-not-atomic",
-            NearlyAtomicAlpha(),
-            "a single companion makes every element atomic, yet the monoid is not atomic",
-            _EXPECTED["nearly-not-atomic"],
-            _recipe_nearly,
-        ),
-        GalleryEntry(
-            "almost-not-nearly",
-            almost_not_nearly_instance(),
-            "almost atomic, but no single companion works (prime-sum refutation)",
-            _EXPECTED["almost-not-nearly"],
-            _recipe_almost,
-        ),
-        GalleryEntry(
-            "quasi-not-almost",
-            quasi_not_almost_instance(),
-            "quasi-atomic via the 4 n(q) companion, but the atom group misses 1/2",
-            _EXPECTED["quasi-not-almost"],
-            _recipe_quasi,
-        ),
-        GalleryEntry(
-            "hfm-NxZ",
-            LexCone(Z2, FIRST_POSITIVE),
-            "half-factorial (length = leading coordinate) without finite factorization",
-            _EXPECTED["hfm-NxZ"],
-            _recipe_hfm_cone,
-        ),
-        GalleryEntry(
-            "cone-Z2-secondpriority",
-            LexCone(Z2_SECOND, FULL_CONE),
-            "the lex cone with priority in the second coordinate: a group's cone need not be atomic",
-            _EXPECTED["cone-Z2-secondpriority"],
-            _recipe_second_priority_cone,
-        ),
-        GalleryEntry(
-            "mq-times-N0",
-            Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1))),
-            "product with the free rank-one monoid inherits the chain failure",
-            _EXPECTED["mq-times-N0"],
-            _recipe_product,
-        ),
-        GalleryEntry(
-            "conductive-Z-3",
-            Conductive(lexvec(Z, 3)),
-            "a numerical conductive monoid: finite factorizations, lengths collide",
-            _EXPECTED["conductive-Z-3"],
-            _recipe_conductive_z3,
-        ),
-    )
+    return _ENTRIES
 
 
 def by_id(entry_id: str) -> GalleryEntry:
-    for e in gallery_list():
-        if e.id == entry_id:
-            return e
-    raise KeyError(entry_id)
+    return _BY_ID[entry_id]
 
 
 def run_entry(entry: GalleryEntry, depth: int = 12) -> RecipeResult:
-    return entry.recipe(depth)
+    """Classify the entry's descriptor, check its expected verdicts, then
+    run its recipe.  The classification uses ``classify_known``'s own
+    default depth, whatever the recipe depth."""
+    report = classify_known(entry.descriptor)
+    checks = _expected_checks(report, entry.expected) + entry.recipe(entry.descriptor, depth)
+    return RecipeResult(report, tuple(checks))

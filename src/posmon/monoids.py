@@ -358,6 +358,12 @@ class UnionShift(MonoidDescriptor):
                 raise UnsupportedFamily(
                     "group-tail union is implemented over the prime-reciprocal base"
                 )
+            if self.threshold < Fraction(1, 2):
+                # below 1/2 the tail splits prime reciprocals (1/2 = 5/14 +
+                # 1/7 at threshold 1/3), so they are no longer all atoms
+                raise UnsupportedFamily(
+                    "group-tail union is implemented for thresholds >= 1/2"
+                )
         elif self.mode == GENERATE:
             if self.tail is None or self.threshold is not None:
                 raise ValueError("generate mode takes a tail and no threshold")
@@ -631,7 +637,8 @@ def _conductive_window(m: Conductive, depth: int) -> list[GroupElement]:
 
 @lru_cache(maxsize=None)
 def _lex_box(group: Group, size: int) -> tuple[GroupElement, ...]:
-    """All box elements with |coord| <= size, in ascending lex order.
+    """All box elements with |coord| <= size, in ascending lex order: the
+    product of the ascending coordinate grid, taken in priority order.
 
     For rational-coordinate groups the coordinate grid is the set of
     fractions in [-size, size] with denominator at most min(size, 5); the
@@ -648,13 +655,8 @@ def _lex_box(group: Group, size: int) -> tuple[GroupElement, ...]:
             }
         )
     else:
-        grid = list(range(-size, size + 1))
-    coords: list[tuple] = [()]
-    for _ in range(group.rank):
-        coords = [c + (v,) for c in coords for v in grid]
-    out = [GroupElement(group, c) for c in coords]
-    out.sort()
-    return tuple(out)
+        grid = range(-size, size + 1)
+    return tuple(_point_element(group, p, 1) for p in product(grid, repeat=group.rank))
 
 
 def _cone_holds(m: LexCone, v: GroupElement) -> bool:

@@ -41,13 +41,6 @@ def iter_primes() -> Iterator[int]:
         limit *= 4
 
 
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    return first_primes(n)[-1]
-
-
 @lru_cache(maxsize=None)
 def first_primes(n: int) -> tuple[int, ...]:
     """The first n primes."""

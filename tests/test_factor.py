@@ -97,6 +97,18 @@ class TestAtoms:
         assert [x.value for x in a.atoms] == [(0, 3), (0, 4), (0, 5)]
         assert a.complete
 
+    def test_rational_upper_class_interval_is_not_a_ladder(self):
+        # over Q^2, [(0,3/2), (0,3)) is no finite ladder: (0,2) is an atom
+        # the window box finds, and the answer is not complete
+        m = Conductive(lexvec(Q2, 0, Fraction(3, 2)))
+        a = atoms(m, depth=6)
+        assert [x.value for x in a.atoms] == [(0, 2)]
+        assert not a.complete
+        search = factorizations(m, lexvec(Q2, 0, 2), depth=6)
+        assert len(search.factorizations) == 1 and not search.complete
+        assert is_atomic_element(m, lexvec(Q2, 0, 2), depth=6).status == "yes"
+        assert is_atomic_element(m, lexvec(Q2, 0, Fraction(3, 2)), depth=6).status == "unknown"
+
     def test_quasi_atoms_are_triadic(self):
         a = atoms(quasi_not_almost_instance(), depth=4)
         vals = [x.value for x in a.atoms]

@@ -63,6 +63,17 @@ class TestGallery:
             assert e.expected
             assert e.descriptor is not None
 
+    def test_entries_built_once(self):
+        assert gallery_list() is gallery_list()
+
+    @pytest.mark.parametrize("entry_id", [e.id for e in gallery_list()])
+    def test_id_resolves_to_the_entry_descriptor(self, entry_id):
+        assert parse_instance(entry_id) is by_id(entry_id).descriptor
+
+    def test_family_text_is_no_gallery_id(self):
+        with pytest.raises(KeyError):
+            by_id("nm:3,5")
+
     @pytest.mark.parametrize("entry_id", [e.id for e in gallery_list()])
     def test_recipes_reproduce_expected(self, entry_id):
         result = run_entry(by_id(entry_id), 12)
@@ -301,14 +312,14 @@ class TestCliCommands:
 
     def test_gallery_mismatch_exits_two(self, capsys, monkeypatch):
         import posmon.cli as cli_mod
-        from posmon.gallery import GalleryEntry, RecipeResult, gallery_list
+        from posmon.gallery import GalleryEntry, gallery_list
 
         broken = GalleryEntry(
             "broken-entry",
             gallery_list()[0].descriptor,
             "deliberately failing entry",
             (("QAM", "Proved"),),
-            lambda depth: RecipeResult(None, (("forced failure", False, ""),)),
+            lambda m, depth: [("forced failure", False, "")],
         )
         monkeypatch.setattr(cli_mod, "gallery_list", lambda: (broken,))
         code = main(["gallery", "--run-all"])

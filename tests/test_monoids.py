@@ -27,7 +27,9 @@ from posmon.monoids import (
     PrimeReciprocal,
     Product,
     ProductElement,
+    UnionShift,
     UnsupportedFamily,
+    _lex_box,
     almost_not_nearly_instance,
     alphabeta_domain,
     alphabeta_phi,
@@ -43,6 +45,7 @@ from posmon.monoids import (
     quasi_not_almost_instance,
     replay_certificate,
 )
+from posmon.factor import atoms
 from posmon.primes import calkin_wilf, calkin_wilf_index, first_primes
 
 MQ = GeometricPuiseux(Fraction(2, 3))
@@ -255,6 +258,20 @@ class TestAlmostInstance:
         assert contains(ALMOST, rational(Fraction(1, 4))).is_out
         assert contains(ALMOST, rational(Fraction(13, 10))).is_in
 
+    @pytest.mark.parametrize("threshold", [Fraction(0), Fraction(1, 3)], ids=str)
+    def test_union_threshold_below_half_rejected(self, threshold):
+        # at 1/3 the tail splits 1/2 = 5/14 + 1/7
+        with pytest.raises(UnsupportedFamily):
+            UnionShift(PrimeReciprocal(), threshold=threshold)
+        obj = descriptor_to_json(ALMOST)
+        obj["threshold"] = str(threshold)
+        with pytest.raises(UnsupportedFamily):
+            descriptor_from_json(obj)
+
+    def test_union_threshold_half_keeps_prime_reciprocals(self):
+        window = atoms(UnionShift(PrimeReciprocal(), threshold=Fraction(1, 2)), 6)
+        assert [a.value for a in window.atoms] == sorted(Fraction(1, p) for p in first_primes(6))
+
 
 class TestIrrationalFamilies:
     def test_nearly_membership(self):
@@ -395,6 +412,14 @@ class TestMembersWithin:
     )
     def test_lex_boxes(self, m, box, keep):
         assert members_within(m, box) == _brute_box(m.group, box, keep)
+
+    @pytest.mark.parametrize(
+        "group", [Z, Z2, Z2_SECOND, Q2, Group("lex", rank=3, priority=1)], ids=str
+    )
+    def test_lex_box_is_ascending(self, group):
+        for n in (1, 2, 3):
+            box = _lex_box(group, n)
+            assert box == tuple(sorted(box))
 
     def test_scalar_bound_is_a_cube(self):
         m = Conductive(lexvec(Z2, 1, 0))
