@@ -8,7 +8,12 @@ The queries cover:
   in [-2, 2], over Z, Z^2 and Q^2, at depths 1-8;
 - the deep atom windows of ``conductive:Z2:a=(1,0)``, ``cone:NxZ``,
   ``cone:ZxZ`` and the second-priority cone ``cone:ZxZp1`` at depths 60
-  and 120, and of the antimatter cone ``cone:QxQ`` at depth 30;
+  and 120, of the antimatter cone ``cone:QxQ`` at depth 30, and of
+  ``mq:2/3`` at depths 200, 400 and 1000;
+- the atom windows of the rays Z[1/p] above t0 for p in {2, 3, 5} and t0
+  in {1, 4/3, 7/5, 3}, and of the union of M_0 with its difference group
+  above 173/210 (a threshold outside M_0), with ``is_atomic_element`` of
+  three of its members, at depths 1-8;
 - membership in M_q on a grid of values, certificate included;
 - ascending-chain certificates that must verify or be rejected;
 - length sets of N x Z cone and conductive Z^2 targets on a grid at
@@ -61,7 +66,9 @@ from posmon.monoids import (
     FiniteGenerated,
     GeometricPuiseux,
     LexCone,
+    Localized,
     PrimeReciprocal,
+    UnionShift,
     contains,
     generators,
     numerical,
@@ -86,6 +93,7 @@ LEX_THRESHOLDS = [(x, y) for x in (1, 2) for y in range(-3, 4)] + [(0, 1), (0, 2
 SMALL = range(-2, 3)
 CONE = LexCone(Z2, FIRST_POSITIVE)
 PLANE_THRESHOLDS = ((1, -2), (1, 1), (2, 0), (0, 2), (3, 1))
+UNION_THRESHOLD = Fraction(173, 210)
 M0_TARGETS = tuple(Fraction(x) for x in ("1", "5/6", "31/30", "18/77", "2", "71/78", "3/2", "1/4"))
 
 
@@ -126,6 +134,15 @@ def atom_windows() -> None:
         for depth in (60, 120):
             atoms_line(m, depth)
     atoms_line(LexCone(Q2, FIRST_POSITIVE), 30)
+    for depth in (200, 400, 1000):
+        atoms_line(GeometricPuiseux(Fraction(2, 3)), depth)
+    rays = [Localized(p, Fraction(t0)) for p in (2, 3, 5) for t0 in ("1", "4/3", "7/5", "3")]
+    union = UnionShift(PrimeReciprocal(), threshold=UNION_THRESHOLD)
+    for depth in range(1, 9):
+        for m in [*rays, union]:
+            atoms_line(m, depth)
+        for x in (UNION_THRESHOLD, UNION_THRESHOLD + Fraction(1, 2), Fraction(1)):
+            atomic_line(union, rational(x), depth)
 
 
 def mq_grid() -> None:
@@ -227,6 +244,10 @@ def factorization_line(m, b, depth: int) -> None:
             out = {"error": error(exc)}
         emit({"query": "factorizations", "instance": str(m), "value": str(b), "depth": depth,
               "max_count": max_count, **out})
+    atomic_line(m, b, depth)
+
+
+def atomic_line(m, b, depth: int) -> None:
     try:
         w = is_atomic_element(m, b, depth)
         out = {"status": w.status, "note": w.note,

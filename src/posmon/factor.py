@@ -34,6 +34,12 @@ raises NotAMember).
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
 
+Atom candidates are checked against the window without building it
+where one exact rule exists (``_int_decompositions``): M_q and M_0 by the
+length and largest term of the canonical representation, up-sets of
+nonzero members (conductive monoids, rays, lex cones over Z^n) by the
+least window generator.
+
 Property probes are decided by one saturated (value, length) counting
 table over a mixed-radix integer code of the encoded window, built once
 for all members (``_codes``, ``_count_cells``).  The members come as int
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, gcd, lcm
 from typing import Callable, Optional
 
@@ -63,13 +69,15 @@ from .monoids import (
     NearlyAtomicAlpha,
     NotAMember,
     PrimeReciprocal,
+    RAY_EXPONENT_CAP,
     UNION,
     UnionShift,
     UnsupportedFamily,
+    _m0_solve,
     _member_points,
-    _mq_digits,
-    _mq_exponent,
+    _mq_solve,
     _point_element,
+    _power_support,
     _zero_of,
     alphabeta_atom,
     alphabeta_domain,
@@ -80,7 +88,7 @@ from .monoids import (
     nearly_atom,
     element_to_json,
 )
-from .primes import calkin_wilf, first_primes
+from .primes import calkin_wilf, first_primes, is_squarefree
 
 DEFAULT_MAX_COUNT = 10_000
 
@@ -187,9 +195,10 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
     """The atom window of m at the given depth (at least 1).
 
     Families with a known closed form emit it intersected with the window
-    and re-verify every emitted atom by decomposition search; a failed
+    and re-verify every emitted atom against the window; a failed
     re-verification raises.  The remaining families compute atoms by
-    filtering window candidates through the same search.
+    filtering window candidates through the same check, which
+    ``_int_decompositions`` makes one exact rule per candidate where it can.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -200,12 +209,13 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
     """Candidates pass when no window generator g leaves t - g a nonzero
     member of m.  ``_int_decompositions`` decides the splits without the
-    window for finitely generated monoids, M_q, conductive monoids and
-    lex cones over Z^n; only the other families build the window, when
-    there are candidates, and decide each difference by ``contains``.
+    window for finitely generated monoids, M_q, M_0, conductive monoids,
+    localized rays and lex cones over Z^n; only the unions and the two
+    sqrt2/sqrt3 constructions build the window, when there are
+    candidates, and decide each difference by ``contains``.
     """
     candidates, complete, note, mode = _atom_candidates(m, depth)
-    splits = _int_decompositions(m, candidates) if candidates else ()
+    splits = _int_decompositions(m, candidates, depth) if candidates else ()
     if splits is None:
         window = generators(m, depth).generators
         splits = (not _no_window_decomposition(m, t, window, depth) for t in candidates)
@@ -223,7 +233,7 @@ def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
     return AtomSet(m, depth, tuple(out), complete, note)
 
 
-def _int_decompositions(m: MonoidDescriptor, candidates):
+def _int_decompositions(m: MonoidDescriptor, candidates, depth: int):
     """For each candidate t, lazily and in order, whether some window
     generator g leaves t - g a nonzero member of m, decided without the
     window; None for the families that decide only through ``contains``.
@@ -231,16 +241,25 @@ def _int_decompositions(m: MonoidDescriptor, candidates):
     A finitely generated monoid, over any group, splits t exactly when
     ``_enumerate`` finds one combination of the distinct generators below
     t that sums to t: every term of t = g + (nonzero member) lies below t,
-    and a sum of two or more positive terms is such a split.  The M_q
-    candidates are its window, the powers of q; t - g is decided in ints
-    by its canonical representation, at the least level that holds both t
-    and g (the unit encodes last, as (D,)).
+    and a sum of two or more positive terms is such a split.
 
-    In a conductive monoid and a lex cone over Z^n the nonzero members
-    form an up-set, so t splits exactly when it does against the least
-    window generator, one comparison per candidate:
+    M_q and M_0 split t exactly when its canonical representation
+    (``_mq_solve``, ``_m0_solve``) exists, has length 2 or more, and has
+    its largest term in the window: index at most depth, or a prime among
+    the first depth.  Removing one copy of that term leaves a nonzero
+    member.  Conversely, t = g + (nonzero member) has a representation of
+    length 2 or more through g, and the trades that canonicalise it
+    (d q^(i+1) = n q^i with n >= 2, and p (1/p) = 2 (1/2)) only move
+    weight to larger terms and never bring a length of 2 or more below 2.
+
+    In a conductive monoid, a localized ray and a lex cone over Z^n the
+    nonzero members form an up-set, so t splits exactly when it does
+    against the least window generator, one comparison per candidate:
 
     - conductive: the window starts at a, so t splits when t >= 2a;
+    - ray Z[1/p] above t0: the window starts at w, the least positive
+      multiple of 1/p^min(depth, cap) at or above t0, so t splits when it
+      lies in Z[1/p] and t - w >= t0 (with t > w when t0 = 0);
     - full cone: the least generator is e, 1 in the last priority
       coordinate, so t splits when t > e;
     - first-positive cone: the least priority coordinate is 1, so t
@@ -250,26 +269,25 @@ def _int_decompositions(m: MonoidDescriptor, candidates):
         # the candidates are the distinct generators in ascending order
         return (k > 0 and bool(_enumerate(candidates[k - 1::-1], t, 1)[0])
                 for k, t in enumerate(candidates))
-    if isinstance(m, GeometricPuiseux):
-        *pts, (den,) = _encode([*candidates, rational(1)], ())[0]
-        n, d = m.q.numerator, m.q.denominator
-        top = _mq_exponent(d, den)
-        # x / den as (d^top x / den, its least level l, d^(top - l)); at the
-        # greater level l of t and g, t - g is d^l (t - g) / d^top
-        keyed = []
-        for (x,) in pts:
-            level = _mq_exponent(d, den // gcd(x, den))
-            keyed.append((x * d**top // den, level, d ** (top - level)))
+    if isinstance(m, (GeometricPuiseux, PrimeReciprocal)):
+        if isinstance(m, GeometricPuiseux):
+            solve, top = partial(_mq_solve, m.q), depth
+        else:
+            solve, top = _m0_solve, first_primes(depth)[-1]
+        # both solvers list the terms from the largest down
         return (
-            any(
-                g < t and _mq_digits(n, d, (t - g) // min(ct, cg), max(lt, lg)) is not None
-                for g, lg, cg in keyed
-            )
-            for t, lt, ct in keyed
+            (sol := solve(t.value)) is not None and sum(c for _, c in sol) >= 2 and sol[0][0] <= top
+            for t in candidates
         )
     if isinstance(m, Conductive):
         two_a = m.threshold + m.threshold
         return (t >= two_a for t in candidates)
+    if isinstance(m, Localized):
+        p, t0 = m.prime, m.min_nonzero
+        den = p ** min(depth, RAY_EXPONENT_CAP)
+        w = Fraction(max(1, ceil(t0 * den)), den)
+        return (_power_support(t.value.denominator, p) and t.value - w >= t0 and t.value > w
+                for t in candidates)
     if isinstance(m, LexCone) and not m.lex_group.rational_coords:
         g = m.lex_group
         if m.rule == FULL_CONE:
@@ -323,12 +341,14 @@ def _atom_candidates(m: MonoidDescriptor, depth: int):
         return cands, False, "atoms fill [t, 2t) in the ray", "assert"
     if isinstance(m, UnionShift):
         if m.mode == UNION:
-            return (
-                [rational(Fraction(1, p)) for p in first_primes(depth)],
-                False,
-                "atoms are the prime reciprocals of the base",
-                "assert",
-            )
+            # a threshold in the tail but outside M_0 is an atom too:
+            # t - 1/p < t is no member of M_0, and the tail starts at t
+            cands = [rational(Fraction(1, p)) for p in first_primes(depth)]
+            note = "atoms are the prime reciprocals of the base"
+            if is_squarefree(m.threshold.denominator) and _m0_solve(m.threshold) is None:
+                cands.append(rational(m.threshold))
+                note += " and the threshold"
+            return cands, False, note, "assert"
         tail_window = generators(m.tail, depth).generators
         return list(tail_window), False, None, "filter"
     if isinstance(m, AlphaBeta):

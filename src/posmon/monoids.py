@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Optional, Union
 
 from .elements import (
@@ -48,6 +48,7 @@ from .primes import (
 )
 
 DEFAULT_DEPTH = 12
+RAY_EXPONENT_CAP = 4  # the largest denominator exponent of a ray's window
 
 IN, OUT, UNKNOWN = "in", "out", "unknown"
 
@@ -668,13 +669,13 @@ def _cone_holds(m: LexCone, v: GroupElement) -> bool:
 
 
 def _localized_window(m: Localized, depth: int) -> list[GroupElement]:
-    """Ray elements with denominator exponent <= min(depth, 4) and value at
-    most threshold + depth; the exponent cap keeps windows desk-sized."""
+    """Ray elements with denominator exponent <= min(depth, the cap) and
+    value at most threshold + depth; the cap keeps windows desk-sized."""
     p = m.prime
     lo = m.min_nonzero
     hi = lo + depth
     vals: set[Fraction] = set()
-    for j in range(min(depth, 4) + 1):
+    for j in range(min(depth, RAY_EXPONENT_CAP) + 1):
         den = p**j
         start = max(1, -(-lo.numerator * den // lo.denominator))  # ceil(lo*den)
         for num in range(start, hi.numerator * den // hi.denominator + 1):
@@ -805,20 +806,6 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
 # -- geometric <q^n> ---------------------------------------------------------
 
 
-def _mq_exponent(d: int, den: int) -> Optional[int]:
-    """The least K with den | d^K, or None when den has a prime factor
-    that d lacks.  Each gcd step lowers every exponent of den by that of
-    d, so the loop runs exactly K times."""
-    k = 0
-    while den > 1:
-        g = gcd(den, d)
-        if g == 1:
-            return None
-        den //= g
-        k += 1
-    return k
-
-
 def _mq_digits(n: int, d: int, big: int, k: int) -> Optional[list[int]]:
     """The canonical coefficients c_0..c_k of big over q = n/d, or None.
 
@@ -856,7 +843,8 @@ def _mq_solve(q: Fraction, x: Fraction) -> Optional[tuple[tuple[int, int], ...]]
     d q^(i+1) = n q^i turns any representation of a member into one with
     every coefficient at index >= 1 below d.  Uniqueness: the residues of
     ``_mq_digits`` force each such coefficient, so there is no search.
-    The least K with den(x) | d^K suffices: if 0 < c_j < d at the top
+    The least K with den(x) | d^K (each gcd step lowers every exponent of
+    den(x) by that of d, so K steps find it) suffices: if 0 < c_j < d at the top
     index j >= 1, then d^j x is an integer that d does not divide, so
     d^(j-1) x is not an integer and den(x) divides no d^(j-1); hence
     j <= K.  See S. T. Chapman, F. Gotti and M. Gotti, "Factorization
@@ -866,9 +854,13 @@ def _mq_solve(q: Fraction, x: Fraction) -> Optional[tuple[tuple[int, int], ...]]
     if x < 0:
         return None
     n, d = q.numerator, q.denominator
-    k = _mq_exponent(d, x.denominator)
-    if k is None:
-        return None
+    k, den = 0, x.denominator
+    while den > 1:
+        g = gcd(den, d)
+        if g == 1:
+            return None  # den(x) has a prime factor that d lacks
+        den //= g
+        k += 1
     digits = _mq_digits(n, d, x.numerator * (d**k // x.denominator), k)
     if digits is None:
         return None
@@ -992,20 +984,16 @@ def _two_ray_contains(
     pa, pb = p1**a, p2**b
     A = (x.numerator * pow(pb, -1, pa)) % pa if pa > 1 else 0
     B = (x.numerator - A * pb) // pa
-    # the tail part is forced to be B/pb + k for an integer k, so membership
-    # is the existence of k with  t2 - B/pb <= k <= A/pa - t1
+    # the tail part is v = B/pb + k for an integer k in [lo, hi]; every such
+    # k leaves v >= t2 and u = A/pa - k >= t1, and u is no integer (there
+    # is no such k when a = 0), so not 0: the least k decides
     lo = t2 - Fraction(B, pb)
     hi = Fraction(A, pa) - t1
-    k_min = -((-lo.numerator) // lo.denominator)  # ceil(lo)
-    k_max = hi.numerator // hi.denominator  # floor(hi)
-    for k in range(k_min, k_max + 1):
-        v = Fraction(B, pb) + k
-        u = x - v
-        if v >= t2 and (u == 0 or u >= t1) and u >= 0:
-            if u == 0:
-                return verdict_in(((rational(v), 1),))
-            return verdict_in(((rational(u), 1), (rational(v), 1)))
-    return VERDICT_OUT
+    k = ceil(lo)
+    if k > floor(hi):
+        return VERDICT_OUT
+    v = Fraction(B, pb) + k
+    return verdict_in(((rational(x - v), 1), (rational(v), 1)))
 
 
 # -- irrational constructions -------------------------------------------------

@@ -527,10 +527,8 @@ def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     tfloat = float(threshold)
     primes: list[int] = []
     approx = 0.0
-    skip = set(excluded)
-    for p in iter_primes():
-        if p in skip:
-            continue
+    stream = (p for p in iter_primes() if p not in excluded)
+    for p in stream:
         primes.append(p)
         approx += 1.0 / p
         if approx > tfloat + 1e-7:
@@ -538,7 +536,7 @@ def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     # exact confirmation at the float crossover, stepping as needed
     num, den = _sum_reciprocals(primes)
     while not num * threshold.denominator > threshold.numerator * den:
-        nxt = _next_prime_skipping(primes[-1], skip)
+        nxt = next(stream)
         primes.append(nxt)
         num = num * nxt + den
         den = den * nxt
@@ -559,13 +557,6 @@ def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     )
     cert.verify()
     return cert
-
-
-def _next_prime_skipping(after: int, skip: set[int]) -> int:
-    for p in iter_primes():
-        if p > after and p not in skip:
-            return p
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from posmon.monoids import (
     FiniteGenerated,
     GeometricPuiseux,
     LexCone,
+    Localized,
     NotAMember,
     PrimeReciprocal,
     UnsupportedFamily,
@@ -132,6 +133,8 @@ INT_CHECKED = [
     (Conductive(lexvec(Z2, 0, 2)), lexvec(Z2, 0, 4)),
     (Conductive(rational(Fraction(3, 2))), rational(Fraction(7, 2))),
     (Conductive(lexvec(Z, 3)), lexvec(Z, 6)),
+    (PrimeReciprocal(), rational(Fraction(5, 6))),
+    (Localized(3, Fraction(4, 3)), rational(Fraction(8, 3))),
 ]
 
 # each family's int split rule against the full window scan through
@@ -168,6 +171,17 @@ INT_PATH_CASES += [
     for depth in (1, 2, 3, 4)
     for m in (LexCone(Z3, FIRST_POSITIVE), Conductive(lexvec(Z3, 1, -1, 2)))
 ]
+# M_q, M_0 and the rays at depths 1-8 (INT_CHECKED's at the others)
+INT_PATH_CASES += [
+    (depth, m)
+    for depth in range(1, 9)
+    for m in (GeometricPuiseux(Fraction(5, 7)), Localized(2, Fraction(1)), Localized(3, Fraction(7, 5)))
+]
+INT_PATH_CASES += [
+    (depth, m)
+    for depth in (3, 5, 6, 7, 8)
+    for m in (GeometricPuiseux(Fraction(2, 3)), PrimeReciprocal(), Localized(3, Fraction(4, 3)))
+]
 
 
 class TestAtomReverification:
@@ -196,17 +210,39 @@ class TestAtomReverification:
     def test_int_path_matches_contains(self, m, depth):
         cands = factor_module._atom_candidates(m, depth)[0]
         window = generators(m, depth).generators
-        got = list(factor_module._int_decompositions(m, cands))
+        got = list(factor_module._int_decompositions(m, cands, depth))
         assert got == [
             not factor_module._no_window_decomposition(m, t, window, depth) for t in cands
         ]
         assert not any(got) or isinstance(m, FiniteGenerated)
 
+    @pytest.mark.parametrize("m, values", [
+        (GeometricPuiseux(Fraction(2, 3)),
+         ["5/3", "4/3", "2", "13/9", "8/9", "10/27", "1/2", "7/4", "17/81", "3", "32/27"]),
+        (GeometricPuiseux(Fraction(3, 4)), ["3/2", "7/4", "9/8", "15/16", "5/4", "1/3", "45/64"]),
+        (PrimeReciprocal(), ["5/6", "2/3", "1", "31/30", "18/77", "2/11", "1/4", "71/78", "24/23"]),
+        (Localized(2, Fraction(1)), ["2", "9/4", "15/8", "33/16", "3", "5/3", "17/64", "65/32"]),
+        (Localized(3, Fraction(4, 3)), ["8/3", "26/9", "3", "4", "80/27", "5/2", "244/81"]),
+        (Localized(5, Fraction(0)), ["1/5", "2/25", "1/625", "3/3125", "7/2", "2"]),
+    ], ids=str)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_rules_match_window_off_window(self, m, values, depth):
+        # members and non-members outside the candidate list, some whose
+        # largest canonical term lies beyond the window
+        window = generators(m, depth).generators
+        ts = [rational(Fraction(v)) for v in values]
+        got = list(factor_module._int_decompositions(m, ts, depth))
+        assert got == [
+            not factor_module._no_window_decomposition(m, t, window, depth) for t in ts
+        ]
+        assert any(got) and not all(got)
+
     def test_deep_geometric_window_is_fast(self):
-        start = time.perf_counter()
-        a = atoms(GeometricPuiseux(Fraction(2, 3)), 120)
-        assert len(a.atoms) == 121
-        assert time.perf_counter() - start < 5.0
+        for depth in (120, 1000):
+            start = time.perf_counter()
+            a = atoms(GeometricPuiseux(Fraction(2, 3)), depth)
+            assert len(a.atoms) == depth + 1
+            assert time.perf_counter() - start < 5.0
 
 
 class TestFactorizations:

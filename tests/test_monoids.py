@@ -45,7 +45,7 @@ from posmon.monoids import (
     quasi_not_almost_instance,
     replay_certificate,
 )
-from posmon.factor import atoms
+from posmon.factor import atoms, is_atomic_element
 from posmon.primes import calkin_wilf, calkin_wilf_index, first_primes
 
 MQ = GeometricPuiseux(Fraction(2, 3))
@@ -271,6 +271,20 @@ class TestAlmostInstance:
     def test_union_threshold_half_keeps_prime_reciprocals(self):
         window = atoms(UnionShift(PrimeReciprocal(), threshold=Fraction(1, 2)), 6)
         assert [a.value for a in window.atoms] == sorted(Fraction(1, p) for p in first_primes(6))
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_union_threshold_outside_m0_is_an_atom(self, depth):
+        # 173/210 = 1/2 + 2/3 + 4/5 + 6/7 - 2 lies in the tail but not in
+        # M_0, so nothing splits it; 5/4 lies in neither and adds nothing
+        theta = Fraction(173, 210)
+        m = UnionShift(PrimeReciprocal(), threshold=theta)
+        reciprocals = [Fraction(1, p) for p in first_primes(depth)]
+        window = atoms(m, depth)
+        assert [a.value for a in window.atoms] == sorted([*reciprocals, theta])
+        assert not window.complete
+        assert is_atomic_element(m, rational(theta), depth).status == "yes"
+        window = atoms(UnionShift(PrimeReciprocal(), threshold=Fraction(5, 4)), depth)
+        assert [a.value for a in window.atoms] == sorted(reciprocals)
 
 
 class TestIrrationalFamilies:
