@@ -14,6 +14,12 @@ The queries cover:
   in {1, 4/3, 7/5, 3}, and of the union of M_0 with its difference group
   above 173/210 (a threshold outside M_0), with ``is_atomic_element`` of
   three of its members, at depths 1-8;
+- the rays' atom windows at depths 9-12 as well, and those of the rays
+  for p = 7 and of the t0 in {0, 1/100, 5/2} at depths 1-12;
+- the monoids generated by two rays with positive thresholds (Z[1/2]
+  above 1 with Z[1/3] above 4/3, Z[1/5] above 3/2 with Z[1/2] above 1/2,
+  Z[1/3] above 1/2 with Z[1/2] above 5/2) at depths 1-8, with
+  ``is_atomic_element`` of 1 and 2;
 - membership in M_q on a grid of values, certificate included;
 - ascending-chain certificates that must verify or be rejected;
 - length sets of N x Z cone and conductive Z^2 targets on a grid at
@@ -64,6 +70,7 @@ from posmon.monoids import (
     FIRST_POSITIVE,
     FULL_CONE,
     FiniteGenerated,
+    GENERATE,
     GeometricPuiseux,
     LexCone,
     Localized,
@@ -143,6 +150,18 @@ def atom_windows() -> None:
             atoms_line(m, depth)
         for x in (UNION_THRESHOLD, UNION_THRESHOLD + Fraction(1, 2), Fraction(1)):
             atomic_line(union, rational(x), depth)
+    more_rays = [Localized(p, Fraction(t0)) for p in (2, 3, 5, 7) for t0 in ("0", "1/100", "1", "4/3", "7/5", "3", "5/2")]
+    for depth in range(1, 13):
+        for m in more_rays:
+            if m not in rays or depth > 8:
+                atoms_line(m, depth)
+    two_rays = [UnionShift(Localized(p, Fraction(t)), Localized(q, Fraction(u)), mode=GENERATE)
+                for p, t, q, u in ((2, "1", 3, "4/3"), (5, "3/2", 2, "1/2"), (3, "1/2", 2, "5/2"))]
+    for depth in range(1, 9):
+        for m in two_rays:
+            atoms_line(m, depth)
+            for x in (1, 2):
+                atomic_line(m, rational(x), depth)
 
 
 def mq_grid() -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .elements import GroupElement, arch_valuation
-from .factor import AtomSet, atoms, length_set, ProbeResult
+from .factor import length_set, ProbeResult
 from .monoids import (
     AlphaBeta,
     Conductive,
@@ -90,7 +90,6 @@ class PropertyReport:
     descriptor: MonoidDescriptor
     verdicts: dict[str, Verdict]
     conductive: bool = False
-    atom_window: Optional[AtomSet] = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -178,12 +177,9 @@ def _finalize(
     descriptor: MonoidDescriptor,
     verdicts: dict[str, Verdict],
     conductive: bool = False,
-    atom_window: Optional[AtomSet] = None,
     notes: tuple[str, ...] = (),
 ) -> PropertyReport:
-    report = PropertyReport(
-        descriptor, _propagate(verdicts, conductive), conductive, atom_window, notes
-    )
+    report = PropertyReport(descriptor, _propagate(verdicts, conductive), conductive, notes)
     if not check_chain_consistency(report):
         raise InconsistentReport(f"inconsistent report for {descriptor}")
     return report
@@ -193,7 +189,7 @@ def _finalize(
 # conductive classification
 
 
-def classify_conductive(a: GroupElement, depth: int = DEFAULT_DEPTH) -> PropertyReport:
+def classify_conductive(a: GroupElement) -> PropertyReport:
     """Exact classification of M_a = {0} u G_{>=a}.
 
     BFM through QAM hold jointly iff the valuation of a is the minimum of
@@ -230,8 +226,7 @@ def classify_conductive(a: GroupElement, depth: int = DEFAULT_DEPTH) -> Property
         verdicts["FFM"] = Verdict(REFUTED, "conductive-ff-cyclic-criterion")
         verdicts["UFM"] = Verdict(REFUTED, "conductive-uf-hf-full-cone-criterion")
         verdicts["HFM"] = Verdict(REFUTED, "conductive-uf-hf-full-cone-criterion")
-    window = atoms(m, depth)
-    return _finalize(m, verdicts, conductive=True, atom_window=window)
+    return _finalize(m, verdicts, conductive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +310,9 @@ def classify_known(
     verdicts: dict[str, Verdict] = {}
     notes: list[str] = []
     conductive = False
-    window = None
     if isinstance(m, Conductive):
-        base = classify_conductive(m.threshold, depth)
-        verdicts = dict(base.verdicts)
+        verdicts = dict(classify_conductive(m.threshold).verdicts)
         conductive = True
-        window = base.atom_window
     elif isinstance(m, GeometricPuiseux):
         verdicts["SAM"] = Verdict(PROVED, "known:geometric-strongly-atomic")
         verdicts["ACCP"] = Verdict(
@@ -392,7 +384,7 @@ def classify_known(
             verdicts[probe.property] = Verdict(
                 PROBE_CONSISTENT, f"probe(bound={probe.bound})"
             )
-    return _finalize(m, verdicts, conductive, window, tuple(notes))
+    return _finalize(m, verdicts, conductive, tuple(notes))
 
 
 def _lexcone_known(m: LexCone, notes: list[str]) -> dict[str, Verdict]:

@@ -34,11 +34,11 @@ raises NotAMember).
 Every search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
 
-Atom candidates are checked against the window without building it
-where one exact rule exists (``_int_decompositions``): M_q and M_0 by the
-length and largest term of the canonical representation, up-sets of
-nonzero members (conductive monoids, rays, lex cones over Z^n) by the
-least window generator.
+Each family has one exact atom rule (``_atom_rule``): its candidates and
+whether t = g + (nonzero member) for a window generator g, decided
+without building the window.  Only the two irrational constructions,
+whose membership is decided within a window, re-verify through
+``contains``.
 
 Property probes are decided by one saturated (value, length) counting
 table over a mixed-radix integer code of the encoded window, built once
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import ceil, gcd, lcm
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational
 from .monoids import (
@@ -69,15 +69,16 @@ from .monoids import (
     NearlyAtomicAlpha,
     NotAMember,
     PrimeReciprocal,
-    RAY_EXPONENT_CAP,
     UNION,
     UnionShift,
     UnsupportedFamily,
+    _localized_window,
     _m0_solve,
     _member_points,
     _mq_solve,
     _point_element,
     _power_support,
+    _ray_grid,
     _zero_of,
     alphabeta_atom,
     alphabeta_domain,
@@ -104,7 +105,7 @@ class AtomSet:
     """Atoms of a monoid found at a window depth.
 
     ``complete`` means the listed atoms are all of A(M).  Every listed
-    atom has passed a decomposition search against the generator window.
+    atom has passed its family's split rule against the generator window.
     """
 
     descriptor: MonoidDescriptor
@@ -194,11 +195,10 @@ class ProbeResult:
 def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
     """The atom window of m at the given depth (at least 1).
 
-    Families with a known closed form emit it intersected with the window
-    and re-verify every emitted atom against the window; a failed
-    re-verification raises.  The remaining families compute atoms by
-    filtering window candidates through the same check, which
-    ``_int_decompositions`` makes one exact rule per candidate where it can.
+    A family with a closed form lists it intersected with the window and
+    re-verifies every listed atom by its split rule (``_atom_rule``); a
+    failed re-verification raises.  The others keep the candidates that do
+    not split.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -207,41 +207,36 @@ def atoms(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> AtomSet:
 
 @lru_cache(maxsize=4096)
 def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
-    """Candidates pass when no window generator g leaves t - g a nonzero
-    member of m.  ``_int_decompositions`` decides the splits without the
-    window for finitely generated monoids, M_q, M_0, conductive monoids,
-    localized rays and lex cones over Z^n; only the unions and the two
-    sqrt2/sqrt3 constructions build the window, when there are
-    candidates, and decide each difference by ``contains``.
-    """
-    candidates, complete, note, mode = _atom_candidates(m, depth)
-    splits = _int_decompositions(m, candidates, depth) if candidates else ()
-    if splits is None:
-        window = generators(m, depth).generators
-        splits = (not _no_window_decomposition(m, t, window, depth) for t in candidates)
+    rule = _atom_rule(m, depth)
     out = []
-    for t, split in zip(candidates, splits):
-        if mode == "assert":
-            if split:
-                raise AssertionError(
-                    f"closed-form atom {t} of {m} failed its decomposition check"
-                )
+    for t in rule.candidates:
+        if not rule.splits(t):
             out.append(t)
-        elif not split:
-            out.append(t)
+        elif rule.mode == "assert":
+            raise AssertionError(f"closed-form atom {t} of {m} failed its decomposition check")
     out.sort()
-    return AtomSet(m, depth, tuple(out), complete, note)
+    return AtomSet(m, depth, tuple(out), rule.complete, rule.note)
 
 
-def _int_decompositions(m: MonoidDescriptor, candidates, depth: int):
-    """For each candidate t, lazily and in order, whether some window
-    generator g leaves t - g a nonzero member of m, decided without the
-    window; None for the families that decide only through ``contains``.
+class AtomRule(NamedTuple):
+    """``splits(t)``: some window generator g leaves t - g a nonzero
+    member.  Mode "assert" raises on a candidate that splits, "filter"
+    drops it."""
 
-    A finitely generated monoid, over any group, splits t exactly when
-    ``_enumerate`` finds one combination of the distinct generators below
-    t that sums to t: every term of t = g + (nonzero member) lies below t,
-    and a sum of two or more positive terms is such a split.
+    candidates: list
+    splits: Callable[[GroupElement], bool]
+    complete: bool
+    note: Optional[str]
+    mode: str
+
+
+def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
+    """The candidates, split rule, flags and mode of m's atoms at depth.
+
+    A finitely generated monoid, over any group, splits t exactly when t
+    has a factorization of length 2 or more over its distinct generators.
+    The only other one is t itself, which comes last in the enumeration
+    order (it alone is nonzero at t), so the first solution decides.
 
     M_q and M_0 split t exactly when its canonical representation
     (``_mq_solve``, ``_m0_solve``) exists, has length 2 or more, and has
@@ -251,50 +246,156 @@ def _int_decompositions(m: MonoidDescriptor, candidates, depth: int):
     length 2 or more through g, and the trades that canonicalise it
     (d q^(i+1) = n q^i with n >= 2, and p (1/p) = 2 (1/2)) only move
     weight to larger terms and never bring a length of 2 or more below 2.
+    M_0 with its group's tail above a threshold splits t at or below the
+    threshold, where every candidate lies, by M_0's rule: a tail generator
+    leaves t - g <= 0, and below the threshold the members are M_0's.
 
-    In a conductive monoid, a localized ray and a lex cone over Z^n the
-    nonzero members form an up-set, so t splits exactly when it does
-    against the least window generator, one comparison per candidate:
+    Where the nonzero members form an up-set, t splits exactly when it
+    does against the least window generator:
 
     - conductive: the window starts at a, so t splits when t >= 2a;
-    - ray Z[1/p] above t0: the window starts at w, the least positive
-      multiple of 1/p^min(depth, cap) at or above t0, so t splits when it
-      lies in Z[1/p] and t - w >= t0 (with t > w when t0 = 0);
-    - full cone: the least generator is e, 1 in the last priority
-      coordinate, so t splits when t > e;
-    - first-positive cone: the least priority coordinate is 1, so t
-      splits when its priority coordinate is 2 or more.
+    - ray Z[1/p] above t0: the window starts at w (``monoids._ray_grid``),
+      so t splits when it lies in Z[1/p], t - w >= t0 and t > w; the atoms
+      are the window below 2 t0, none when t0 = 0 (every member halves);
+    - lex cones: the least generator is the step (1, or 1/min(depth, 5)
+      over rational coordinates) in the last priority coordinate, so t
+      splits above it (full cone) or when its priority coordinate exceeds
+      the step (first-positive cone).
+
+    ``_two_ray_split`` decides the monoid generated by two rays.  The two
+    irrational constructions decide membership only within a window, so
+    they scan it through ``contains`` (``_no_window_decomposition``).
     """
     if isinstance(m, FiniteGenerated):
-        # the candidates are the distinct generators in ascending order
-        return (k > 0 and bool(_enumerate(candidates[k - 1::-1], t, 1)[0])
-                for k, t in enumerate(candidates))
-    if isinstance(m, (GeometricPuiseux, PrimeReciprocal)):
-        if isinstance(m, GeometricPuiseux):
-            solve, top = partial(_mq_solve, m.q), depth
-        else:
-            solve, top = _m0_solve, first_primes(depth)[-1]
-        # both solvers list the terms from the largest down
-        return (
-            (sol := solve(t.value)) is not None and sum(c for _, c in sol) >= 2 and sol[0][0] <= top
-            for t in candidates
-        )
+        gens = sorted(set(m.generators))
+        desc = gens[::-1]
+        splits = lambda t: any(n >= 2 for n in _enumerate(desc, t, 1, lengths_only=True)[0])
+        return AtomRule(gens, splits, True, None, "filter")
+    if isinstance(m, GeometricPuiseux):
+        cands = [rational(m.q**i) for i in range(depth + 1)]
+        splits = _canonical_split(partial(_mq_solve, m.q), depth)
+        return AtomRule(cands, splits, False, "atoms are the powers of the ratio", "assert")
+    if isinstance(m, PrimeReciprocal) or isinstance(m, UnionShift) and m.mode == UNION:
+        ps = first_primes(depth)
+        cands = [rational(Fraction(1, p)) for p in ps]
+        note = "atoms are the prime reciprocals"
+        if isinstance(m, UnionShift):
+            # a threshold in the tail but outside M_0 is an atom too:
+            # t - 1/p < t is no member of M_0, and the tail starts at t
+            note += " of the base"
+            if is_squarefree(m.threshold.denominator) and _m0_solve(m.threshold) is None:
+                cands.append(rational(m.threshold))
+                note += " and the threshold"
+        return AtomRule(cands, _canonical_split(_m0_solve, ps[-1]), False, note, "assert")
     if isinstance(m, Conductive):
-        two_a = m.threshold + m.threshold
-        return (t >= two_a for t in candidates)
+        a, g = m.threshold, m.group
+        two_a = a + a
+        splits = lambda t: t >= two_a
+        if g.kind == "lex":
+            lo = tuple(a.value[i] for i in g.priority_order)
+            if not any(lo[:-1]) and not g.rational_coords:
+                # over integer coordinates the interval [a, 2a) is the finite
+                # ladder a + t * e_last
+                pts = [lo[:-1] + (lo[-1] + t,) for t in range(int(lo[-1]))]
+                return AtomRule([_point_element(g, p, 1) for p in pts], splits, True, None, "assert")
+            hi = tuple(2 * c for c in lo)
+            pts = _member_points(m, (depth,) * g.rank)[0]
+            cands = [_point_element(g, p, 1) for p in pts if lo <= p < hi]
+            return AtomRule(cands, splits, False, "interval [a, 2a) meets the window box", "assert")
+        if g.kind == "Q":
+            # the window's grid a + i/j (j <= depth, 0 <= i <= depth * j) below 2a
+            x = a.value
+            vals = {x + Fraction(i, j) for j in range(1, depth + 1)
+                    for i in range(min(ceil(x * j), depth * j + 1))}
+            cands = [rational(v) for v in sorted(vals)]
+            return AtomRule(cands, splits, False, "interval [a, 2a) sampled on the window grid", "assert")
+        raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
+    if isinstance(m, LexCone):
+        g = m.lex_group
+        step = Fraction(1, min(depth, 5)) if g.rational_coords else 1
+        least = _point_element(g, (0,) * (g.rank - 1) + (step,), 1)
+        if m.rule == FULL_CONE:
+            splits = lambda t: t > least
+        else:
+            splits = lambda t: t.value[g.priority] > step
+        if g.rational_coords:
+            return AtomRule([], splits, True, "antimatter: every member halves", "assert")
+        if m.rule == FULL_CONE:
+            return AtomRule([least], splits, True, None, "assert")
+        pts = _member_points(m, (depth,) * g.rank)[0]
+        cands = [_point_element(g, p, 1) for p in pts if p[0] == 1]
+        return AtomRule(cands, splits, False, "atoms have leading coordinate 1", "assert")
     if isinstance(m, Localized):
         p, t0 = m.prime, m.min_nonzero
-        den = p ** min(depth, RAY_EXPONENT_CAP)
-        w = Fraction(max(1, ceil(t0 * den)), den)
-        return (_power_support(t.value.denominator, p) and t.value - w >= t0 and t.value > w
-                for t in candidates)
-    if isinstance(m, LexCone) and not m.lex_group.rational_coords:
-        g = m.lex_group
-        if m.rule == FULL_CONE:
-            least = _point_element(g, (0,) * (g.rank - 1) + (1,), 1)
-            return (t > least for t in candidates)
-        return (t.value[g.priority] >= 2 for t in candidates)
-    return None
+        lo, hi, den = _ray_grid(m, depth)
+        w = Fraction(lo, den)
+        splits = lambda t: _power_support(t.value.denominator, p) and t.value - w >= t0 and t.value > w
+        if t0 == 0:
+            return AtomRule([], splits, True, "antimatter: every member halves", "assert")
+        cands = [rational(Fraction(k, den)) for k in range(lo, min(hi, ceil(2 * t0 * den) - 1) + 1)]
+        return AtomRule(cands, splits, False, "atoms fill [t, 2t) in the ray", "assert")
+    if isinstance(m, UnionShift):
+        # the rays' windows; a ray at threshold 0 adds no atom, as every
+        # member is p copies of its 1/p-th part
+        cands = {g for ray in (m.base, m.tail) if ray.min_nonzero > 0 for g in _localized_window(ray, depth)}
+        return AtomRule(sorted(cands), _two_ray_split(m, depth), False, None, "filter")
+    if isinstance(m, AlphaBeta):
+        cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
+        for s in alphabeta_domain(m.q, depth):
+            cands += [alphabeta_atom(m.q, s, "alpha"), alphabeta_atom(m.q, s, "beta")]
+        note = "ratio powers plus the two sqrt directions"
+    elif isinstance(m, NearlyAtomicAlpha):
+        cands = [nearly_atom(x) for x in calkin_wilf(depth)]
+        note = "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms"
+    else:
+        raise UnsupportedFamily(f"no atom procedure for {m.family}")
+    splits = lambda t: not _no_window_decomposition(m, t, generators(m, depth).generators, depth)
+    return AtomRule(cands, splits, False, note, "assert")
+
+
+def _canonical_split(solve, top):
+    """The M_q / M_0 split rule; both solvers list the largest term first."""
+    return lambda t: (sol := solve(t.value)) is not None and sum(c for _, c in sol) >= 2 and sol[0][0] <= top
+
+
+def _two_ray_split(m: UnionShift, depth: int):
+    """The split rule of the monoid generated by two rays (p, t) and
+    (p', t'), for v in either ray's group Z[1/p] (an integer in both).
+
+    Its members in Z[1/p] are 0, the x >= t and the integers >= n0 =
+    max(ceil(t'), 1): in x = u + v' with u, v' in the p- and p'-ray,
+    v' = x - u lies in Z[1/p] and Z[1/p'], so it is an integer.  Let w
+    and w' be the least elements of the two rays' windows.  Then v splits
+    exactly when v - w >= t and v > w, or v - n0 >= t and v > n0, or v
+    is an integer with v >= 2 n0 or v >= ceil(w' + t').
+
+    A generator h in Z[1/p] leaves v - h in Z[1/p]: at least t (decided
+    at h = w), or an integer n >= n0, and then v - n0 >= h >= t.  A
+    generator h in Z[1/p'] leaves v - h = u + v' with n = h + v' = v - u
+    an integer.  With v' = 0, h = n >= n0 and u = v - n >= t.  With
+    u = 0, v = h + v' >= w' + t' is an integer, and v >= 2 n0 if h is
+    one.  With both nonzero, n >= t' is a positive integer, so n >= n0
+    and v - n0 >= u >= t.  Each bound is monotone in h and met by w, n0
+    or w', all window elements; when w' is an integer it is n0, and then
+    ceil(w' + t') = 2 n0.
+    """
+    consts = []
+    for own, other in ((m.base, m.tail), (m.tail, m.base)):
+        lo, _, den = _ray_grid(own, depth)
+        olo, _, oden = _ray_grid(other, depth)
+        n0 = max(ceil(other.min_nonzero), 1)
+        consts.append((own.prime, own.min_nonzero, Fraction(lo, den), n0,
+                       ceil(Fraction(olo, oden) + other.min_nonzero)))
+
+    def splits(t):
+        v = t.value
+        for p, t0, w, n0, n1 in consts:
+            if _power_support(v.denominator, p):
+                return (v > w and v - w >= t0 or v > n0 and v - n0 >= t0
+                        or v.denominator == 1 and (v >= 2 * n0 or v >= n1))
+        raise ValueError(f"{t} lies in neither ray's group")
+
+    return splits
 
 
 def _no_window_decomposition(
@@ -308,99 +409,6 @@ def _no_window_decomposition(
         if contains(m, diff, depth).is_in:
             return False
     return True
-
-
-def _atom_candidates(m: MonoidDescriptor, depth: int):
-    """(candidates, complete, note, verify_mode)."""
-    if isinstance(m, FiniteGenerated):
-        return sorted(set(m.generators)), True, None, "filter"
-    if isinstance(m, GeometricPuiseux):
-        return (
-            [rational(m.q**i) for i in range(depth + 1)],
-            False,
-            "atoms are the powers of the ratio",
-            "assert",
-        )
-    if isinstance(m, PrimeReciprocal):
-        return (
-            [rational(Fraction(1, p)) for p in first_primes(depth)],
-            False,
-            "atoms are the prime reciprocals",
-            "assert",
-        )
-    if isinstance(m, Conductive):
-        return _conductive_atom_candidates(m, depth)
-    if isinstance(m, LexCone):
-        return _lexcone_atom_candidates(m, depth)
-    if isinstance(m, Localized):
-        if m.min_nonzero == 0:
-            return [], True, "antimatter: every member halves", "assert"
-        window = generators(m, depth).generators
-        t2 = m.min_nonzero * 2
-        cands = [g for g in window if g.value < t2]
-        return cands, False, "atoms fill [t, 2t) in the ray", "assert"
-    if isinstance(m, UnionShift):
-        if m.mode == UNION:
-            # a threshold in the tail but outside M_0 is an atom too:
-            # t - 1/p < t is no member of M_0, and the tail starts at t
-            cands = [rational(Fraction(1, p)) for p in first_primes(depth)]
-            note = "atoms are the prime reciprocals of the base"
-            if is_squarefree(m.threshold.denominator) and _m0_solve(m.threshold) is None:
-                cands.append(rational(m.threshold))
-                note += " and the threshold"
-            return cands, False, note, "assert"
-        tail_window = generators(m.tail, depth).generators
-        return list(tail_window), False, None, "filter"
-    if isinstance(m, AlphaBeta):
-        cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
-        for s in alphabeta_domain(m.q, depth):
-            cands.append(alphabeta_atom(m.q, s, "alpha"))
-            cands.append(alphabeta_atom(m.q, s, "beta"))
-        return cands, False, "ratio powers plus the two sqrt directions", "assert"
-    if isinstance(m, NearlyAtomicAlpha):
-        cands = [nearly_atom(x) for x in calkin_wilf(depth)]
-        return (
-            cands,
-            False,
-            "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms",
-            "assert",
-        )
-    raise UnsupportedFamily(f"no atom procedure for {m.family}")
-
-
-def _conductive_atom_candidates(m: Conductive, depth: int):
-    a = m.threshold
-    g = m.group
-    if g.kind == "lex":
-        lo = tuple(a.value[i] for i in g.priority_order)
-        if not any(lo[:-1]) and not g.rational_coords:
-            # over integer coordinates the interval [a, 2a) is the finite
-            # ladder a + t * e_last
-            pts = [lo[:-1] + (lo[-1] + t,) for t in range(int(lo[-1]))]
-            return [_point_element(g, p, 1) for p in pts], True, None, "assert"
-        hi = tuple(2 * c for c in lo)
-        pts = _member_points(m, (depth,) * g.rank)[0]
-        cands = [_point_element(g, p, 1) for p in pts if lo <= p < hi]
-        return cands, False, "interval [a, 2a) meets the window box", "assert"
-    if g.kind == "Q":
-        # the window's grid a + i/j (j <= depth, 0 <= i <= depth * j) below 2a
-        x = a.value
-        vals = {x + Fraction(i, j) for j in range(1, depth + 1)
-                for i in range(min(ceil(x * j), depth * j + 1))}
-        cands = [rational(v) for v in sorted(vals)]
-        return cands, False, "interval [a, 2a) sampled on the window grid", "assert"
-    raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
-
-
-def _lexcone_atom_candidates(m: LexCone, depth: int):
-    g = m.lex_group
-    if g.rational_coords:
-        return [], True, "antimatter: every member halves", "assert"
-    if m.rule == FULL_CONE:
-        return [_point_element(g, (0,) * (g.rank - 1) + (1,), 1)], True, None, "assert"
-    pts = _member_points(m, (depth,) * g.rank)[0]
-    cands = [_point_element(g, p, 1) for p in pts if p[0] == 1]
-    return cands, False, "atoms have leading coordinate 1", "assert"
 
 
 # ---------------------------------------------------------------------------

@@ -668,21 +668,17 @@ def _cone_holds(m: LexCone, v: GroupElement) -> bool:
     return v.value[m.lex_group.priority] > 0
 
 
+def _ray_grid(m: Localized, depth: int) -> tuple[int, int, int]:
+    """(lo, hi, den): the ray's window is the k/den for lo <= k <= hi, the
+    positive multiples of 1/den in [threshold, threshold + depth], where
+    den = p^min(depth, the cap); the cap keeps windows desk-sized."""
+    den = m.prime ** min(depth, RAY_EXPONENT_CAP)
+    return max(1, ceil(m.min_nonzero * den)), floor((m.min_nonzero + depth) * den), den
+
+
 def _localized_window(m: Localized, depth: int) -> list[GroupElement]:
-    """Ray elements with denominator exponent <= min(depth, the cap) and
-    value at most threshold + depth; the cap keeps windows desk-sized."""
-    p = m.prime
-    lo = m.min_nonzero
-    hi = lo + depth
-    vals: set[Fraction] = set()
-    for j in range(min(depth, RAY_EXPONENT_CAP) + 1):
-        den = p**j
-        start = max(1, -(-lo.numerator * den // lo.denominator))  # ceil(lo*den)
-        for num in range(start, hi.numerator * den // hi.denominator + 1):
-            v = Fraction(num, den)
-            if lo <= v <= hi and v > 0:
-                vals.add(v)
-    return [rational(v) for v in sorted(vals)]
+    lo, hi, den = _ray_grid(m, depth)
+    return [rational(Fraction(k, den)) for k in range(lo, hi + 1)]
 
 
 def _group_tail_window(m: UnionShift, depth: int) -> list[GroupElement]:

@@ -111,21 +111,22 @@ def brute_force_triple_factorizations(
 
 
 def brute_force_membership(gens: list[Fraction], x: Fraction) -> bool:
-    """x in <gens> by bounded nested search (gens positive rationals)."""
-    gens = sorted(gens, reverse=True)
+    """x in <gens> by bounded nested search (gens positive rationals), in
+    ints once the common denominator is cleared."""
+    den = lcm(Fraction(x).denominator, *(Fraction(g).denominator for g in gens))
+    ints = sorted((int(g * den) for g in gens), reverse=True)
 
-    def rec(i: int, rem: Fraction) -> bool:
+    def rec(i: int, rem: int) -> bool:
         if rem == 0:
             return True
-        if i == len(gens) or rem < 0:
+        if i == len(ints) or rem < 0:
             return False
-        c = int(rem / gens[i])
-        for k in range(c, -1, -1):
-            if rec(i + 1, rem - k * gens[i]):
+        for k in range(rem // ints[i], -1, -1):
+            if rec(i + 1, rem - k * ints[i]):
                 return True
         return False
 
-    return rec(0, x)
+    return rec(0, int(x * den))
 
 
 def mq_members_below(q: Fraction, max_index: int, max_coeff: int, bound: Fraction):

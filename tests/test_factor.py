@@ -26,12 +26,15 @@ from posmon.monoids import (
     FIRST_POSITIVE,
     FULL_CONE,
     FiniteGenerated,
+    GENERATE,
     GeometricPuiseux,
     LexCone,
     Localized,
     NotAMember,
     PrimeReciprocal,
+    UnionShift,
     UnsupportedFamily,
+    almost_not_nearly_instance,
     contains,
     generators,
     members_within,
@@ -135,6 +138,7 @@ INT_CHECKED = [
     (Conductive(lexvec(Z, 3)), lexvec(Z, 6)),
     (PrimeReciprocal(), rational(Fraction(5, 6))),
     (Localized(3, Fraction(4, 3)), rational(Fraction(8, 3))),
+    (almost_not_nearly_instance(), rational(Fraction(5, 6))),
 ]
 
 # each family's int split rule against the full window scan through
@@ -182,22 +186,44 @@ INT_PATH_CASES += [
     for depth in (3, 5, 6, 7, 8)
     for m in (GeometricPuiseux(Fraction(2, 3)), PrimeReciprocal(), Localized(3, Fraction(4, 3)))
 ]
+# the union of M_0 with its group's tail, at six thresholds
+UNION_THRESHOLDS = [Fraction(x) for x in ("1/2", "1", "173/210", "5/4", "7/6", "3/2")]
+INT_PATH_CASES += [
+    (depth, UnionShift(PrimeReciprocal(), threshold=th))
+    for depth in range(1, 7)
+    for th in UNION_THRESHOLDS
+    if (depth, th) not in {(d, Fraction(1)) for d in (1, 2, 4)}
+]
+
+
+def two_rays(p, t, q, u):
+    return UnionShift(Localized(p, Fraction(t)), Localized(q, Fraction(u)), mode=GENERATE)
+
+
+# the monoid generated by two rays, four prime pairs, thresholds 0 and up
+RAY_PAIRS = [
+    two_rays(p, t, q, u)
+    for p, q in ((2, 3), (3, 2), (5, 2), (2, 7))
+    for t, u in (("1", "4/3"), ("0", "4/3"), ("3/2", "1/2"), ("1/2", "5/2"), ("4/3", "1"), ("1", "0"))
+]
+INT_PATH_CASES += [(depth, m) for depth in (1, 2) for m in RAY_PAIRS]
+INT_PATH_CASES += [(3, m) for m in RAY_PAIRS[:6]]
 
 
 class TestAtomReverification:
     @pytest.mark.parametrize("m, wrong", INT_CHECKED, ids=lambda v: str(v))
     def test_injected_wrong_candidate_raises(self, monkeypatch, m, wrong):
-        real = factor_module._atom_candidates
+        real = factor_module._atom_rule
 
         def injected(m_, depth):
-            cands, complete, note, mode = real(m_, depth)
-            assert mode == "assert"
-            return [*cands, wrong], complete, note, mode
+            rule = real(m_, depth)
+            assert rule.mode == "assert"
+            return rule._replace(candidates=[*rule.candidates, wrong])
 
         def no_contains(*args, **kwargs):
             raise AssertionError("the int path called contains")
 
-        monkeypatch.setattr(factor_module, "_atom_candidates", injected)
+        monkeypatch.setattr(factor_module, "_atom_rule", injected)
         monkeypatch.setattr(factor_module, "contains", no_contains)
         factor_module._atoms_cached.cache_clear()
         try:
@@ -206,15 +232,42 @@ class TestAtomReverification:
         finally:
             factor_module._atoms_cached.cache_clear()
 
+    @pytest.mark.parametrize("m", [
+        numerical(3, 5, 6, 8, 9, 10),
+        FiniteGenerated(tuple(rational(Fraction(x)) for x in ("2/3", "1/2", "5/4", "7/6", "4/3"))),
+        FiniteGenerated(tuple(lexvec(Z2, *v) for v in ((0, 1), (1, 2), (2, 3), (1, 3)))),
+        quasi_not_almost_instance(),
+        two_rays(2, "1", 3, "4/3"),
+        two_rays(5, "3/2", 2, "1/2"),
+    ], ids=str)
+    def test_filter_mode_atoms_without_contains(self, monkeypatch, m):
+        depth = 3
+        window = generators(m, depth).generators
+        expected = tuple(
+            t for t in factor_module._atom_rule(m, depth).candidates
+            if factor_module._no_window_decomposition(m, t, window, depth)
+        )
+
+        def no_contains(*args, **kwargs):
+            raise AssertionError("the int path called contains")
+
+        monkeypatch.setattr(factor_module, "contains", no_contains)
+        factor_module._atoms_cached.cache_clear()
+        try:
+            assert factor_module._atom_rule(m, depth).mode == "filter"
+            assert atoms(m, depth).atoms == expected
+        finally:
+            factor_module._atoms_cached.cache_clear()
+
     @pytest.mark.parametrize("depth, m", INT_PATH_CASES, ids=str)
     def test_int_path_matches_contains(self, m, depth):
-        cands = factor_module._atom_candidates(m, depth)[0]
+        rule = factor_module._atom_rule(m, depth)
         window = generators(m, depth).generators
-        got = list(factor_module._int_decompositions(m, cands, depth))
+        got = [rule.splits(t) for t in rule.candidates]
         assert got == [
-            not factor_module._no_window_decomposition(m, t, window, depth) for t in cands
+            not factor_module._no_window_decomposition(m, t, window, depth) for t in rule.candidates
         ]
-        assert not any(got) or isinstance(m, FiniteGenerated)
+        assert not any(got) or rule.mode == "filter"
 
     @pytest.mark.parametrize("m, values", [
         (GeometricPuiseux(Fraction(2, 3)),
@@ -224,18 +277,53 @@ class TestAtomReverification:
         (Localized(2, Fraction(1)), ["2", "9/4", "15/8", "33/16", "3", "5/3", "17/64", "65/32"]),
         (Localized(3, Fraction(4, 3)), ["8/3", "26/9", "3", "4", "80/27", "5/2", "244/81"]),
         (Localized(5, Fraction(0)), ["1/5", "2/25", "1/625", "3/3125", "7/2", "2"]),
+        # union mode: values at or below the threshold, where the candidates lie
+        (almost_not_nearly_instance(), ["5/6", "2/3", "1", "1/2", "7/10", "31/42", "1/4", "18/77", "2/11"]),
+        (UnionShift(PrimeReciprocal(), threshold=Fraction(173, 210)),
+         ["173/210", "5/6", "139/210", "1/2", "2/3", "29/42", "18/77", "1/4"]),
+        # generate mode: values of either ray's group, off the windows too
+        (quasi_not_almost_instance(), ["4/3", "8/3", "3", "13/3", "7/2", "1/2", "1", "244/81", "730/243", "5"]),
+        (two_rays(2, "1", 3, "4/3"),
+         ["1", "2", "9/4", "65/32", "3", "4/3", "7/3", "8/3", "244/81", "4", "5", "129/64"]),
+        (two_rays(5, "3/2", 2, "1/2"),
+         ["3/2", "3", "16/5", "1", "2", "5/2", "7/4", "1/2", "4", "3126/625", "15626/3125"]),
+        # antimatter cones: the step of the rational window grid decides
+        (LexCone(Q2, FULL_CONE), [lexvec(Q2, *v) for v in (
+            (0, Fraction(1, 5)), (0, Fraction(1, 2)), (0, 1), (Fraction(1, 3), -2), (0, Fraction(1, 7)))]),
+        (LexCone(Q2, FIRST_POSITIVE), [lexvec(Q2, *v) for v in (
+            (Fraction(1, 5), 0), (1, 0), (Fraction(1, 3), -2), (2, 0), (Fraction(3, 2), 1), (0, 1))]),
     ], ids=str)
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
     def test_rules_match_window_off_window(self, m, values, depth):
         # members and non-members outside the candidate list, some whose
         # largest canonical term lies beyond the window
         window = generators(m, depth).generators
-        ts = [rational(Fraction(v)) for v in values]
-        got = list(factor_module._int_decompositions(m, ts, depth))
+        ts = [rational(Fraction(v)) if isinstance(v, str) else v for v in values]
+        splits = factor_module._atom_rule(m, depth).splits
+        got = [splits(t) for t in ts]
         assert got == [
             not factor_module._no_window_decomposition(m, t, window, depth) for t in ts
         ]
         assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (5, 6), (7, 4)])
+    def test_ray_candidates_are_the_window_below_twice_the_threshold(self, p, top):
+        for t0 in ("0", "1/100", "1", "4/3", "7/5", "3", "5/2"):
+            m = Localized(p, Fraction(t0))
+            for depth in range(1, top + 1):
+                want = [g for g in generators(m, depth).generators if g.value < 2 * m.min_nonzero]
+                assert factor_module._atom_rule(m, depth).candidates == want, (t0, depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_generated_union_lists_base_ray_atoms(self, depth):
+        m = two_rays(2, "1", 3, "4/3")
+        window = generators(m, depth).generators
+        expected = sorted(t for t in window if factor_module._no_window_decomposition(m, t, window, depth))
+        assert list(atoms(m, depth).atoms) == expected
+        assert rational(1) in expected
+        assert is_atomic_element(m, rational(1), depth).status == "yes"
+        search = factorizations(m, rational(2), depth)
+        assert [str(f) for f in search.factorizations] == ["2*[1]"]
 
     def test_deep_geometric_window_is_fast(self):
         for depth in (120, 1000):
