@@ -36,7 +36,12 @@ The queries cover:
   checks and the report JSON, or the error;
 - a digest of the generator windows of the conductive monoids whose
   threshold has coordinates in [-2, 2] and of both lex cones, over Z,
-  Z^2, the second-priority Z^2 and Q^2, at depths 1-4.
+  Z^2, the second-priority Z^2 and Q^2, at depths 1-4;
+- ``length_set``, ``factorizations`` and ``is_atomic_element`` of the
+  inputs on which the three must agree (antimatter monoids, zeros of a
+  product and of a foreign group, a member without factorization, a
+  non-member) at depths 3 and 8, and the atom windows of the antimatter
+  monoid generated by two rays at threshold 0 at depths 1-8.
 
 Usage (stdlib only):
 
@@ -75,6 +80,8 @@ from posmon.monoids import (
     LexCone,
     Localized,
     PrimeReciprocal,
+    Product,
+    ProductElement,
     UnionShift,
     contains,
     generators,
@@ -102,6 +109,17 @@ CONE = LexCone(Z2, FIRST_POSITIVE)
 PLANE_THRESHOLDS = ((1, -2), (1, 1), (2, 0), (0, 2), (3, 1))
 UNION_THRESHOLD = Fraction(173, 210)
 M0_TARGETS = tuple(Fraction(x) for x in ("1", "5/6", "31/30", "18/77", "2", "71/78", "3/2", "1/4"))
+TWO_RAYS_AT_0 = UnionShift(Localized(2, Fraction(0)), Localized(3, Fraction(0)), mode=GENERATE)
+AGREEMENT = (
+    (LexCone(Q2, FIRST_POSITIVE), lexvec(Q2, 1, 0)),
+    (Localized(2, Fraction(0)), rational(1)),
+    (Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1))),
+     ProductElement(rational(0), lexvec(Z, 0))),
+    (numerical(3, 5), lexvec(Z, 0)),
+    (Conductive(lexvec(Z2, 0, 2)), lexvec(Z2, 1, 0)),
+    (numerical(3, 5), rational(7)),
+    (TWO_RAYS_AT_0, rational(1)),
+)
 
 
 def emit(obj: dict) -> None:
@@ -351,6 +369,15 @@ def window_digests() -> None:
                 emit({"query": "generators", "instance": str(m), "depth": depth, **out})
 
 
+def agreement() -> None:
+    for m, b in AGREEMENT:
+        for depth in (3, 8):
+            length_line(m, b, depth)
+            factorization_line(m, b, depth)
+    for depth in range(1, 9):
+        atoms_line(TWO_RAYS_AT_0, depth)
+
+
 if __name__ == "__main__":
     atom_windows()
     mq_grid()
@@ -360,3 +387,4 @@ if __name__ == "__main__":
     probes()
     gallery_runs()
     window_digests()
+    agreement()

@@ -31,8 +31,15 @@ reproducible.  A finitely generated monoid is atomic with a complete atom
 list, so there the enumeration itself decides membership (an empty one
 raises NotAMember).
 
-Every search result carries explicit ``complete`` / ``truncated`` flags;
+``factorizations``, ``length_set`` and ``is_atomic_element`` differ only
+in how they shape the answer: all three enter the search through
+``_search``, which checks membership, answers zero with its empty
+factorization, takes the atom window and enumerates over it.  Every
+search result carries explicit ``complete`` / ``truncated`` flags;
 lengths reported under truncation are a subset of the true length set.
+``complete`` means the atom window is all of A(M) and max_count did not
+cut the search, so an empty window is complete exactly on an antimatter
+monoid, where a nonzero member has no factorization.
 
 Each family has one exact atom rule (``_atom_rule``): its candidates and
 whether t = g + (nonzero member) for a window generator g, decided
@@ -79,6 +86,7 @@ from .monoids import (
     _point_element,
     _power_support,
     _ray_grid,
+    _two_ray_contains,
     _zero_of,
     alphabeta_atom,
     alphabeta_domain,
@@ -262,9 +270,16 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
       splits above it (full cone) or when its priority coordinate exceeds
       the step (first-positive cone).
 
-    ``_two_ray_split`` decides the monoid generated by two rays.  The two
-    irrational constructions decide membership only within a window, so
-    they scan it through ``contains`` (``_no_window_decomposition``).
+    ``_two_ray_split`` decides the monoid generated by two rays; when both
+    start at 0 it is antimatter.  The two irrational constructions decide
+    membership only within a window, so they scan it through ``contains``
+    (``_no_window_decomposition``).
+
+    The lex conductive candidates are the interval [a, 2a) within the
+    box |coord| <= depth, while ``generators()`` is a + that box, so a
+    threshold with a coordinate beyond the depth leaves the window's least
+    generators out: at depth 4, Conductive((1, 5)) over Z^2 lists (2, -4)
+    ... (2, 4) and not (1, 5).  Both answers are flagged incomplete.
     """
     if isinstance(m, FiniteGenerated):
         gens = sorted(set(m.generators))
@@ -335,10 +350,15 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
         cands = [rational(Fraction(k, den)) for k in range(lo, min(hi, ceil(2 * t0 * den) - 1) + 1)]
         return AtomRule(cands, splits, False, "atoms fill [t, 2t) in the ray", "assert")
     if isinstance(m, UnionShift):
+        splits = _two_ray_split(m, depth)
+        if m.base.min_nonzero == 0 == m.tail.min_nonzero:
+            # x = u + v with u > 0 in the p-ray is u/p + ((p-1)u/p + v),
+            # and x = v in the p'-ray is v/p' + (p'-1)v/p'
+            return AtomRule([], splits, True, "antimatter: every member splits off a p-th part", "assert")
         # the rays' windows; a ray at threshold 0 adds no atom, as every
         # member is p copies of its 1/p-th part
         cands = {g for ray in (m.base, m.tail) if ray.min_nonzero > 0 for g in _localized_window(ray, depth)}
-        return AtomRule(sorted(cands), _two_ray_split(m, depth), False, None, "filter")
+        return AtomRule(sorted(cands), splits, False, None, "filter")
     if isinstance(m, AlphaBeta):
         cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
         for s in alphabeta_domain(m.q, depth):
@@ -360,42 +380,29 @@ def _canonical_split(solve, top):
 
 def _two_ray_split(m: UnionShift, depth: int):
     """The split rule of the monoid generated by two rays (p, t) and
-    (p', t'), for v in either ray's group Z[1/p] (an integer in both).
+    (p', t'): v splits when v - h is a nonzero member
+    (``monoids._two_ray_contains``) for one of the window generators w and
+    w', the least elements of the two rays' windows, or n0 = max(ceil(t'),
+    1) and n0' = max(ceil(t), 1), the two integer generators.
 
-    Its members in Z[1/p] are 0, the x >= t and the integers >= n0 =
-    max(ceil(t'), 1): in x = u + v' with u, v' in the p- and p'-ray,
-    v' = x - u lies in Z[1/p] and Z[1/p'], so it is an integer.  Let w
-    and w' be the least elements of the two rays' windows.  Then v splits
-    exactly when v - w >= t and v > w, or v - n0 >= t and v > n0, or v
-    is an integer with v >= 2 n0 or v >= ceil(w' + t').
-
-    A generator h in Z[1/p] leaves v - h in Z[1/p]: at least t (decided
-    at h = w), or an integer n >= n0, and then v - n0 >= h >= t.  A
-    generator h in Z[1/p'] leaves v - h = u + v' with n = h + v' = v - u
-    an integer.  With v' = 0, h = n >= n0 and u = v - n >= t.  With
-    u = 0, v = h + v' >= w' + t' is an integer, and v >= 2 n0 if h is
-    one.  With both nonzero, n >= t' is a positive integer, so n >= n0
-    and v - n0 >= u >= t.  Each bound is monotone in h and met by w, n0
-    or w', all window elements; when w' is an integer it is n0, and then
-    ceil(w' + t') = 2 n0.
+    These suffice.  Take v = h + x in Z[1/p] (Z[1/p'] is symmetric, with
+    w' and n0'), h a window generator and x a nonzero member.  The members
+    in Z[1/p] are 0, the x >= t and the integers >= n0, as x = u + v' with
+    u, v' in the p- and p'-ray leaves v' in Z[1/p] and Z[1/p'], so in Z.
+    - h in Z[1/p], so h >= w or h >= n0, and x in Z[1/p]: if x >= t, v - w
+      or v - n0 is at least x; if x >= n0 is an integer, v - n0 = x + h -
+      n0 when h >= n0 is an integer, else v - n0 >= h >= t.
+    - h in Z[1/p'], not in Z: h >= w', and n = h + v' = v - u is an
+      integer, so v' is nonzero.  If u = 0, v = n and v - w' >= v' >= t'.
+      Otherwise n > v' >= t', so n >= n0 and v - n0 >= u >= t.
     """
-    consts = []
-    for own, other in ((m.base, m.tail), (m.tail, m.base)):
-        lo, _, den = _ray_grid(own, depth)
-        olo, _, oden = _ray_grid(other, depth)
-        n0 = max(ceil(other.min_nonzero), 1)
-        consts.append((own.prime, own.min_nonzero, Fraction(lo, den), n0,
-                       ceil(Fraction(olo, oden) + other.min_nonzero)))
-
-    def splits(t):
-        v = t.value
-        for p, t0, w, n0, n1 in consts:
-            if _power_support(v.denominator, p):
-                return (v > w and v - w >= t0 or v > n0 and v - n0 >= t0
-                        or v.denominator == 1 and (v >= 2 * n0 or v >= n1))
-        raise ValueError(f"{t} lies in neither ray's group")
-
-    return splits
+    hs = set()
+    for ray in (m.base, m.tail):
+        lo, _, den = _ray_grid(ray, depth)
+        hs |= {Fraction(lo, den), Fraction(max(ceil(ray.min_nonzero), 1))}
+    hs = sorted(hs)
+    return lambda t: any(t.value > h and _two_ray_contains(m.base, m.tail, t.value - h).is_in
+                         for h in hs)
 
 
 def _no_window_decomposition(
@@ -422,24 +429,10 @@ def factorizations(
     max_count: int = DEFAULT_MAX_COUNT,
 ) -> FactorizationSearch:
     """Enumerate Z(b) over the atom window at the given depth."""
-    _require_member(m, b, depth)
-    if b.is_zero:
-        empty = Factorization((), b)
-        return FactorizationSearch(m, b, (empty,), True, False)
-    atom_set = atoms(m, depth)
-    if not atom_set.atoms:
-        return FactorizationSearch(
-            m, b, (), False, False, note="NotAtomicFamily: no atoms in this family"
-        )
-    desc = atom_set.atoms[::-1]
-    counts, truncated = _enumerate(desc, b, max_count)
-    _require_found(m, b, counts)
-    facts = tuple(
-        Factorization(tuple((a, c) for a, c in zip(desc, vec) if c > 0), b)
-        for vec in counts
-    )
-    complete = atom_set.complete and not truncated
-    return FactorizationSearch(m, b, facts, complete, truncated)
+    desc, counts, truncated, complete = _search(m, b, depth, max_count)
+    facts = tuple(Factorization(_pairs(desc, vec), b) for vec in counts)
+    note = None if desc or facts else "NotAtomicFamily: no atoms in this family"
+    return FactorizationSearch(m, b, facts, complete, truncated, note)
 
 
 def length_set(
@@ -454,16 +447,7 @@ def length_set(
     coordinate at least 1) keeps each search node's lengths as a bitmask
     (``_plane_walk``).  ``complete`` is False when max_count cut the
     search or the atom window is not all of A(M)."""
-    _require_member(m, b, depth)
-    if b.is_zero:
-        return LengthSet(b, (0,), True)
-    atom_set = atoms(m, depth)
-    if not atom_set.atoms:
-        return LengthSet(b, (), atom_set.complete)
-    desc = atom_set.atoms[::-1]
-    lens, truncated = _enumerate(desc, b, max_count, lengths_only=True)
-    _require_found(m, b, lens)
-    complete = atom_set.complete and not truncated
+    _, lens, _, complete = _search(m, b, depth, max_count, lengths_only=True)
     return LengthSet(b, tuple(sorted(set(lens))), complete)
 
 
@@ -472,41 +456,47 @@ def is_atomic_element(
 ) -> AtomicityWitness:
     """Yes with a witness factorization; No only when the search space is
     provably exhausted; Unknown otherwise."""
-    if isinstance(b, GroupElement) and b.is_zero:
-        return AtomicityWitness("yes", Factorization((), b))
-    _require_member(m, b, depth)
-    atom_set = atoms(m, depth)
-    if atom_set.atoms:
-        desc = atom_set.atoms[::-1]
-        counts, truncated = _enumerate(desc, b, max_count=1)
-        if counts:
-            pairs = tuple((a, c) for a, c in zip(desc, counts[0]) if c > 0)
-            return AtomicityWitness("yes", Factorization(pairs, b))
-        _require_found(m, b, counts)
-    else:
-        truncated = False
-    if atom_set.complete and not truncated:
+    desc, counts, _, complete = _search(m, b, depth, 1)
+    if counts:
+        return AtomicityWitness("yes", Factorization(_pairs(desc, counts[0]), b))
+    if complete:
         return AtomicityWitness(
             "no", note="atom window is exhaustive below the element; search exhausted"
         )
     return AtomicityWitness("unknown", note="no factorization within the window")
 
 
-def _require_member(m: MonoidDescriptor, b: Element, depth: int) -> None:
-    """Raise NotAMember when b is provably outside m.  A finitely generated
-    monoid is atomic with a complete atom list, so there the enumeration
-    decides membership (_require_found).  A complete atom list alone does
-    not suffice: (1, 0) lies in the conductive monoid of Z^2 at (0, 2),
-    whose atoms are (0, 2) and (0, 3), and has no factorization."""
+def _search(
+    m: MonoidDescriptor, b: Element, depth: int, max_count: int, lengths_only: bool = False
+):
+    """(descending atoms, solutions, truncated, complete) for b over the
+    atom window of m at depth: the one way a query enters the search.
+
+    b must be a member: a finitely generated monoid is atomic with a
+    complete atom list, so there the enumeration decides membership (an
+    empty one raises NotAMember); elsewhere ``contains`` does.  A complete
+    atom list alone does not suffice: (1, 0) lies in the conductive
+    monoid of Z^2 at (0, 2), whose atoms are (0, 2) and (0, 3), and has no
+    factorization.  Zero has the one empty factorization and needs no
+    atoms."""
     if isinstance(m, FiniteGenerated):
         check_query(m, b)
     elif contains(m, b, depth).is_out:
         raise NotAMember(f"{b} is not a member of {m}")
-
-
-def _require_found(m: MonoidDescriptor, b: Element, found: list) -> None:
+    if b.is_zero:
+        return (), [0 if lengths_only else ()], False, True
+    atom_set = atoms(m, depth)
+    desc = atom_set.atoms[::-1]
+    found, truncated = _enumerate(desc, b, max_count, lengths_only) if desc else ([], False)
     if not found and isinstance(m, FiniteGenerated):
         raise NotAMember(f"{b} is not a member of {m}")
+    return desc, found, truncated, atom_set.complete and not truncated
+
+
+def _pairs(desc, vec) -> tuple:
+    """The (atom, multiplicity) pairs of a multiplicity vector over the
+    descending atoms, without the zero multiplicities."""
+    return tuple((a, c) for a, c in zip(desc, vec) if c > 0)
 
 
 # -- enumeration --------------------------------------------------------------

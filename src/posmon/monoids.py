@@ -788,7 +788,7 @@ def _is_negative(m: MonoidDescriptor, x: Element) -> bool:
 def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
     """The first combination of the descending generators that sums to x,
     from the integer knapsack engine that factorization uses."""
-    from .factor import _enumerate
+    from .factor import _enumerate, _pairs
 
     if x.is_zero:
         return verdict_in(())
@@ -796,7 +796,7 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
     found, _ = _enumerate(gens, x, max_count=1)
     if not found:
         return VERDICT_OUT
-    return verdict_in(tuple((g, c) for g, c in zip(gens, found[0]) if c > 0))
+    return verdict_in(_pairs(gens, found[0]))
 
 
 # -- geometric <q^n> ---------------------------------------------------------

@@ -32,6 +32,8 @@ from posmon.monoids import (
     Localized,
     NotAMember,
     PrimeReciprocal,
+    Product,
+    ProductElement,
     UnionShift,
     UnsupportedFamily,
     almost_not_nearly_instance,
@@ -287,6 +289,7 @@ class TestAtomReverification:
          ["1", "2", "9/4", "65/32", "3", "4/3", "7/3", "8/3", "244/81", "4", "5", "129/64"]),
         (two_rays(5, "3/2", 2, "1/2"),
          ["3/2", "3", "16/5", "1", "2", "5/2", "7/4", "1/2", "4", "3126/625", "15626/3125"]),
+        (two_rays(2, "0", 3, "0"), ["1", "1/2", "1/3", "5/6", "7/4", "1/5", "7/10"]),
         # antimatter cones: the step of the rational window grid decides
         (LexCone(Q2, FULL_CONE), [lexvec(Q2, *v) for v in (
             (0, Fraction(1, 5)), (0, Fraction(1, 2)), (0, 1), (Fraction(1, 3), -2), (0, Fraction(1, 7)))]),
@@ -324,6 +327,19 @@ class TestAtomReverification:
         assert is_atomic_element(m, rational(1), depth).status == "yes"
         search = factorizations(m, rational(2), depth)
         assert [str(f) for f in search.factorizations] == ["2*[1]"]
+
+    @pytest.mark.parametrize("depth", [1, 2, 4, 6])
+    def test_two_rays_at_zero_are_antimatter(self, depth):
+        # x = u + v with u > 0 in Z[1/2] splits off u/2, and x = v in
+        # Z[1/3] splits off v/3: no window generator is an atom
+        m = two_rays(2, "0", 3, "0")
+        for g in generators(m, depth).generators:
+            part = contains(m, g).certificate[0][0].value
+            assert any(contains(m, h).is_in and contains(m, g - h).is_in
+                       for h in (rational(part / 2), rational(part / 3))), g
+        a = atoms(m, depth)
+        assert a.atoms == () and a.complete and "antimatter" in a.note
+        assert is_atomic_element(m, rational(1), depth).status == "no"
 
     def test_deep_geometric_window_is_fast(self):
         for depth in (120, 1000):
@@ -481,6 +497,12 @@ class TestIsAtomicElement:
         w = is_atomic_element(numerical(3, 5), rational(0))
         assert w.status == "yes" and w.factorization.length == 0
 
+    def test_zero_of_product(self):
+        # zero needs no atoms, so a family without an atom procedure answers
+        m = Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1)))
+        w = is_atomic_element(m, ProductElement(rational(0), lexvec(Z, 0)))
+        assert w.status == "yes" and w.factorization.length == 0
+
     def test_unknown_when_window_open(self):
         m = GeometricPuiseux(Fraction(2, 3))
         # 1/3 is not a member at all -> raises
@@ -501,6 +523,45 @@ class TestIsAtomicElement:
             assert a in window and c > 0
             total = total + a.scale(c)
         assert total == b
+
+
+# inputs on which the three element queries once disagreed or may fork:
+# antimatter monoids, zeros of a product and of a foreign group, a member
+# without factorization, a non-member
+AGREEMENT = [
+    (LexCone(Q2, FIRST_POSITIVE), lexvec(Q2, 1, 0)),
+    (Localized(2, Fraction(0)), rational(1)),
+    (Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1))),
+     ProductElement(rational(0), lexvec(Z, 0))),
+    (numerical(3, 5), lexvec(Z, 0)),
+    (Conductive(lexvec(Z2, 0, 2)), lexvec(Z2, 1, 0)),
+    (numerical(3, 5), rational(7)),
+    (two_rays(2, "0", 3, "0"), rational(1)),
+]
+
+
+def _outcome(query):
+    """The query's result, or the type of the exception it raised."""
+    try:
+        return query()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestQueryAgreement:
+    @pytest.mark.parametrize("depth", [3, 8])
+    @pytest.mark.parametrize("m, b", AGREEMENT, ids=str)
+    def test_three_queries_agree(self, m, b, depth):
+        outs = [_outcome(lambda: q(m, b, depth)) for q in (factorizations, length_set, is_atomic_element)]
+        raised = [o for o in outs if isinstance(o, type)]
+        if raised:
+            assert len(raised) == 3 and len(set(raised)) == 1, outs
+            return
+        search, ls, w = outs
+        found = bool(search.factorizations)
+        assert bool(ls.lengths) == found and (w.status == "yes") == found
+        assert search.complete == ls.complete
+        assert (w.status == "no") == (not found and search.complete)
 
 
 class TestProbes:
