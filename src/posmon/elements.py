@@ -206,7 +206,8 @@ class GroupElement:
         g = self.group
         if g.kind == "Q":
             a, b = self.value, other.value
-            return (a > b) - (a < b)
+            d = a.numerator * b.denominator - b.numerator * a.denominator
+            return (d > 0) - (d < 0)
         if g.kind == "lex":
             for i in g.priority_order:
                 a, b = self.value[i], other.value[i]
@@ -231,7 +232,7 @@ class GroupElement:
     @property
     def is_zero(self) -> bool:
         if self.group.kind == "Q":
-            return self.value == 0
+            return not self.value.numerator
         return all(c == 0 for c in self.value)
 
     @property
@@ -245,8 +246,8 @@ class GroupElement:
     def _sign(self) -> int:
         g = self.group
         if g.kind == "Q":
-            v = self.value
-            return (v > 0) - (v < 0)
+            n = self.value.numerator
+            return (n > 0) - (n < 0)
         if g.kind == "lex":
             for i in g.priority_order:
                 c = self.value[i]
@@ -263,7 +264,7 @@ class GroupElement:
 
 
 def _require_same_group(g: GroupElement, h: GroupElement) -> None:
-    if g.group != h.group:
+    if g.group is not h.group and g.group != h.group:
         raise GroupMismatch(f"mixed groups {g.group.token} and {h.group.token}")
 
 

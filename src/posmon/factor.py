@@ -1,12 +1,14 @@
 """Atom computation, factorization enumeration Z(b), length sets L(b), and
 bounded property probes.
 
-Factorizations are enumerated over the atom window in descending order.
-One encoder (``_encode``) maps the atoms and the target to int tuples:
-lex coordinates in priority order, or the (1, sqrt2, sqrt3) coefficients
-of the sqrt2/sqrt3 group, one common denominator cleared, and every
-coordinate that is 0 on all atoms dropped (a target nonzero there has no
-factorization).  The search follows the shape of the encoded window, not
+Factorizations are enumerated over the atom window in descending order,
+encoded once per atom list as a ``Window`` on the object that owns the
+list (``AtomSet.window``, ``FiniteGenerated.window``): int tuples of lex
+coordinates in priority order or of (1, sqrt2, sqrt3) coefficients, one
+common denominator cleared and every coordinate that is 0 on all atoms
+dropped.  A query encodes only its target, which has no factorization
+when its denominator does not divide the window's or it is nonzero on a
+dropped coordinate.  The search follows the shape of the encoded window, not
 the monoid family, and no search works on group elements.  Rank 1 runs
 one scalar loop: with suffix gcds g_i = gcd(v_i, g_(i+1)), the
 multiplicity at level i solves c * v_i = r (mod g_(i+1)), so it steps
@@ -48,8 +50,8 @@ whose membership is decided within a window, re-verify through
 ``contains``.
 
 Property probes are decided by one saturated (value, length) counting
-table over a mixed-radix integer code of the encoded window, built once
-for all members (``_codes``, ``_count_cells``).  The members come as int
+table over a mixed-radix integer code of the atom set's window, built
+once for all members (``_codes``, ``_count_cells``).  The members come as int
 points from ``monoids._member_points``; only a witness becomes an element.
 """
 
@@ -121,6 +123,18 @@ class AtomSet:
     atoms: tuple[GroupElement, ...]
     complete: bool
     note: Optional[str] = None
+    _window = None
+
+    @property
+    def window(self) -> Optional["Window"]:
+        """The encoded window of the atoms (None when there are none); a
+        finitely generated monoid whose atoms are its distinct generators
+        shares its own."""
+        if self._window is None and self.atoms:
+            m, desc = self.descriptor, self.atoms[::-1]
+            shared = isinstance(m, FiniteGenerated) and m.window.atoms == desc
+            object.__setattr__(self, "_window", m.window if shared else Window(desc))
+        return self._window
 
 
 @dataclass(frozen=True)
@@ -282,10 +296,9 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
     ... (2, 4) and not (1, 5).  Both answers are flagged incomplete.
     """
     if isinstance(m, FiniteGenerated):
-        gens = sorted(set(m.generators))
-        desc = gens[::-1]
-        splits = lambda t: any(n >= 2 for n in _enumerate(desc, t, 1, lengths_only=True)[0])
-        return AtomRule(gens, splits, True, None, "filter")
+        win = m.window
+        splits = lambda t: any(n >= 2 for n in _enumerate(win, t, 1, lengths_only=True)[0])
+        return AtomRule(win.atoms[::-1], splits, True, None, "filter")
     if isinstance(m, GeometricPuiseux):
         cands = [rational(m.q**i) for i in range(depth + 1)]
         splits = _canonical_split(partial(_mq_solve, m.q), depth)
@@ -470,7 +483,8 @@ def _search(
     m: MonoidDescriptor, b: Element, depth: int, max_count: int, lengths_only: bool = False
 ):
     """(descending atoms, solutions, truncated, complete) for b over the
-    atom window of m at depth: the one way a query enters the search.
+    encoded atom window of m at depth (``AtomSet.window``, built once per
+    atom set): the one way a query enters the search.
 
     b must be a member: a finitely generated monoid is atomic with a
     complete atom list, so there the enumeration decides membership (an
@@ -486,11 +500,11 @@ def _search(
     if b.is_zero:
         return (), [0 if lengths_only else ()], False, True
     atom_set = atoms(m, depth)
-    desc = atom_set.atoms[::-1]
-    found, truncated = _enumerate(desc, b, max_count, lengths_only) if desc else ([], False)
+    win = atom_set.window
+    found, truncated = _enumerate(win, b, max_count, lengths_only) if win else ([], False)
     if not found and isinstance(m, FiniteGenerated):
         raise NotAMember(f"{b} is not a member of {m}")
-    return desc, found, truncated, atom_set.complete and not truncated
+    return win.atoms if win else (), found, truncated, atom_set.complete and not truncated
 
 
 def _pairs(desc, vec) -> tuple:
@@ -508,75 +522,83 @@ def _pairs(desc, vec) -> tuple:
 # flag do not depend on which search ran.
 
 
-def _enumerate(atoms_desc, target, max_count, lengths_only: bool = False):
-    """(solutions, truncated) for target over the descending atoms: the
-    scalar loop, the plane walk or the vector loop, by the shape of the
-    encoded window; this is the only caller of the three.  With
-    lengths_only the solutions are factorization lengths; a plane window
-    then gives each length once."""
-    pts, (t,), keep = _encode(atoms_desc, (target,))
+class Window:
+    """One atom list, encoded once: the atoms in descending order, their
+    int tuples (``pts``) over the common denominator ``den``, the
+    positions kept (``keep``, in priority order or among the (1, sqrt2,
+    sqrt3) coefficients; the others are 0 on every atom) and, at encoded
+    rank 1, the scalar loop's tables.  A multiset of atoms sums to a
+    target exactly when their tuples sum to the target's (``encode``)."""
+
+    __slots__ = ("atoms", "pts", "den", "keep", "dropped", "order", "scalar")
+
+    def __init__(self, desc):
+        self.atoms = desc = tuple(desc)
+        g = desc[0].group
+        self.order = g.priority_order if g.priority else None
+        pts = [self._coords(a.value) for a in desc]
+        self.den = den = lcm(*(c.denominator for p in pts for c in p))
+        pts = [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
+        rank = len(pts[0])
+        # atoms are nonzero, so a scalar window drops nothing
+        self.keep = tuple(k for k in range(rank) if any(p[k] for p in pts)) if rank > 1 else (0,)
+        self.dropped = tuple(k for k in range(rank) if k not in self.keep)
+        if self.dropped:
+            pts = [tuple(p[k] for k in self.keep) for p in pts]
+        self.pts = tuple(pts)
+        self.scalar = None
+        if len(self.keep) == 1:
+            # per level: g_i = gcd(v_i, g_(i+1)), the step g_(i+1) / g_i and the inverse
+            # of v_i / g_i modulo the step (1 and 0 where every multiplicity qualifies)
+            vals = [x for (x,) in pts]
+            n = len(vals)
+            g, step, inv = vals[:], [1] * n, [0] * n
+            for i in range(n - 2, -1, -1):
+                g[i] = gcd(vals[i], g[i + 1])
+                if g[i] != g[i + 1]:
+                    step[i] = g[i + 1] // g[i]
+                    inv[i] = pow(vals[i] // g[i], -1, step[i])
+            self.scalar = tuple(vals), tuple(g), tuple(step), tuple(inv)
+
+    def _coords(self, v) -> tuple:
+        if self.order:
+            return tuple(v[i] for i in self.order)
+        return v if isinstance(v, tuple) else (v,)
+
+    def encode(self, x) -> Optional[tuple]:
+        """x as an int tuple over the window, or None when no atom sum
+        reaches x: a coordinate of x has a denominator that does not
+        divide the window's, or x is nonzero on a dropped coordinate."""
+        v = x.value
+        if x.group.kind == "Q":
+            k, rest = divmod(self.den, v.denominator)
+            return None if rest else (v.numerator * k,)
+        v = self._coords(v)
+        if any(self.den % c.denominator for c in v) or any(v[k] for k in self.dropped):
+            return None
+        return tuple(v[k].numerator * (self.den // v[k].denominator) for k in self.keep)
+
+
+def _enumerate(win: Window, target, max_count, lengths_only: bool = False):
+    """(solutions, truncated) for target over the window: the scalar loop,
+    the plane walk or the vector loop, by the shape of the encoded window;
+    this is the only caller of the three.  Only the target is encoded.
+    With lengths_only the solutions are factorization lengths; a plane
+    window then gives each length once."""
+    t = win.encode(target)
     if t is None:
         return [], False
-    if len(t) == 1:
-        return _scalar_search(pts, t, max_count, lengths_only)
-    if len(t) == 2 and all(x >= 1 for x, _ in pts):
-        return _plane_walk(pts, t, max_count, lengths_only)
-    lex = atoms_desc[0].group.kind == "lex"
-    return _vector_search(pts, t, max_count, lengths_only, None if lex else keep)
+    if win.scalar:
+        return _scalar_search(win.scalar, t[0], max_count, lengths_only)
+    if len(t) == 2 and all(x >= 1 for x, _ in win.pts):
+        return _plane_walk(win.pts, t, max_count, lengths_only)
+    triples = target.group.kind == "sqrt23"
+    return _vector_search(win.pts, t, max_count, lengths_only, win.keep if triples else None)
 
 
-def _encode(desc, targets):
-    """(atom tuples, target tuples, kept coordinates) over the integers.
-
-    Coordinates come in priority order (lex) or as (1, sqrt2, sqrt3)
-    coefficients (the sqrt2/sqrt3 group), scaled by one common
-    denominator, so a multiset of atoms sums to a target exactly when
-    their tuples do.  A coordinate that is 0 on every atom is dropped; a
-    target that is nonzero there has no factorization and encodes as None.
-    The positions of the coordinates that are kept come last.
-    """
-    pts, _ = _points((*desc, *targets))
-    n = len(desc)
-    return _keep_touched(pts[:n], pts[n:])
-
-
-def _points(values):
-    """(int tuples, the denominator cleared): the coordinates of the
-    values in priority order (lex) or as (1, sqrt2, sqrt3) coefficients,
-    times the least common denominator."""
-    g = values[0].group
-    if g.kind == "Q":
-        fracs = [v.value for v in values]
-        dens = lcm(*[f.denominator for f in fracs])
-        return [(f.numerator * (dens // f.denominator),) for f in fracs], dens
-    pts = [v.value for v in values]
-    if g.priority:
-        order = g.priority_order
-        pts = [tuple(p[i] for i in order) for p in pts]
-    if g.rational_coords or g.kind == "sqrt23":
-        dens = lcm(*[c.denominator for p in pts for c in p])
-        return [tuple(c.numerator * (dens // c.denominator) for c in p) for p in pts], dens
-    return pts, 1
-
-
-def _keep_touched(apts, tpts):
-    """``_encode``'s last step: drop the coordinates that are 0 on every
-    atom (a target nonzero there becomes None)."""
-    rank = len(apts[0])
-    # atoms are nonzero, so a scalar window drops nothing
-    keep = [k for k in range(rank) if any(p[k] for p in apts)] if rank > 1 else [0]
-    if len(keep) < rank:
-        apts = [tuple(p[k] for k in keep) for p in apts]
-        tpts = [
-            None if any(p[k] for k in range(rank) if k not in keep)
-            else tuple(p[k] for k in keep)
-            for p in tpts
-        ]
-    return apts, tpts, keep
-
-
-def _scalar_search(pts, tgt, max_count, lengths_only):
-    """Knapsack solutions over positive int atoms (x,) in descending order.
+def _scalar_search(tables, tgt, max_count, lengths_only):
+    """Knapsack solutions for the int tgt over positive int atoms in
+    descending order, from a window's scalar tables.
 
     With suffix gcds g_i = gcd(v_i, g_(i+1)), the residual r entering level
     i is a multiple of g_i, and what it leaves to the later levels must be
@@ -584,21 +606,12 @@ def _scalar_search(pts, tgt, max_count, lengths_only):
     steps through one residue class modulo g_(i+1) / g_i.  The last level
     has the single multiplicity r / v_last.
     """
-    vals = [x for (x,) in pts]
-    (tgt,) = tgt
-    n = len(vals)
-    last = n - 1
-    # per level: g_i, the step g_(i+1) / g_i and the inverse of v_i / g_i
-    # modulo the step (1 and 0 where every multiplicity qualifies)
-    g, step, inv = [0] * n, [1] * n, [0] * n
-    g[last] = low = vals[last]
-    for i in range(last - 1, -1, -1):
-        g[i] = gcd(vals[i], g[i + 1])
-        if g[i] != g[i + 1]:
-            step[i] = g[i + 1] // g[i]
-            inv[i] = pow(vals[i] // g[i], -1, step[i])
+    vals, g, step, inv = tables
     if tgt % g[0]:
         return [], False
+    n = len(vals)
+    last = n - 1
+    low = vals[last]
     out: list = []
     counts = [0] * n
     rems = [0] * n  # residual entering each level
@@ -932,21 +945,13 @@ def probe_property(
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
     complete = atom_set.complete
-    cells = _count_cells(*_codes(atom_set.atoms, members, den))
+    cells = _count_cells(*_codes(atom_set.window, members, den))
     for checked, (p, lens) in enumerate(zip(members, cells), 1):
         if not lens:
             b = _point_element(m.group, p, den)
-            if complete:
-                witness = {"element": b, "reason": "no factorization into atoms"}
-                return ProbeResult(m, prop, bound, "refuted", witness, checked)
-            return ProbeResult(
-                m,
-                prop,
-                bound,
-                "inconclusive",
-                {"element": b, "reason": "window search found nothing"},
-                checked,
-            )
+            reason = "no factorization into atoms" if complete else "window search found nothing"
+            verdict = "refuted" if complete else "inconclusive"
+            return ProbeResult(m, prop, bound, verdict, {"element": b, "reason": reason}, checked)
         bad = (
             (prop == "HFM" and len(lens) > 1)
             or (prop == "LFM" and any(c >= 2 for c in lens.values()))
@@ -963,16 +968,17 @@ def probe_property(
     return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
 
 
-def _codes(atom_list, members, den):
-    """(atom codes, member codes): positive ints for the atoms and, per
-    member, an int or None, such that a multiset of atoms sums to a member
-    exactly when its codes sum to the member's code.  None marks a member
-    that no atom sum reaches.  The members are int points over den, as
+def _codes(win, members, den):
+    """(atom codes, member codes): positive ints for the atoms of the
+    window (None when there are none) and, per member, an int or None,
+    such that a multiset of atoms sums to a member exactly when its codes
+    sum to the member's code.  None marks a member that no atom sum
+    reaches.  The members are int points over den, as
     ``monoids._member_points`` gives them; no member becomes an element.
 
-    The atoms and the members are put over one denominator and lose the
-    coordinates that are 0 on every atom, as ``_encode`` does it; a member
-    nonzero there gets None.  That leaves int points (x, y_1, ..., y_k),
+    The window's int atoms and the members are put over one denominator,
+    and the members keep the window's coordinates; a member nonzero on a
+    dropped one gets None.  That leaves int points (x, y_1, ..., y_k),
     and every atom must have leading coordinate x >= 1, so every nonempty
     atom sum does too: a member with x < 1 gets None.  Let L be the
     largest x of the members that keep a code.  Per trailing coordinate
@@ -1000,18 +1006,18 @@ def _codes(atom_list, members, den):
     counting table thus reaches a member's code only through the partial sums of the atom
     multisets that sum to the member.
     """
-    if not atom_list:
+    if win is None:
         return [], [None] * len(members)
-    apts, aden = _points(atom_list)
-    common = lcm(aden, den)
-    if common != aden:
-        apts = [tuple(c * (common // aden) for c in p) for p in apts]
-    if common != den:
-        members = [tuple(c * (common // den) for c in p) for p in members]
-    apts, mpts, _ = _keep_touched(apts, members)
+    common = lcm(win.den, den)
+    apts, s = win.pts, common // den
+    if common != win.den:
+        apts = [tuple(c * (common // win.den) for c in p) for p in apts]
     if any(p[0] < 1 for p in apts):
         raise AssertionError("a probed atom has leading coordinate below 1")
-    mpts = [p if p is not None and p[0] >= 1 else None for p in mpts]
+    if s != 1 or win.dropped:
+        keep, drop = win.keep, win.dropped
+        members = [None if any(p[k] for k in drop) else tuple(p[k] * s for k in keep) for p in members]
+    mpts = [p if p is not None and p[0] >= 1 else None for p in members]
     reached = [p for p in mpts if p is not None]
     lead = max((p[0] for p in reached), default=0)
     acodes = [p[0] for p in apts]

@@ -18,11 +18,11 @@ parameters in the canonical element text forms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from typing import Optional, Union
 
 from .elements import (
@@ -163,6 +163,19 @@ class MonoidDescriptor:
     """Base class; all concrete families are frozen dataclasses."""
 
     family: str = "abstract"
+    _hash = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # a __hash__ in the class body keeps @dataclass from generating one
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = MonoidDescriptor._hash_once
+
+    def _hash_once(self) -> int:
+        """The fields' hash, kept at first use: every query looks its
+        descriptor up in the atom cache, through ``Fraction.__hash__``."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        return self._hash
 
     @property
     def group(self) -> Group:
@@ -188,10 +201,24 @@ class FiniteGenerated(MonoidDescriptor):
                 raise GroupMismatch("generators from different groups")
             if not g.is_positive:
                 raise ValueError("generators must be positive")
+        # not a cached_property: set up front, ``window``'s attribute stays inline,
+        # where a late one makes CPython build an instance __dict__ (250 bytes)
+        object.__setattr__(self, "_window", None)
 
     @property
     def group(self) -> Group:
         return self.generators[0].group
+
+    @property
+    def window(self):
+        """The encoded window (``factor.Window``) of the distinct
+        generators, descending: membership and the atoms' split rule
+        search it."""
+        if self._window is None:
+            from .factor import Window
+
+            object.__setattr__(self, "_window", Window(sorted(set(self.generators), reverse=True)))
+        return self._window
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
@@ -792,11 +819,10 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
 
     if x.is_zero:
         return verdict_in(())
-    gens = sorted(set(m.generators), reverse=True)
-    found, _ = _enumerate(gens, x, max_count=1)
+    found, _ = _enumerate(m.window, x, max_count=1)
     if not found:
         return VERDICT_OUT
-    return verdict_in(_pairs(gens, found[0]))
+    return verdict_in(_pairs(m.window.atoms, found[0]))
 
 
 # -- geometric <q^n> ---------------------------------------------------------
@@ -1096,10 +1122,8 @@ def gp_membership(m: MonoidDescriptor, x: GroupElement) -> bool:
     if isinstance(m, FiniteGenerated):
         if m.group.kind != "Q":
             raise UnsupportedFamily("lattice membership implemented over Q")
-        dens = lcm(*[g.value.denominator for g in m.generators])
-        step = gcd(*[int(g.value * dens) for g in m.generators])
-        scaled = x.value * dens
-        return scaled.denominator == 1 and int(scaled) % step == 0
+        t = m.window.encode(x)
+        return t is not None and t[0] % gcd(*(v for (v,) in m.window.pts)) == 0
     if isinstance(m, Localized):
         return _power_support(x.value.denominator, m.prime)
     if isinstance(m, UnionShift):
@@ -1131,7 +1155,7 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
     (Q) or for the coordinates p in priority order (lex, den = 1).
 
     A finitely generated monoid over Q reaches its members in one table
-    over the multiples of 1/den, den the generators' common denominator;
+    over the multiples of 1/den, from its encoded window's ints over den;
     a lex family filters its box, enumerated in priority order, by the
     threshold or the cone rule.
     """
@@ -1141,11 +1165,11 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
         limit = Fraction(bound)
         if limit < 0:
             raise ValueError(f"negative bound {limit}")
-        den = lcm(*[g.value.denominator for g in m.generators])
+        den = m.window.den
         top = int(limit * den)
         reach = bytearray(top + 1)
         reach[0] = 1
-        for g in sorted({int(g.value * den) for g in m.generators}):
+        for (g,) in m.window.pts:
             for v in range(g, top + 1):
                 if reach[v - g]:
                     reach[v] = 1

@@ -45,6 +45,10 @@ class CertificateError(AssertionError):
     """A certificate failed to replay."""
 
 
+class PrimeCapExceeded(ValueError):
+    """A greedy prime set would need primes beyond the cap."""
+
+
 # ---------------------------------------------------------------------------
 # ascending chains
 
@@ -507,14 +511,16 @@ def _greedy_primes(excluded: Iterable[int], count: int) -> list[int]:
     return out
 
 
-def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
+def prime_sum_refutation(q: Fraction, prime_cap: int = 10_000_000) -> PrimeSumCertificate:
     """Construct the greedy refuting prime set for candidate q: the minimal
     prefix of the primes outside the support of d(q) whose reciprocal sum
     exceeds q + 2, verified by exact rational arithmetic.
 
     A float scan locates the crossover; the boundary is then confirmed
     exactly with balanced tree sums.  The construction for small q needs
-    millions of primes; see verify_almost_not_nearly for estimates.
+    millions of primes (q = 1/2 ends at 5,195,977), so it raises
+    PrimeCapExceeded when the crossover estimate exceeds the cap, or the
+    float scan reaches a prime past it.
     """
     q = Fraction(q)
     if q <= 0:
@@ -522,6 +528,9 @@ def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     m = almost_not_nearly_instance()
     if not contains(m, rational(q)).is_in:
         raise NotAMember(f"{q} is not a member")
+    est = _crossover_estimate(q)
+    if est > prime_cap:
+        raise PrimeCapExceeded(f"estimated crossover near prime {est:d} exceeds the cap")
     excluded = prime_support(q.denominator)
     threshold = q + 2
     tfloat = float(threshold)
@@ -529,6 +538,8 @@ def prime_sum_refutation(q: Fraction) -> PrimeSumCertificate:
     approx = 0.0
     stream = (p for p in iter_primes() if p not in excluded)
     for p in stream:
+        if p > prime_cap:
+            raise PrimeCapExceeded(f"the reciprocal sum needs primes above the cap {prime_cap}")
         primes.append(p)
         approx += 1.0 / p
         if approx > tfloat + 1e-7:
@@ -583,7 +594,7 @@ def verify_almost_not_nearly(
     Candidates whose greedy prime set would exceed ``prime_cap`` (the
     crossover grows like exp(exp(q + 2 - sum of excluded reciprocals)))
     are reported as skipped rather than silently truncated; pass a larger
-    cap to certify them.
+    cap to certify them; the cap also bounds ``prime_sum_refutation``.
     """
     from .primes import first_primes
 
@@ -595,25 +606,23 @@ def verify_almost_not_nearly(
         q = Fraction(q)
         if q == 0:
             raise ValueError("the candidate must be a nonzero member")
-        est = _crossover_estimate(q)
-        if est > prime_cap:
-            skipped.append(
-                (str(q), f"estimated crossover near prime {est:d} exceeds the cap")
-            )
-            continue
-        done.append(prime_sum_refutation(q))
+        try:
+            done.append(prime_sum_refutation(q, prime_cap))
+        except PrimeCapExceeded as exc:
+            skipped.append((str(q), str(exc)))
     return NearRefutationReport(tuple(done), tuple(skipped))
 
 
 def _crossover_estimate(q: Fraction) -> int:
     """Rough location of the prime where the reciprocal sum outside the
-    support of d(q) passes q + 2 (Mertens asymptotics)."""
+    support of d(q) passes q + 2 (Mertens asymptotics).  It saturates at
+    exp(exp(4)), about 5 * 10^23, far above any cap, so no float overflows."""
     import math
 
     mertens = 0.26149721
     lost = sum(1.0 / p for p in prime_support(q.denominator))
     target = float(q) + 2.0 - mertens + lost
-    return int(math.exp(math.exp(target))) + 1
+    return int(math.exp(math.exp(min(target, 4.0)))) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from oracles import (
     brute_force_vector_factorizations,
     mq_members_below,
 )
-from posmon.elements import Group, Q, Z2, lexvec, rational, triple, zero
+from posmon.elements import Group, GroupElement, Q, Q2, T, Z2, Z2_SECOND, lexvec, rational, triple, zero
 from posmon.factor import (
+    Window,
     _enumerate,
     _vector_search,
     atoms,
@@ -374,14 +375,14 @@ class TestEngineEdges:
         checked too."""
         levels = sys.getrecursionlimit() + 200
         ys = range(levels - 1, -1, -1)
-        desc = [lexvec(Z2, 1, y) for y in ys]
+        win = Window([lexvec(Z2, 1, y) for y in ys])
         pts = [(1, y) for y in ys]
         for target, max_count, count in (
             ((3, 6), 100, 7), ((3, 6), 3, 3), ((2, 0), 1, 1), ((3, 1), 100, 1),
         ):
             b = lexvec(Z2, *target)
-            vectors, truncated = _enumerate(desc, b, max_count)
-            lengths = _enumerate(desc, b, max_count, lengths_only=True)
+            vectors, truncated = _enumerate(win, b, max_count)
+            lengths = _enumerate(win, b, max_count, lengths_only=True)
             assert len(vectors) == count and truncated == (count == max_count), target
             assert vectors == _vector_search(pts, target, count, False)[0], target
             reference = _vector_search(pts, target, count, True)[0]
@@ -530,3 +531,70 @@ def test_factorizations_match_vector_oracle(name, m, depth, targets):
             assert cut.truncated == (len(expected) >= k), (b, k)
         _check_length_sets(m, b, depth, expected)
 
+
+
+def _fg(group, *points):
+    return FiniteGenerated(tuple(GroupElement(group, p) for p in points))
+
+
+# the windows of finitely generated monoids over every encoding: fractional
+# rationals (the first list is not minimal, 5/3 = 2 * 5/6), Z^2 with mixed
+# leading coordinates, with the second priority, and with a coordinate 0 on
+# every generator, Q^2 with a dropped coordinate and a plane window, and
+# sqrt2/sqrt3 triples with the sqrt3 coefficient dropped (a vector window
+# and a plane one)
+WINDOW_CASES = [
+    ("Q-fractional", _fg(Q, F(3, 2), F(5, 3), F(7, 4), F(5, 6)),
+     [F(k, 12) for k in range(1, 61)] + [F(1, 7), F(10, 7), F(5, 24), F(41, 24)]),
+    ("Q-non-minimal", numerical(3, 5, 6, 8, 10, 7), [F(k) for k in range(1, 31)] + [F(7, 2), F(1, 3)]),
+    ("Z2-mixed-leads", _fg(Z2, (0, 1), (1, 0), (1, 2), (2, 1)),
+     [(x, y) for x in range(4) for y in range(-1, 6)]),
+    ("Z2-second-priority", _fg(Z2_SECOND, (0, 1), (1, 1), (-1, 2)),
+     [(x, y) for x in range(-3, 4) for y in range(5)]),
+    ("Z2-dropped", _fg(Z2, (2, 0), (3, 0), (7, 0)), [(x, y) for x in range(13) for y in (0, 1, -2)]),
+    ("Q2-dropped", _fg(Q2, (F(1, 2), 0), (F(2, 3), 0), (F(5, 4), 0)),
+     [(F(k, 12), y) for k in range(1, 37) for y in (0, F(1, 2))] + [(F(1, 5), 0), (F(6, 5), 0)]),
+    ("Q2-plane", _fg(Q2, (F(1, 2), 1), (1, F(-1, 3)), (F(3, 2), 0)),
+     [(F(x, 2), F(y, 3)) for x in range(1, 7) for y in range(-3, 10)] + [(F(1, 4), 0), (2, F(1, 5))]),
+    ("T-dropped", _fg(T, (1, 0, 0), (-1, 1, 0), (3, -2, 0), (F(1, 2), 0, 0)),
+     [(F(a, 2), b, c) for a in range(-2, 7) for b in (-1, 0, 1) for c in (0, 1)]
+     + [(F(1, 3), 0, 0), (F(5, 4), 0, 0)]),
+    ("T-plane", _fg(T, (1, 1, 0), (2, -1, 0), (1, 0, 0)),
+     [(a, b, c) for a in range(1, 6) for b in range(-2, 3) for c in (0, 1)] + [(F(3, 2), 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("name,m,targets", WINDOW_CASES, ids=[c[0] for c in WINDOW_CASES])
+def test_cached_window_matches_brute_force(name, m, targets):
+    """``_enumerate`` over the cached windows of the generators and of the
+    atoms gives the brute-force vectors and lengths over the same lists,
+    for members and non-members alike: targets whose denominator does not
+    divide the window's, or that are nonzero on a coordinate every
+    generator leaves at 0, have none.  Membership certificates are the
+    first vector over the generators."""
+    atom_set = atoms(m)
+    assert m.window.atoms == tuple(sorted(set(m.generators), reverse=True))
+    assert atom_set.window.atoms == atom_set.atoms[::-1]
+    assert (atom_set.window is m.window) == (len(atom_set.atoms) == len(m.window.atoms))
+    members = 0
+    for t in targets:
+        b = GroupElement(m.group, t)
+        expected = {}
+        for win in (m.window, atom_set.window):
+            if b.group.kind == "sqrt23":
+                expected[win] = brute_force_triple_factorizations([a.value for a in win.atoms], b.value)
+            else:
+                expected[win] = brute_force_vector_factorizations(*_cleared(win.atoms, b))
+            assert _enumerate(win, b, 10**6) == (expected[win], False), (b, win.atoms)
+            lengths, truncated = _enumerate(win, b, 10**6, lengths_only=True)
+            assert set(lengths) == {sum(v) for v in expected[win]} and not truncated, b
+        if b.is_negative:
+            continue
+        first = expected[m.window][:1]
+        verdict = contains(m, b)
+        assert verdict.is_in == bool(first), b
+        if first:
+            members += 1
+            assert verdict.certificate == tuple((a, c) for a, c in zip(m.window.atoms, first[0]) if c)
+            assert replay_certificate(verdict, zero(m.group)) == b
+    assert members

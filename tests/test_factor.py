@@ -684,3 +684,73 @@ class TestLengthFunction:
     def test_floor_by_five_rejected(self):
         m = numerical(3, 5)
         assert not length_function_check(m, lambda v: int(v.value) // 5)
+
+
+def _equal_builds():
+    F = Fraction
+    return [
+        lambda: numerical(4, 7, 9, 11),
+        lambda: FiniteGenerated((rational(F(3, 2)), rational(F(5, 6)), rational(F(5, 3)))),
+        lambda: GeometricPuiseux(F(2, 3)),
+        lambda: PrimeReciprocal(),
+        lambda: Conductive(lexvec(Z2, 1, -3)),
+        lambda: LexCone(Z2, FIRST_POSITIVE),
+        lambda: Localized(3, F(4, 3)),
+    ]
+
+
+class TestDescriptorHash:
+    @pytest.mark.parametrize("build", _equal_builds())
+    def test_equal_descriptors_hash_equal_and_share_atoms(self, build):
+        a, b = build(), build()
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert atoms(a, 3) is atoms(b, 3)
+
+    def test_hash_is_the_same_before_and_after_the_window(self):
+        gens = (rational(Fraction(3, 2)), rational(Fraction(5, 6)), rational(Fraction(17, 6)))
+        a, b = FiniteGenerated(gens), FiniteGenerated(gens)
+        h = hash(a)
+        assert contains(a, rational(Fraction(13, 3))).is_in
+        assert hash(a) == h
+        b.window
+        assert hash(b) == h and b == a
+        assert b.window is not a.window
+
+    def test_unequal_descriptors_never_share_a_window(self):
+        ms = [
+            numerical(3, 5), numerical(5, 3), numerical(3, 5, 8), numerical(3, 5, 7),
+            FiniteGenerated((lexvec(Z, 3), lexvec(Z, 5))),
+        ]
+        owned = [{id(m.window), id(atoms(m, 4).window)} for m in ms]
+        for i, j in product(range(len(ms)), repeat=2):
+            if i != j:
+                assert ms[i] != ms[j] and not owned[i] & owned[j], (ms[i], ms[j])
+        # a minimal list shares its window with its atom set; 8 = 3 + 5 does not
+        assert atoms(ms[0], 4).window is ms[0].window
+        assert atoms(ms[2], 4).window is not ms[2].window
+
+    def test_each_window_is_encoded_once(self, monkeypatch):
+        built = []
+
+        class Counting(factor_module.Window):
+            __slots__ = ()
+
+            def __init__(self, desc):
+                built.append(tuple(desc))
+                super().__init__(desc)
+
+        monkeypatch.setattr(factor_module, "Window", Counting)
+        # an atom set cached by an earlier run would keep its own window
+        factor_module._atoms_cached.cache_clear()
+        for gens, windows in (((6, 10, 15, 23), 1), ((6, 10, 15, 23, 16), 2)):
+            built.clear()
+            m = numerical(*gens)
+            for v in range(1, 41):
+                x = rational(v)
+                if contains(m, x).is_in:
+                    factorizations(m, x, depth=7)
+                    length_set(m, x, depth=7)
+            atoms(m, 7)
+            probe_property(m, "HFM", 40, depth=7)
+            assert len(built) == windows, built

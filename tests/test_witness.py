@@ -10,12 +10,14 @@ import pytest
 
 from oracles import brute_force_membership, greedy_prime_prefix
 from posmon.monoids import NotAMember, contains, quasi_not_almost_instance
+from posmon import witness
 from posmon.elements import rational
 from posmon.witness import (
     CertificateError,
     ChainCertificate,
     ExclusionTranscript,
     HereditaryBreakCertificate,
+    PrimeCapExceeded,
     PrimeSumCertificate,
     mq_chain,
     prime_sum_refutation,
@@ -259,6 +261,29 @@ class TestPrimeSumRefutation:
     def test_non_member_candidate_rejected(self):
         with pytest.raises(NotAMember):
             prime_sum_refutation(Fraction(5, 4))
+
+    def test_far_candidate_raises_at_once(self):
+        # q = 5 needs a reciprocal sum above 7: the primes up to about
+        # e^(e^6.7), which no sieve holds
+        start = time.monotonic()
+        with pytest.raises(PrimeCapExceeded):
+            prime_sum_refutation(Fraction(5))
+        assert time.monotonic() - start < 1
+
+    def test_cap_stops_the_prime_scan(self, monkeypatch):
+        # the estimate (1,940 for 1/7) overshoots the last prime (1,889)
+        # here, so only a smaller estimate lets the scan reach the cap
+        with pytest.raises(PrimeCapExceeded):
+            prime_sum_refutation(Fraction(1, 7), prime_cap=1_888)
+        monkeypatch.setattr(witness, "_crossover_estimate", lambda q: 0)
+        with pytest.raises(PrimeCapExceeded, match="above the cap 1888"):
+            prime_sum_refutation(Fraction(1, 7), prime_cap=1_888)
+        assert prime_sum_refutation(Fraction(1, 7), prime_cap=1_889).last_prime == 1_889
+
+    def test_report_skips_a_candidate_past_its_cap(self):
+        rep = verify_almost_not_nearly(1, candidates=[Fraction(5), Fraction(1, 7)], prime_cap=2_000)
+        assert [c.q for c in rep.certificates] == [Fraction(1, 7)]
+        assert [c for c, _ in rep.skipped] == ["5"]
 
 
 def _greedy(cert):
