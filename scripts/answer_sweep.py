@@ -41,7 +41,12 @@ The queries cover:
   inputs on which the three must agree (antimatter monoids, zeros of a
   product and of a foreign group, a member without factorization, a
   non-member) at depths 3 and 8, and the atom windows of the antimatter
-  monoid generated by two rays at threshold 0 at depths 1-8.
+  monoid generated by two rays at threshold 0 at depths 1-8;
+- the JSON documents (sorted keys) of chain, break, quasi-witness and
+  prime-sum certificates at a few parameters, each with its replay
+  verdict, of the two near-atomicity reports, of the common-divisor
+  replays of M_(a,b)[2/3], and of every descriptor above, each with
+  whether it decodes back to itself.
 
 Usage (stdlib only):
 
@@ -69,6 +74,7 @@ from posmon.factor import (
     probe_property,
 )
 from posmon.gallery import gallery_list, run_entry
+from posmon.classify import classify_known
 from posmon.monoids import (
     AlphaBeta,
     Conductive,
@@ -79,15 +85,28 @@ from posmon.monoids import (
     GeometricPuiseux,
     LexCone,
     Localized,
+    MonoidDescriptor,
     PrimeReciprocal,
     Product,
     ProductElement,
     UnionShift,
     contains,
+    descriptor_from_json,
+    descriptor_to_json,
     generators,
     numerical,
 )
-from posmon.witness import ChainCertificate, mq_chain, verify_certificate_json
+from posmon.witness import (
+    ChainCertificate,
+    mq_chain,
+    prime_sum_refutation,
+    synthesize_break,
+    verify_almost_not_nearly,
+    verify_certificate_json,
+    verify_nearly_atomic,
+    verify_not_strongly_atomic,
+    verify_quasi_witness,
+)
 
 RATIOS = tuple(Fraction(r) for r in (
     "2/3", "3/4", "2/5", "3/5", "4/5", "5/6", "3/7", "4/7", "5/7",
@@ -378,6 +397,59 @@ def agreement() -> None:
         atoms_line(TWO_RAYS_AT_0, depth)
 
 
+# the kinds ``verify_certificate_json`` replays, spelled out so that the
+# script runs unchanged on checkouts from before the JSON codec
+CERTIFICATE_KINDS = ("ascending-chain", "hereditary-break", "quasi-witness", "prime-sum-refutation")
+
+
+def document_line(case: str, build) -> None:
+    """The document of what build() returns (a certificate, a report or a
+    descriptor), and its replay verdict or whether it decodes back."""
+    try:
+        obj = build()
+        if isinstance(obj, MonoidDescriptor):
+            doc = descriptor_to_json(obj)
+            back = descriptor_from_json(json.loads(json.dumps(doc))) == obj
+        else:
+            doc = obj.to_json()
+            back = verify_certificate_json(json.loads(json.dumps(doc))) if doc.get("kind") in CERTIFICATE_KINDS else None
+        out = {"document": doc, "back": back}
+    except Exception as exc:  # the answer under test includes the failure
+        out = {"error": error(exc)}
+    emit({"query": "json", "case": case, **out})
+
+
+def json_documents() -> None:
+    for q in map(Fraction, ("2/3", "3/5", "5/7", "7/10")):
+        for depth in (0, 3, 12):
+            document_line(f"chain {q} depth {depth}", lambda: mq_chain(q, depth))
+        for steps in (0, 1, 4):
+            document_line(f"break {q} steps {steps}", lambda: synthesize_break(q, steps))
+        document_line(f"break {q} steps 2 depth 9", lambda: synthesize_break(q, 2, depth=9))
+    for q in map(Fraction, ("1/2", "4/3", "7/4", "29/9", "3/8", "40/27")):
+        document_line(f"quasi {q}", lambda: verify_quasi_witness(q))
+    for q in map(Fraction, ("1/5", "1/7", "3/31", "1/11", "1/13")):
+        document_line(f"prime-sum {q}", lambda: prime_sum_refutation(q))
+    document_line("near-refutation-report 3", lambda: verify_almost_not_nearly(3))
+    for depth in (1, 4, 8):
+        document_line(f"nearly-atomic-report {depth}", lambda: verify_nearly_atomic(depth))
+    for k, replay in enumerate(verify_not_strongly_atomic(Fraction(2, 3))):
+        document_line(f"common-divisor 2/3 #{k}", lambda: replay)
+    families = [e.descriptor for e in gallery_list()]
+    families += [GeometricPuiseux(q) for q in RATIOS]
+    families += [numerical(*g) for g in NUMERICAL] + list(EXTRA_FINITE)
+    families += [AlphaBeta(Fraction(r)) for r in ("3/4", "3/5")]
+    families += [Conductive(lexvec(Z2, *a)) for a in LEX_THRESHOLDS]
+    families += [Conductive(lexvec(Q2, *a)) for a in product(SMALL, SMALL) if a > (0, 0)]
+    families += [LexCone(group, rule) for group in (Z2, Z2_SECOND, Q2) for rule in (FIRST_POSITIVE, FULL_CONE)]
+    families += [Localized(p, Fraction(t0)) for p in (2, 3, 5, 7) for t0 in ("0", "1/100", "4/3", "5/2")]
+    families += [UnionShift(PrimeReciprocal(), threshold=UNION_THRESHOLD), TWO_RAYS_AT_0]
+    families += [m for m, _ in AGREEMENT]
+    for m in families:
+        document_line(f"descriptor {m}", lambda: m)
+        document_line(f"property-report {m}", lambda: classify_known(m))
+
+
 if __name__ == "__main__":
     atom_windows()
     mq_grid()
@@ -388,3 +460,4 @@ if __name__ == "__main__":
     gallery_runs()
     window_digests()
     agreement()
+    json_documents()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elements import GroupElement, arch_valuation
+from .elements import GroupElement, arch_valuation, rational
 from .factor import length_set, ProbeResult
 from .monoids import (
     AlphaBeta,
@@ -30,6 +30,7 @@ from .monoids import (
     FiniteGenerated,
     GENERATE,
     GeometricPuiseux,
+    JsonForm,
     LexCone,
     Localized,
     MonoidDescriptor,
@@ -73,16 +74,10 @@ class InconsistentReport(AssertionError):
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(JsonForm):
     status: str
     source: str
     witness: Optional[object] = None
-
-    def to_json(self) -> dict:
-        out = {"status": self.status, "source": self.source}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 @dataclass(frozen=True)
@@ -267,8 +262,6 @@ def limit_point_bfm(m: MonoidDescriptor) -> LimitPointVerdict:
         )
     if isinstance(m, Localized):
         if m.min_nonzero > 0:
-            from .elements import rational
-
             return LimitPointVerdict(
                 m, True, True, True, "ray threshold is positive",
                 rational(m.min_nonzero),

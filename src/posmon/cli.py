@@ -28,6 +28,7 @@ from .monoids import (
     GeometricPuiseux,
     LexCone,
     MonoidDescriptor,
+    NearlyAtomicAlpha,
     PrimeReciprocal,
     almost_not_nearly_instance,
     descriptor_to_json,
@@ -84,8 +85,6 @@ def parse_instance(text: str) -> MonoidDescriptor:
         if head == "malphabeta":
             return AlphaBeta(parse_fraction(rest))
         if head == "nearly" and not rest:
-            from .monoids import NearlyAtomicAlpha
-
             return NearlyAtomicAlpha()
         if head == "quasi" and not rest:
             return quasi_not_almost_instance()

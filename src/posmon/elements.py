@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 MAX_LEX_RANK = 8
@@ -392,8 +392,6 @@ _SQRT3_64 = isqrt(3 << 2 * _TRIPLE_START_BITS)
 def _triple_sign(c0: Fraction, c1: Fraction, c2: Fraction) -> int:
     """Exact sign of c0 + c1*sqrt2 + c2*sqrt3; see _int_triple_sign."""
     # clear denominators; the sign is unchanged
-    from math import lcm
-
     m = lcm(c0.denominator, c1.denominator, c2.denominator)
     return _int_triple_sign(
         c0.numerator * (m // c0.denominator),

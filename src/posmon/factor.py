@@ -57,6 +57,7 @@ points from ``monoids._member_points``; only a witness becomes an element.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -578,6 +579,12 @@ class Window:
             return None
         return tuple(v[k].numerator * (self.den // v[k].denominator) for k in self.keep)
 
+    def first(self, target) -> Optional[tuple]:
+        """The (atom, multiplicity) pairs of target's first factorization
+        over the window, or None when it has none."""
+        found, _ = _enumerate(self, target, 1)
+        return _pairs(self.atoms, found[0]) if found else None
+
 
 def _enumerate(win: Window, target, max_count, lengths_only: bool = False):
     """(solutions, truncated) for target over the window: the scalar loop,
@@ -1088,8 +1095,6 @@ def length_function_check(
     on sampled member pairs.  The pool is the nonzero members below the
     bound when one is given and the family enumerates them; otherwise it
     is the generator window at the default depth, built only then."""
-    import random
-
     rng = random.Random(seed)
     z = _zero_of(m)
     if ell(z) != 0:

@@ -12,18 +12,20 @@ honestly as ``unknown`` rather than coerced to Out.
 
 Descriptors are immutable; generator windows are memoized behind
 ``functools.lru_cache`` and all operations may be called concurrently.
-Descriptors serialize to a canonical JSON form (family tag plus
-parameters in the canonical element text forms).
+Every JSON document of the package, descriptors included, is its
+dataclass's fields under their JSON names (``_Codec``), so adding or
+renaming a field changes the format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import ceil, floor, gcd
-from typing import Optional, Union
+from operator import attrgetter, index, itemgetter, methodcaller
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .elements import (
     Group,
@@ -233,7 +235,7 @@ def numerical(*gens: int) -> FiniteGenerated:
 class GeometricPuiseux(MonoidDescriptor):
     """M_q = <q^n | n >= 0> for 0 < q < 1 whose inverse is not an integer."""
 
-    q: Fraction
+    q: Fraction = field(metadata={"json": "ratio"})
     family = "geometric"
 
     def __post_init__(self) -> None:
@@ -297,7 +299,7 @@ class LexCone(MonoidDescriptor):
     e.g. {0} u (N x Z) in Z^2 and {0} u (Q_{>0} x Q) in Q^2.
     """
 
-    lex_group: Group
+    lex_group: Group = field(metadata={"json": "group"})
     rule: str
     family = "lex-cone"
 
@@ -320,7 +322,7 @@ class Localized(MonoidDescriptor):
     """{0} union {x in Z[1/p] : x >= t} for a prime p and threshold t >= 0."""
 
     prime: int
-    min_nonzero: Fraction
+    min_nonzero: Fraction = field(metadata={"json": "min"})
     family = "localized"
 
     def __post_init__(self) -> None:
@@ -426,7 +428,7 @@ class AlphaBeta(MonoidDescriptor):
     phi the injection of S into the primes by discovery order.
     """
 
-    q: Fraction
+    q: Fraction = field(metadata={"json": "ratio"})
     family = "alpha-beta"
 
     def __post_init__(self) -> None:
@@ -815,14 +817,10 @@ def _is_negative(m: MonoidDescriptor, x: Element) -> bool:
 def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
     """The first combination of the descending generators that sums to x,
     from the integer knapsack engine that factorization uses."""
-    from .factor import _enumerate, _pairs
-
     if x.is_zero:
         return verdict_in(())
-    found, _ = _enumerate(m.window, x, max_count=1)
-    if not found:
-        return VERDICT_OUT
-    return verdict_in(_pairs(m.window.atoms, found[0]))
+    pairs = m.window.first(x)
+    return VERDICT_OUT if pairs is None else verdict_in(pairs)
 
 
 # -- geometric <q^n> ---------------------------------------------------------
@@ -1234,73 +1232,114 @@ def element_from_json(obj) -> Element:
 
 
 def descriptor_to_json(m: MonoidDescriptor) -> dict:
-    if isinstance(m, FiniteGenerated):
-        return {
-            "family": m.family,
-            "generators": [element_to_json(g) for g in m.generators],
-        }
-    if isinstance(m, GeometricPuiseux):
-        return {"family": m.family, "ratio": str(m.q)}
-    if isinstance(m, PrimeReciprocal):
-        return {"family": m.family}
-    if isinstance(m, Conductive):
-        return {"family": m.family, "threshold": element_to_json(m.threshold)}
-    if isinstance(m, LexCone):
-        return {"family": m.family, "group": m.lex_group.token, "rule": m.rule}
-    if isinstance(m, Localized):
-        return {"family": m.family, "prime": m.prime, "min": str(m.min_nonzero)}
-    if isinstance(m, Product):
-        return {
-            "family": m.family,
-            "left": descriptor_to_json(m.left),
-            "right": descriptor_to_json(m.right),
-        }
-    if isinstance(m, UnionShift):
-        out = {"family": m.family, "mode": m.mode, "base": descriptor_to_json(m.base)}
-        if m.mode == UNION:
-            out["threshold"] = str(m.threshold)
-        else:
-            out["tail"] = descriptor_to_json(m.tail)
-        return out
-    if isinstance(m, AlphaBeta):
-        return {"family": m.family, "ratio": str(m.q)}
-    if isinstance(m, NearlyAtomicAlpha):
-        return {"family": m.family}
-    raise UnsupportedFamily(f"no JSON form for {m.family}")
+    return _codec(type(m)).encode(m)
 
 
 def descriptor_from_json(obj: dict) -> MonoidDescriptor:
     fam = obj["family"]
-    if fam == "finite-generated":
-        return FiniteGenerated(tuple(element_from_json(g) for g in obj["generators"]))
-    if fam == "geometric":
-        return GeometricPuiseux(Fraction(obj["ratio"]))
-    if fam == "prime-reciprocal":
-        return PrimeReciprocal()
-    if fam == "conductive":
-        return Conductive(element_from_json(obj["threshold"]))
-    if fam == "lex-cone":
-        return LexCone(group_from_token(obj["group"]), obj["rule"])
-    if fam == "localized":
-        return Localized(obj["prime"], Fraction(obj["min"]))
-    if fam == "product":
-        return Product(
-            descriptor_from_json(obj["left"]), descriptor_from_json(obj["right"])
-        )
-    if fam == "union-shift":
-        if obj["mode"] == UNION:
-            return UnionShift(
-                base=descriptor_from_json(obj["base"]),
-                threshold=Fraction(obj["threshold"]),
-                mode=UNION,
-            )
-        return UnionShift(
-            base=descriptor_from_json(obj["base"]),
-            tail=descriptor_from_json(obj["tail"]),
-            mode=GENERATE,
-        )
-    if fam == "alpha-beta":
-        return AlphaBeta(Fraction(obj["ratio"]))
-    if fam == "nearly-atomic-alpha":
-        return NearlyAtomicAlpha()
+    for cls in MonoidDescriptor.__subclasses__():
+        if cls.family == fam:
+            return _codec(cls).decode(obj)
     raise UnsupportedFamily(f"unknown family tag {fam!r}")
+
+
+class JsonForm:
+    """Base of the dataclasses whose document is their fields (``_codec``):
+    certificates, reports and their parts.  A class ``KIND`` is written
+    as the "kind" tag."""
+
+    def to_json(self) -> dict:
+        return _codec(type(self)).encode(self)
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return _codec(cls).decode(obj)
+
+
+class _Codec:
+    """The JSON form of one dataclass, built once from its fields and type
+    hints: the tag ("family" for a descriptor, "kind" for a class
+    ``KIND``), then each field under its JSON name, the one in its
+    ``field(metadata={"json": ...})`` or else its own.  A None field is
+    left out, and only a field whose default is None may be missing.  A
+    malformed document raises TypeError, KeyError or ValueError."""
+
+    def __init__(self, cls) -> None:
+        self.cls = cls
+        kind = getattr(cls, "KIND", None)
+        self.tag = {"family": cls.family} if issubclass(cls, MonoidDescriptor) else {"kind": kind} if kind else {}
+        hints = get_type_hints(cls)
+        self.writers, self.readers = [], []
+        for f in fields(cls):
+            key = f.metadata.get("json", f.name)
+            enc, dec = _converters(hints[f.name])
+            self.writers.append((f.name, key, enc))
+            # a missing key raises KeyError, or reads as None where None is the default
+            self.readers.append((methodcaller("get", key) if f.default is None else itemgetter(key), dec))
+
+    def encode(self, x) -> dict:
+        out = dict(self.tag)
+        for name, key, enc in self.writers:
+            v = getattr(x, name)
+            if v is not None:
+                out[key] = enc(v)
+        return out
+
+    def decode(self, obj):
+        obj = _expect(dict, obj)
+        return self.cls(*[dec(get(obj)) for get, dec in self.readers])
+
+
+_codec = lru_cache(maxsize=None)(_Codec)  # one codec per class
+
+
+def _same(v):
+    return v
+
+
+def _expect(kind, v):
+    """v, if its JSON type is exactly kind."""
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
+    return v
+
+
+# (encode, decode) by type hint; an int reads through ``operator.index``,
+# which takes a bool as 0 or 1
+_SCALARS = {
+    int: (_same, index),
+    str: (_same, partial(_expect, str)),
+    dict: (_same, partial(_expect, dict)),
+    object: (_same, _same),
+    Fraction: (str, Fraction),
+    Group: (attrgetter("token"), group_from_token),
+    GroupElement: (element_to_json, element_from_json),
+    MonoidDescriptor: (descriptor_to_json, descriptor_from_json),
+}
+
+
+def _converters(hint):
+    """(encode, decode) for a field's type hint: a scalar above, Optional
+    of one, a tuple of one item type, or a dataclass with its own codec."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union and type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        enc, dec = _converters(inner)
+        return enc, lambda v: None if v is None else dec(v)
+    if origin is tuple:
+        # tuple[X, ...], or a fixed length of one item type such as tuple[int, int]
+        (item,) = set(args) - {Ellipsis}
+        size = None if args[-1] is Ellipsis else len(args)
+        enc, dec = _converters(item)
+
+        def dec_tuple(v):
+            out = tuple(map(dec, _expect(list, v)))
+            if size is not None and len(out) != size:
+                raise ValueError(f"expected {size} entries, got {len(out)}")
+            return out
+
+        return (list if enc is _same else lambda v: [enc(x) for x in v]), dec_tuple
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    codec = _codec(hint)
+    return codec.encode, codec.decode

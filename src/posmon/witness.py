@@ -6,9 +6,10 @@ atomic classes.
 
 Every certificate replays: its ``verify`` routine re-checks all recorded
 identities in exact arithmetic and proves each recorded exclusion from
-its own head and generators by one gcd.  Certificates serialize to JSON
-with full transcripts; the CLI ``verify`` subcommand re-checks any
-certificate file.
+its own head and generators by one gcd.  A certificate document is its
+``KIND`` and its fields, with full transcripts (``monoids.JsonForm``), so
+adding or renaming a field changes the format; the CLI ``verify``
+subcommand re-checks any certificate file.
 
 Construction is deterministic: wherever an existential step permits a
 choice, the minimal admissible index is taken.
@@ -19,13 +20,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import exp, gcd, lcm
 from typing import Iterable, Optional
 
 from .elements import rational, triple, zero
 from .monoids import (
     DEFAULT_DEPTH,
     GeometricPuiseux,
+    JsonForm,
     NotAMember,
     _mq_solve,
     _sqrt2_floor_check,
@@ -38,7 +41,7 @@ from .monoids import (
     nearly_phi,
     quasi_not_almost_instance,
 )
-from .primes import calkin_wilf, iter_primes, prime_support
+from .primes import calkin_wilf, first_primes, iter_primes, prime_support
 
 
 class CertificateError(AssertionError):
@@ -54,10 +57,11 @@ class PrimeCapExceeded(ValueError):
 
 
 @dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(JsonForm):
     """Witness that (q_n + M) ascends strictly to depth N:
     q_n = q_{n+1} + a_{n+1} with every a_{n+1} a nonzero member."""
 
+    KIND = "ascending-chain"
     ratio: Fraction
     elements: tuple[Fraction, ...]  # q_0 ... q_N
     differences: tuple[Fraction, ...]  # a_1 ... a_N
@@ -88,22 +92,6 @@ class ChainCertificate:
             if total * a.denominator != a.numerator * d**top:
                 raise CertificateError(f"membership certificate {i + 1} broken")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "ascending-chain",
-            "ratio": str(self.ratio),
-            "elements": [str(x) for x in self.elements],
-            "differences": [str(x) for x in self.differences],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ChainCertificate":
-        return ChainCertificate(
-            Fraction(obj["ratio"]),
-            tuple(Fraction(x) for x in obj["elements"]),
-            tuple(Fraction(x) for x in obj["differences"]),
-        )
-
 
 def mq_chain(q: Fraction, depth: int) -> ChainCertificate:
     """The canonical non-stabilizing chain of M_q:
@@ -125,7 +113,7 @@ def mq_chain(q: Fraction, depth: int) -> ChainCertificate:
 
 
 @dataclass(frozen=True)
-class ExclusionTranscript:
+class ExclusionTranscript(JsonForm):
     """Record that the head is not generated by the combined elements.
 
     The proof is one gcd.  Let D clear every denominator of the head and
@@ -160,30 +148,13 @@ class ExclusionTranscript:
                 f" divides {den} * {self.head}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "head": str(self.head),
-            "generators": [str(g) for g in self.generators],
-            "bounds": list(self.bounds),
-            "combinations_checked": self.combinations_checked,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExclusionTranscript":
-        return ExclusionTranscript(
-            Fraction(obj["head"]),
-            tuple(Fraction(g) for g in obj["generators"]),
-            tuple(obj["bounds"]),
-            obj["combinations_checked"],
-        )
-
 
 def _bounds(head: Fraction, generators: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(int(head / g) for g in generators)
 
 
 @dataclass(frozen=True)
-class BreakStep:
+class BreakStep(JsonForm):
     combined: Fraction  # a'_k
     chain_indices: tuple[int, int]  # the two chain differences summed (1-based)
     partial_sum: Fraction  # s'_k
@@ -193,12 +164,13 @@ class BreakStep:
 
 
 @dataclass(frozen=True)
-class HereditaryBreakCertificate:
+class HereditaryBreakCertificate(JsonForm):
     """Transcript of the constructive half of the chain-vs-hereditary
     atomicity equivalence: combined differences a'_k with (1) the head
     excluded from <a'_1..a'_k> by a subgroup gcd, (2) every a'_k in the
     head's Archimedean class, (3) s'_k dividing a chain partial sum."""
 
+    KIND = "hereditary-break"
     ratio: Fraction
     chain: ChainCertificate
     steps: tuple[BreakStep, ...]
@@ -236,42 +208,6 @@ class HereditaryBreakCertificate:
             if step.exclusion.head != q0 or step.exclusion.generators != tuple(running):
                 raise CertificateError(f"step {k}: exclusion transcript wrong target")
             step.exclusion.verify()
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "hereditary-break",
-            "ratio": str(self.ratio),
-            "chain": self.chain.to_json(),
-            "steps": [
-                {
-                    "combined": str(st.combined),
-                    "chain_indices": list(st.chain_indices),
-                    "partial_sum": str(st.partial_sum),
-                    "divides_index": st.divides_index,
-                    "leftover_indices": list(st.leftover_indices),
-                    "exclusion": st.exclusion.to_json(),
-                }
-                for st in self.steps
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "HereditaryBreakCertificate":
-        return HereditaryBreakCertificate(
-            Fraction(obj["ratio"]),
-            ChainCertificate.from_json(obj["chain"]),
-            tuple(
-                BreakStep(
-                    Fraction(st["combined"]),
-                    tuple(st["chain_indices"]),
-                    Fraction(st["partial_sum"]),
-                    st["divides_index"],
-                    tuple(st["leftover_indices"]),
-                    ExclusionTranscript.from_json(st["exclusion"]),
-                )
-                for st in obj["steps"]
-            ),
-        )
 
 
 def synthesize_break(
@@ -331,10 +267,10 @@ def synthesize_break(
 
 
 @dataclass(frozen=True)
-class SubatomicWitness:
+class SubatomicWitness(JsonForm):
     """A per-element witness for one of the weakened atomicity notions."""
 
-    kind: str  # "quasi"
+    KIND = "quasi-witness"
     element: Fraction
     companion: Fraction
     atomic_value: Fraction
@@ -356,27 +292,6 @@ class SubatomicWitness:
         if self.multiplicity * self.atom != self.atomic_value:
             raise CertificateError("factorization does not replay")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "quasi-witness",
-            "element": str(self.element),
-            "companion": str(self.companion),
-            "atomic_value": str(self.atomic_value),
-            "atom": str(self.atom),
-            "multiplicity": self.multiplicity,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SubatomicWitness":
-        return SubatomicWitness(
-            "quasi",
-            Fraction(obj["element"]),
-            Fraction(obj["companion"]),
-            Fraction(obj["atomic_value"]),
-            Fraction(obj["atom"]),
-            obj["multiplicity"],
-        )
-
 
 def verify_quasi_witness(q: Fraction) -> SubatomicWitness:
     """For a nonzero member q of the dyadic/triadic union, the companion
@@ -390,7 +305,6 @@ def verify_quasi_witness(q: Fraction) -> SubatomicWitness:
         raise NotAMember(f"{q} is not a member of the dyadic/triadic union")
     d, n = q.denominator, q.numerator
     w = SubatomicWitness(
-        kind="quasi",
         element=q,
         companion=(4 * d - 1) * q,
         atomic_value=Fraction(4 * n),
@@ -406,12 +320,13 @@ def verify_quasi_witness(q: Fraction) -> SubatomicWitness:
 
 
 @dataclass(frozen=True)
-class PrimeSumCertificate:
+class PrimeSumCertificate(JsonForm):
     """For candidate q, a finite prime set S disjoint from the support of
     d(q) with sum of reciprocals exceeding q + 2 exactly, plus the element
     r = 1 + prod 1/p.  Any atomic decomposition of q + r would contain S
     and thus exceed q + 2, while q + r < q + 2."""
 
+    KIND = "prime-sum-refutation"
     q: Fraction
     excluded: tuple[int, ...]
     count: int
@@ -427,6 +342,8 @@ class PrimeSumCertificate:
             raise CertificateError("candidate is not a member")
         if tuple(prime_support(self.q.denominator)) != self.excluded:
             raise CertificateError("excluded set is not the denominator support")
+        if self.count < 1:
+            raise CertificateError(f"prime count {self.count} is not positive")
         primes = _greedy_primes(self.excluded, self.count)
         if len(primes) != self.count or primes[-1] != self.last_prime:
             raise CertificateError("prime set does not replay")
@@ -449,28 +366,6 @@ class PrimeSumCertificate:
             raise CertificateError("replayed prime set has repetitions")
         if den <= 1:
             raise CertificateError("companion element r is not below 2")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "prime-sum-refutation",
-            "q": str(self.q),
-            "excluded": list(self.excluded),
-            "count": self.count,
-            "last_prime": self.last_prime,
-            "sum_num_digest": self.sum_num_digest,
-            "sum_den_digest": self.sum_den_digest,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PrimeSumCertificate":
-        return PrimeSumCertificate(
-            Fraction(obj["q"]),
-            tuple(obj["excluded"]),
-            obj["count"],
-            obj["last_prime"],
-            obj["sum_num_digest"],
-            obj["sum_den_digest"],
-        )
 
 
 def _digest(n: int) -> str:
@@ -500,15 +395,9 @@ def _sum_reciprocals(primes: list[int]) -> tuple[int, int]:
 
 
 def _greedy_primes(excluded: Iterable[int], count: int) -> list[int]:
+    """The first count primes outside excluded."""
     skip = set(excluded)
-    out: list[int] = []
-    for p in iter_primes():
-        if p in skip:
-            continue
-        out.append(p)
-        if len(out) == count:
-            return out
-    return out
+    return list(islice((p for p in iter_primes() if p not in skip), count))
 
 
 def prime_sum_refutation(q: Fraction, prime_cap: int = 10_000_000) -> PrimeSumCertificate:
@@ -571,16 +460,10 @@ def prime_sum_refutation(q: Fraction, prime_cap: int = 10_000_000) -> PrimeSumCe
 
 
 @dataclass(frozen=True)
-class NearRefutationReport:
+class NearRefutationReport(JsonForm):
+    KIND = "near-atomicity-refutation-report"
     certificates: tuple[PrimeSumCertificate, ...]
     skipped: tuple[tuple[str, str], ...]  # (candidate, reason)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "near-atomicity-refutation-report",
-            "certificates": [c.to_json() for c in self.certificates],
-            "skipped": [list(s) for s in self.skipped],
-        }
 
 
 def verify_almost_not_nearly(
@@ -596,8 +479,6 @@ def verify_almost_not_nearly(
     are reported as skipped rather than silently truncated; pass a larger
     cap to certify them; the cap also bounds ``prime_sum_refutation``.
     """
-    from .primes import first_primes
-
     if candidates is None:
         candidates = [Fraction(1, p) for p in first_primes(prime_window)]
     done: list[PrimeSumCertificate] = []
@@ -617,12 +498,10 @@ def _crossover_estimate(q: Fraction) -> int:
     """Rough location of the prime where the reciprocal sum outside the
     support of d(q) passes q + 2 (Mertens asymptotics).  It saturates at
     exp(exp(4)), about 5 * 10^23, far above any cap, so no float overflows."""
-    import math
-
     mertens = 0.26149721
     lost = sum(1.0 / p for p in prime_support(q.denominator))
     target = float(q) + 2.0 - mertens + lost
-    return int(math.exp(math.exp(min(target, 4.0)))) + 1
+    return int(exp(exp(min(target, 4.0)))) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +509,10 @@ def _crossover_estimate(q: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class NearlyAtomicReport:
+class NearlyAtomicReport(JsonForm):
+    KIND = "nearly-atomic-report"
     decompositions: tuple[dict, ...]
     rational_obstructions: tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "nearly-atomic-report",
-            "decompositions": list(self.decompositions),
-            "rational_obstructions": list(self.rational_obstructions),
-        }
 
 
 def verify_nearly_atomic(depth: int = DEFAULT_DEPTH) -> NearlyAtomicReport:
@@ -691,19 +564,11 @@ def verify_nearly_atomic(depth: int = DEFAULT_DEPTH) -> NearlyAtomicReport:
 
 
 @dataclass(frozen=True)
-class CommonDivisorReplay:
+class CommonDivisorReplay(JsonForm):
     divisor: Fraction
     exponent: int
     shifted: Fraction  # divisor + q^k
     phi: int
-
-    def to_json(self) -> dict:
-        return {
-            "divisor": str(self.divisor),
-            "exponent": self.exponent,
-            "shifted": str(self.shifted),
-            "phi": self.phi,
-        }
 
 
 def verify_not_strongly_atomic(
@@ -745,23 +610,23 @@ def verify_not_strongly_atomic(
 # certificate file verification
 
 
+_CERTIFICATES = {
+    cls.KIND: cls
+    for cls in (ChainCertificate, HereditaryBreakCertificate, SubatomicWitness, PrimeSumCertificate)
+}
+
+
 def verify_certificate_json(obj: dict) -> str:
     """Re-check a serialized certificate; returns its kind on success.  A
-    document that is not an object, names no known kind or has fields of
-    the wrong type or value raises CertificateError."""
+    document that is not an object, names no known kind, misses a field or
+    has fields of the wrong type or value raises CertificateError."""
     if not isinstance(obj, dict):
         raise CertificateError("a certificate is a JSON object")
     kind = obj.get("kind")
-    readers = {
-        "ascending-chain": ChainCertificate,
-        "hereditary-break": HereditaryBreakCertificate,
-        "quasi-witness": SubatomicWitness,
-        "prime-sum-refutation": PrimeSumCertificate,
-    }
-    if not isinstance(kind, str) or kind not in readers:
+    if not isinstance(kind, str) or kind not in _CERTIFICATES:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     try:
-        readers[kind].from_json(obj).verify()
+        _CERTIFICATES[kind].from_json(obj).verify()
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed {kind} certificate: {exc!r}") from exc
     return kind

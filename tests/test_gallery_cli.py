@@ -31,6 +31,18 @@ from posmon.monoids import (
     numerical,
 )
 
+# prime_sum_refutation(1/5) as a document; replay stopped only once the
+# greedy prefix reached ``count`` primes, so a count below 1 never returned
+PRIME_SUM_1_5 = {
+    "kind": "prime-sum-refutation",
+    "q": "1/5",
+    "excluded": [5],
+    "count": 643,
+    "last_prime": 4789,
+    "sum_num_digest": "sha256:9f6d6e9327033f012a2a2ff4debe2e35a1b913f24cab419483a29b76a225c3b1",
+    "sum_den_digest": "sha256:033120502e89cb1d29b42bc6fb52c2891138e7970fbd34dfa73a3ce37699e003",
+}
+
 
 class TestGallery:
     def test_at_least_eleven_entries(self):
@@ -237,8 +249,10 @@ class TestCliCommands:
             {"kind": "ascending-chain", "ratio": None, "elements": [], "differences": []},
             {"kind": "ascending-chain", "ratio": "2/3", "elements": None, "differences": []},
             {"kind": "ascending-chain", "ratio": "2/3", "elements": ["1"]},
+            *({**PRIME_SUM_1_5, "count": count} for count in (0, -1, None, "3x")),
         ],
-        ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences"],
+        ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences",
+             "count-0", "count-negative", "count-null", "count-text"],
     )
     def test_verify_malformed_document_exit_two(self, capsys, tmp_path, doc):
         path = tmp_path / "cert.json"
