@@ -31,7 +31,11 @@ The queries cover:
   of the same cone and conductive Z^2 targets, of the numerical targets
   and of sums and differences of generators of the other finitely
   generated monoids;
-- property probes over cone and conductive boxes and numerical bounds;
+- property probes over cone and conductive boxes and numerical bounds,
+  and a ladder of larger probes: ``nm:3,5`` for every property at bound
+  3,000, ``nm:7,9`` LFM at 20,000, ``nm:1`` HFM and LFM at 20,000, and the
+  N x Z cone and the conductive Z^2 monoids for HFM, LFM and ATM on the
+  boxes (8, 20) and (12, 40);
 - every gallery entry run at depths 1, 4, 6, 8 and 12: the ok flag, the
   checks and the report JSON, or the error;
 - a digest of the generator windows of the conductive monoids whose
@@ -358,6 +362,15 @@ def probes() -> None:
     for bound in ("0", "7/2", "10/3", "6"):
         for prop in PROBEABLE:
             probe_line(EXTRA_FINITE[0], prop, Fraction(bound))
+    for prop in PROBEABLE:
+        probe_line(numerical(3, 5), prop, 3000)
+    probe_line(numerical(7, 9), "LFM", 20000)
+    for prop in ("HFM", "LFM"):
+        probe_line(numerical(1), prop, 20000)
+    for m in boxed:
+        for box in ((8, 20), (12, 40)):
+            for prop in ("HFM", "LFM", "ATM"):
+                probe_line(m, prop, box)
 
 
 def gallery_runs() -> None:

@@ -49,9 +49,9 @@ without building the window.  Only the two irrational constructions,
 whose membership is decided within a window, re-verify through
 ``contains``.
 
-Property probes are decided by one saturated (value, length) counting
-table over a mixed-radix integer code of the atom set's window, built
-once for all members (``_codes``, ``_count_cells``).  The members come as int
+Property probes are decided by bitsets over a mixed-radix integer code of
+the atom set's window, Python ints grown geometrically up to the first
+failing member (``_codes``, ``_probe_bits``).  The members come as int
 points from ``monoids._member_points``; only a witness becomes an element.
 """
 
@@ -89,6 +89,7 @@ from .monoids import (
     _point_element,
     _power_support,
     _ray_grid,
+    _reach_bits,
     _two_ray_contains,
     _zero_of,
     alphabeta_atom,
@@ -936,10 +937,18 @@ def probe_property(
     carries a finite witness (two conflicting factorizations, or a member
     provably outside the atomic set).
 
-    One saturated counting table over the integer codes of the window
-    (``_codes``) gives the factorization lengths of every member at once.
-    The members stay int points (``monoids._member_points``); only the
-    witness is built as an element.
+    The members become int codes over the window (``_codes``), and Python
+    ints serve as bitsets over the codes 0..top (``_probe_bits``): the
+    codes that atom sums reach, and for HFM, LFM and UFM those with two
+    lengths or a repeated length.  The table grows geometrically (top 64,
+    128, ... up to the largest member code) and stops at the first failing
+    member in member order, so a consistent verdict builds the whole
+    table.  With two or more atoms a length-bearing property works
+    through one bitset per length, about top^2 / min(atom code) bits of
+    work in all, but holds only the previous length's bitsets, a few of
+    top bits per atom; ATM, BFM and FFM, and one-atom windows, need only
+    the reached bitset.  The members stay int points (``monoids._member_points``);
+    only the witness is built as an element.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
@@ -952,19 +961,20 @@ def probe_property(
             depth = DEFAULT_DEPTH
     atom_set = atoms(m, depth)
     complete = atom_set.complete
-    cells = _count_cells(*_codes(atom_set.window, members, den))
-    for checked, (p, lens) in enumerate(zip(members, cells), 1):
-        if not lens:
+    acodes, mcodes = _codes(atom_set.window, members, den)
+    last = max((v for v in mcodes if v is not None), default=0)
+    top, reached, bad = 0, "", ""
+    for checked, (p, v) in enumerate(zip(members, mcodes), 1):
+        if v is not None and v > top:
+            # the least of 64, 128, ... at or above v, capped at the last code
+            top = min(last, 64 << ((v - 1) // 64).bit_length())
+            reached, bad = _probe_bits(acodes, top, prop)
+        if v is None or reached[v] == "0":
             b = _point_element(m.group, p, den)
             reason = "no factorization into atoms" if complete else "window search found nothing"
             verdict = "refuted" if complete else "inconclusive"
             return ProbeResult(m, prop, bound, verdict, {"element": b, "reason": reason}, checked)
-        bad = (
-            (prop == "HFM" and len(lens) > 1)
-            or (prop == "LFM" and any(c >= 2 for c in lens.values()))
-            or (prop == "UFM" and sum(lens.values()) >= 2)
-        )
-        if bad:
+        if bad[v] == "1":
             b = _point_element(m.group, p, den)
             return ProbeResult(
                 m, prop, bound, "refuted",
@@ -1010,8 +1020,8 @@ def _codes(win, members, den):
     (L+1)*K >= L*c_0 + sum_j ymax_j*c_j + 1, and no member code exceeds
     L*c_0 + sum_j ymax_j*c_j >= 0.  So K > 0, every atom code is positive,
     and an atom sum with x >= L+1 lies above every member code.  The
-    counting table thus reaches a member's code only through the partial sums of the atom
-    multisets that sum to the member.
+    probe bitsets (``_probe_bits``) thus reach a member's code only
+    through the partial sums of the atom multisets that sum to the member.
     """
     if win is None:
         return [], [None] * len(members)
@@ -1039,26 +1049,45 @@ def _codes(win, members, den):
     return acodes, mcodes
 
 
-def _count_cells(avals, mvals):
-    """Saturated counting DP over (code, length): for each member code a
-    {length: count} cell with counts exact up to the cap 2, which decides
-    every probe predicate (no factorization, two lengths, a repeated
-    length, two factorizations).  A member code of None gets an empty
-    cell."""
-    top = max((v for v in mvals if v is not None), default=0)
-    table: list[dict[int, int]] = [dict() for _ in range(top + 1)]
-    table[0][0] = 1
-    for a in sorted(avals):
-        for v in range(a, top + 1):
-            prev = table[v - a]
-            if not prev:
-                continue
-            cur = table[v]
-            for ln, cnt in prev.items():
-                nl = ln + 1
-                total = cur.get(nl, 0) + cnt
-                cur[nl] = 2 if total > 2 else total
-    return ({} if v is None else table[v] for v in mvals)
+def _probe_bits(acodes, top, prop) -> tuple[str, str]:
+    """(reached, bad): strings of top + 1 bits, read at index v for code v.
+    reached[v] is "1" when an atom sum has code v; bad[v] is "1" when v
+    fails prop: two lengths (HFM), a repeated length (LFM) or either, that
+    is two factorizations (UFM).
+
+    Length l keeps two bitsets, ge1 and ge2: the codes with at least one
+    and at least two factorizations of length l.  Per atom code a, with
+    s = ge1[l-1] << a, ge2[l] |= ge2[l-1] << a | ge1[l] & s and
+    ge1[l] |= s count the multisets of atoms up to the cap 2.  Running
+    the lengths in the outer loop keeps only the previous length, at each
+    atom's stage, and layer l is stored shifted right by l * min(a), as
+    no atom sum of length l lies below that.  Every atom code is positive
+    (``_codes``), so the bits at or below top do not depend on top.
+    """
+    acodes = sorted(a for a in acodes if a <= top)
+    if len(acodes) < 2 or prop not in ("HFM", "LFM", "UFM"):
+        reached, bad = _reach_bits(acodes, top), 0
+    else:
+        lo = acodes[0]
+        shifts = [a - lo for a in acodes]
+        ge1, ge2 = [1] * len(acodes), [0] * len(acodes)
+        reached, two, repeated = 1, 0, 0
+        for l in range(1, top // lo + 1):
+            mask = (2 << (top - l * lo)) - 1
+            one = many = 0
+            for j, a in enumerate(shifts):
+                s = ge1[j] << a & mask
+                many |= ge2[j] << a & mask | one & s
+                one |= s
+                ge1[j], ge2[j] = one, many
+            if not one:
+                break
+            one <<= l * lo
+            two |= reached & one
+            reached |= one
+            repeated |= many << l * lo
+        bad = two if prop == "HFM" else repeated if prop == "LFM" else two | repeated
+    return f"{reached:0{top + 1}b}"[::-1], f"{bad:0{top + 1}b}"[::-1]
 
 
 def _conflict_pair(m, b, depth, prop) -> tuple[Factorization, Factorization]:

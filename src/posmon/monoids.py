@@ -1152,8 +1152,9 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
     ascending order, with zero.  A point p stands for the value p[0] / den
     (Q) or for the coordinates p in priority order (lex, den = 1).
 
-    A finitely generated monoid over Q reaches its members in one table
-    over the multiples of 1/den, from its encoded window's ints over den;
+    A finitely generated monoid over Q reaches its members in one bitset
+    over the multiples of 1/den (``_reach_bits``), from its encoded
+    window's ints over den;
     a lex family filters its box, enumerated in priority order, by the
     threshold or the cone rule.
     """
@@ -1165,13 +1166,8 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
             raise ValueError(f"negative bound {limit}")
         den = m.window.den
         top = int(limit * den)
-        reach = bytearray(top + 1)
-        reach[0] = 1
-        for (g,) in m.window.pts:
-            for v in range(g, top + 1):
-                if reach[v - g]:
-                    reach[v] = 1
-        return [(v,) for v in range(top + 1) if reach[v]], den
+        reach = f"{_reach_bits([g for (g,) in m.window.pts], top):0{top + 1}b}"[::-1]
+        return [(v,) for v, bit in enumerate(reach) if bit == "1"], den
     if isinstance(m, Conductive) and m.group.kind == "lex":
         a = tuple(m.threshold.value[i] for i in m.group.priority_order)
         return [p for p in _box_points(m.group, bound) if p >= a or not any(p)], 1
@@ -1183,6 +1179,20 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
     raise UnsupportedFamily(
         f"member enumeration below a bound is not exact/finite for {m.family}"
     )
+
+
+def _reach_bits(codes, top: int) -> int:
+    """The int whose bit v is set exactly when v <= top is a sum of the
+    positive codes, repetition allowed.  Per code a, shifting by a, 2a,
+    4a, ... while the shift is at most top adds every multiple of a up to
+    top to what is already reached."""
+    mask = (2 << top) - 1
+    reach = 1
+    for a in codes:
+        while a <= top:
+            reach |= reach << a & mask
+            a <<= 1
+    return reach
 
 
 def _point_element(group: Group, p: tuple, den: int) -> GroupElement:

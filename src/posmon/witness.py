@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import exp, gcd, lcm
 from typing import Iterable, Optional
 
@@ -344,7 +344,7 @@ class PrimeSumCertificate(JsonForm):
             raise CertificateError("excluded set is not the denominator support")
         if self.count < 1:
             raise CertificateError(f"prime count {self.count} is not positive")
-        primes = _greedy_primes(self.excluded, self.count)
+        primes = _greedy_primes(self.excluded, self.count, self.last_prime)
         if len(primes) != self.count or primes[-1] != self.last_prime:
             raise CertificateError("prime set does not replay")
         num, den = _sum_reciprocals(primes)
@@ -394,10 +394,11 @@ def _sum_reciprocals(primes: list[int]) -> tuple[int, int]:
     return rec(0, len(primes))
 
 
-def _greedy_primes(excluded: Iterable[int], count: int) -> list[int]:
-    """The first count primes outside excluded."""
+def _greedy_primes(excluded: Iterable[int], count: int, last: int) -> list[int]:
+    """The first count primes outside excluded, or fewer when the primes
+    pass last first."""
     skip = set(excluded)
-    return list(islice((p for p in iter_primes() if p not in skip), count))
+    return list(islice(takewhile(lambda p: p <= last, (p for p in iter_primes() if p not in skip)), count))
 
 
 def prime_sum_refutation(q: Fraction, prime_cap: int = 10_000_000) -> PrimeSumCertificate:

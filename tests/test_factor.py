@@ -621,6 +621,36 @@ class TestProbes:
             # reach: their codes must stay unreachable in the table
             assert "inconclusive" in verdicts
 
+    def test_numerical_probe_matches_per_member_search(self):
+        # the probe table grows through tops 64, 128 and 256; two
+        # generators a < b first have two lengths at a*b, so these
+        # products put the first HFM and UFM failure past each top
+        gens = minimal_numerical_monoids(3, 20)
+        rng = random.Random(18)
+        late = [g for g in gens if len(g) == 2 and 64 < g[0] * g[1] <= 300]
+        bounds = (1, 40, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
+        witnesses = []
+        for g in [(1,)] + rng.sample(late, 8) + rng.sample(gens, 12):
+            m = numerical(*g)
+            members = [b for b in members_within(m, max(bounds)) if not b.is_zero]
+            searches = [factorizations(m, b) for b in members]
+            assert all(s.complete for s in searches)
+            for prop, bound in product(("ATM", "HFM", "LFM", "UFM"), bounds):
+                r = probe_property(m, prop, bound)
+                k = sum(1 for b in members if b.value <= bound)
+                verdict, checked, note, element = _verdict_by_search(prop, members[:k], searches[:k])
+                assert (r.verdict, r.members_checked, r.note) == (verdict, checked, note), (g, prop, bound)
+                assert (r.witness or {}).get("element") == element, (g, prop, bound)
+                if element is not None:
+                    witnesses.append(element.value)
+        assert max(witnesses) > 256 and any(64 < w <= 128 for w in witnesses)
+
+    @pytest.mark.parametrize("gens, prop, bound", [((3, 5), "HFM", 100000), ((3, 5), "LFM", 20000), ((1,), "LFM", 100000)])
+    def test_large_probe_is_prompt(self, gens, prop, bound):
+        start = time.perf_counter()
+        probe_property(numerical(*gens), prop, bound)
+        assert time.perf_counter() - start < 2.0
+
     def test_fallback_shapes_answer_as_before(self):
         r = probe_property(Conductive(lexvec(Z2, 0, 2)), "ATM", (2, 6))
         assert (r.verdict, r.members_checked) == ("refuted", 6)
@@ -655,9 +685,13 @@ def _probe_by_search(m, prop, box, depth):
     members = [b for b in members_within(m, box) if not b.is_zero]
     if depth is None:
         depth = max(box) + 5
+    return _verdict_by_search(prop, members, (factorizations(m, b, depth) for b in members))
+
+
+def _verdict_by_search(prop, members, searches):
+    """The probe's answer from each member's factorization search."""
     incomplete = False
-    for checked, b in enumerate(members, 1):
-        search = factorizations(m, b, depth)
+    for checked, (b, search) in enumerate(zip(members, searches), 1):
         lens = [f.length for f in search.factorizations]
         if not lens:
             return ("refuted" if search.complete else "inconclusive"), checked, None, b

@@ -250,14 +250,18 @@ class TestCliCommands:
             {"kind": "ascending-chain", "ratio": "2/3", "elements": None, "differences": []},
             {"kind": "ascending-chain", "ratio": "2/3", "elements": ["1"]},
             *({**PRIME_SUM_1_5, "count": count} for count in (0, -1, None, "3x")),
+            # replay stops once a prime passes last_prime, not after count primes
+            {**PRIME_SUM_1_5, "count": 2_000_000},
         ],
         ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences",
-             "count-0", "count-negative", "count-null", "count-text"],
+             "count-0", "count-negative", "count-null", "count-text", "count-2000000"],
     )
     def test_verify_malformed_document_exit_two(self, capsys, tmp_path, doc):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
+        start = time.perf_counter()
         code = main(["verify", str(path)])
+        assert time.perf_counter() - start < 1.0
         assert code == EXIT_MISMATCH
         assert "FAIL" in capsys.readouterr().out
 

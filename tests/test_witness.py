@@ -289,7 +289,7 @@ class TestPrimeSumRefutation:
 def _greedy(cert):
     from posmon.witness import _greedy_primes
 
-    return _greedy_primes(cert.excluded, cert.count)
+    return _greedy_primes(cert.excluded, cert.count, cert.last_prime)
 
 
 class TestNearlyAtomic:
