@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Time a fixed ladder of ``posmon probe`` CLI calls, one fresh process each.
+"""Time a fixed ladder of ``posmon`` CLI calls, one fresh process each.
 
-Each call runs as ``python -m posmon.cli probe ...`` on the ``src`` tree
+Each call runs as ``python -m posmon.cli <argv>`` on the ``src`` tree
 beside this script, under a timeout and an address-space cap
 (``RLIMIT_AS``) set on that child alone, ``TIMEOUT_S`` and ``CAP_MB``
 below.  The child's peak resident set comes from ``os.wait4``.  One JSON
-line per call gives its arguments, the host wall time, the exit code
-(None when the timeout stopped it), the peak RSS and whether the child
-printed a traceback.
+line per call gives its argv, the host wall time, the exit code (None
+when the timeout stopped it), the peak RSS and whether the child printed
+a traceback.  ``{tmp}`` in an argv names a temporary directory that the
+script makes and removes, so a certificate written by one call can be
+verified by the next.
 
 Usage (stdlib only, no options):
 
-    python scripts/probe_ladder.py
+    python scripts/cli_ladder.py
 
 Run it on two checkouts to compare them, and run it again for repeats;
 the exit codes and verdicts should agree, the times and sizes are what
@@ -34,15 +36,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 20.0
 CAP_MB = 1024
 LADDER = (
-    ("nm:3,5", "HFM", "20000"),
-    ("nm:3,5", "HFM", "100000"),
-    ("nm:3,5", "LFM", "20000"),
-    ("nm:7,9", "LFM", "20000"),
-    ("nm:1", "HFM", "20000"),
-    ("nm:1", "LFM", "100000"),
-    ("cone:NxZ", "HFM", "12,40"),
-    ("cone:NxZ", "LFM", "12,40"),
-    ("conductive:Z2:a=(1,0)", "HFM", "12,40"),
+    ("probe", "nm:3,5", "HFM", "--bound", "20000"),
+    ("probe", "nm:3,5", "HFM", "--bound", "100000"),
+    ("probe", "nm:3,5", "LFM", "--bound", "20000"),
+    ("probe", "nm:7,9", "LFM", "--bound", "20000"),
+    ("probe", "nm:1", "HFM", "--bound", "20000"),
+    ("probe", "nm:1", "LFM", "--bound", "100000"),
+    ("probe", "cone:NxZ", "HFM", "--bound", "12,40"),
+    ("probe", "cone:NxZ", "LFM", "--bound", "12,40"),
+    ("probe", "conductive:Z2:a=(1,0)", "HFM", "--bound", "12,40"),
+    ("atoms", "malphabeta:2/3", "--depth", "60"),
+    ("atoms", "nearly", "--depth", "160"),
+    ("break", "mq:2/3", "--steps", "400", "-o", "{tmp}/b.json"),
+    ("verify", "{tmp}/b.json"),
 )
 
 
@@ -88,9 +94,10 @@ def run(args: list[str], timeout: float, cap_bytes: int) -> dict:
 
 
 def main() -> int:
-    for instance, prop, bound in LADDER:
-        args = ["probe", instance, prop, "--bound", bound]
-        print(json.dumps(run(args, TIMEOUT_S, CAP_MB << 20)), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in LADDER:
+            out = run([a.replace("{tmp}", tmp) for a in argv], TIMEOUT_S, CAP_MB << 20)
+            print(json.dumps({**out, "args": list(argv)}), flush=True)
     return 0
 
 

@@ -322,8 +322,8 @@ def classify_known(
             witness={"element": "1", "lengths": list(lengths.lengths)},
         )
     elif isinstance(m, FiniteGenerated):
-        lp = limit_point_bfm(m)
-        if lp.bfm_proved:
+        # the limit-point criterion needs an Archimedean group; FFM holds anyway
+        if m.group.is_archimedean and limit_point_bfm(m).bfm_proved:
             verdicts["BFM"] = Verdict(PROVED, "limit-point-criterion")
         verdicts["FFM"] = Verdict(PROVED, "known:finitely-generated-ffm")
     elif isinstance(m, LexCone):

@@ -248,8 +248,7 @@ def cmd_break(args) -> int:
     cert = synthesize_break(m.q, args.steps, depth=args.depth)
     payload = cert.to_json()
     lines = [f"Hereditary-break certificate for {m}: {len(cert.steps)} steps replay OK"]
-    for k, st in enumerate(cert.steps, 1):
-        den, g, target = st.exclusion.obstruction()
+    for k, (st, (den, g, target)) in enumerate(zip(cert.steps, cert.obstructions()), 1):
         lines.append(
             f"  step {k}: a'={st.combined} (chain {st.chain_indices}),"
             f" s'={st.partial_sum} divides s_{st.divides_index};"

@@ -45,9 +45,7 @@ monoid, where a nonzero member has no factorization.
 
 Each family has one exact atom rule (``_atom_rule``): its candidates and
 whether t = g + (nonzero member) for a window generator g, decided
-without building the window.  Only the two irrational constructions,
-whose membership is decided within a window, re-verify through
-``contains``.
+without building the window or scanning it through ``contains``.
 
 Property probes are decided by bitsets over a mixed-radix integer code of
 the atom set's window, Python ints grown geometrically up to the first
@@ -117,7 +115,9 @@ class AtomSet:
     """Atoms of a monoid found at a window depth.
 
     ``complete`` means the listed atoms are all of A(M).  Every listed
-    atom has passed its family's split rule against the generator window.
+    atom has passed its family's split rule (``_atom_rule``), decided in
+    closed form or by one enumeration over a finitely generated monoid's
+    generators; no rule scans the window through ``contains``.
     """
 
     descriptor: MonoidDescriptor
@@ -244,8 +244,9 @@ def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
 
 class AtomRule(NamedTuple):
     """``splits(t)``: some window generator g leaves t - g a nonzero
-    member.  Mode "assert" raises on a candidate that splits, "filter"
-    drops it."""
+    member, decided exactly on every candidate (and, for most families,
+    off them too).  Mode "assert" raises on a candidate that splits,
+    "filter" drops it."""
 
     candidates: list
     splits: Callable[[GroupElement], bool]
@@ -287,9 +288,22 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
       the step (first-positive cone).
 
     ``_two_ray_split`` decides the monoid generated by two rays; when both
-    start at 0 it is antimatter.  The two irrational constructions decide
-    membership only within a window, so they scan it through ``contains``
-    (``_no_window_decomposition``).
+    start at 0 it is antimatter.
+
+    The two irrational constructions split no candidate, so their rule is
+    exact on the candidate lists.  Let t = x + y with x, y members and t's
+    sqrt2 (or sqrt3) coefficient 1/p, p = phi(s) the prime of its atom.
+    That coefficient of x + y is a sum of k_j / p_j, k_j >= 0, over
+    distinct primes p_j (phi is injective); times the product of p and
+    the p_j, read modulo a p_j other than p, it gives p_j | k_j, and then
+    k_j / p_j >= 1 > 1/p unless k_j = 0.  So x + y holds one copy of the
+    p-atom, which is t, and no other irrational atom (the other
+    coefficient is 0); the positive rational generators left sum to 0, so
+    there are none, and x or y is 0.  A rational member of ``AlphaBeta``
+    is a sum of rational generators (irrational coefficients cannot
+    cancel), so it splits as in M_q, whose atoms q^i are the rational
+    candidates; a rational member of ``NearlyAtomicAlpha`` splits in
+    halves, and its candidates are all irrational.
 
     The lex conductive candidates are the interval [a, 2a) within the
     box |coord| <= depth, while ``generators()`` is a + that box, so a
@@ -378,14 +392,14 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
         cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
         for s in alphabeta_domain(m.q, depth):
             cands += [alphabeta_atom(m.q, s, "alpha"), alphabeta_atom(m.q, s, "beta")]
-        note = "ratio powers plus the two sqrt directions"
-    elif isinstance(m, NearlyAtomicAlpha):
+        mq_split = _canonical_split(partial(_mq_solve, m.q), depth)
+        splits = lambda t: not any(t.value[1:]) and mq_split(rational(t.value[0]))
+        return AtomRule(cands, splits, False, "ratio powers plus the two sqrt directions", "assert")
+    if isinstance(m, NearlyAtomicAlpha):
         cands = [nearly_atom(x) for x in calkin_wilf(depth)]
         note = "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms"
-    else:
-        raise UnsupportedFamily(f"no atom procedure for {m.family}")
-    splits = lambda t: not _no_window_decomposition(m, t, generators(m, depth).generators, depth)
-    return AtomRule(cands, splits, False, note, "assert")
+        return AtomRule(cands, lambda t: not t.value[1], False, note, "assert")
+    raise UnsupportedFamily(f"no atom procedure for {m.family}")
 
 
 def _canonical_split(solve, top):
@@ -418,19 +432,6 @@ def _two_ray_split(m: UnionShift, depth: int):
     hs = sorted(hs)
     return lambda t: any(t.value > h and _two_ray_contains(m.base, m.tail, t.value - h).is_in
                          for h in hs)
-
-
-def _no_window_decomposition(
-    m: MonoidDescriptor, t: GroupElement, window, depth: int
-) -> bool:
-    """True when no window generator g yields t = g + (nonzero member)."""
-    for g in window:
-        diff = t - g
-        if diff.is_zero or diff.is_negative:
-            continue
-        if contains(m, diff, depth).is_in:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ the chain head), and the witnesses separating the quasi/almost/nearly
 atomic classes.
 
 Every certificate replays: its ``verify`` routine re-checks all recorded
-identities in exact arithmetic and proves each recorded exclusion from
-its own head and generators by one gcd.  A certificate document is its
-``KIND`` and its fields, with full transcripts (``monoids.JsonForm``), so
-adding or renaming a field changes the format; the CLI ``verify``
-subcommand re-checks any certificate file.
+identities in exact arithmetic, and a hereditary break proves the
+exclusion at every step by one gcd carried across the steps.  A
+certificate document is its ``KIND`` and its fields (``monoids.JsonForm``),
+so adding or renaming a field changes the format, and a key that names no
+field is ignored; the CLI ``verify`` subcommand re-checks any certificate
+file.
 
 Construction is deterministic: wherever an existential step permits a
 choice, the minimal admissible index is taken.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import exp, gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .elements import rational, triple, zero
 from .monoids import (
@@ -114,43 +115,14 @@ def mq_chain(q: Fraction, depth: int) -> ChainCertificate:
 
 @dataclass(frozen=True)
 class ExclusionTranscript(JsonForm):
-    """Record that the head is not generated by the combined elements.
-
-    The proof is one gcd.  Let D clear every denominator of the head and
-    the generators, and let g = gcd(D * generators).  Every element of the
-    generated group, and so of the generated monoid, is D^-1 g times an
-    integer; hence g not dividing D * head excludes the head.  ``bounds``
-    records int(head / generator) per generator.  ``combinations_checked``
-    is kept for the document format: builds write 0 there, and older
-    documents carry the size of the exhaustive search that used to stand in
-    for the gcd; ``verify`` does not read it.
-    """
+    """The head, excluded from <a'_1..a'_k>, step k's prefix; the
+    certificate's ``obstructions`` proves it.  ``combinations_checked``
+    stays for the document format (builds write 0, older documents the
+    size of a retired exhaustive search); replay ignores it, and the
+    prefix and bounds that older documents list per step."""
 
     head: Fraction
-    generators: tuple[Fraction, ...]
-    bounds: tuple[int, ...]
     combinations_checked: int
-
-    def obstruction(self) -> tuple[int, int, int]:
-        """(D, g, D * head), with D the common denominator of the head and
-        the generators and g = gcd(D * generators)."""
-        den = lcm(self.head.denominator, *(x.denominator for x in self.generators))
-        g = gcd(*((x * den).numerator for x in self.generators))
-        return den, g, (self.head * den).numerator
-
-    def verify(self) -> None:
-        if self.bounds != _bounds(self.head, self.generators):
-            raise CertificateError("exclusion bounds do not match the head")
-        den, g, target = self.obstruction()
-        if (target % g == 0) if g else target == 0:
-            raise CertificateError(
-                f"exclusion not certified: gcd {g} of the generators times {den}"
-                f" divides {den} * {self.head}"
-            )
-
-
-def _bounds(head: Fraction, generators: tuple[Fraction, ...]) -> tuple[int, ...]:
-    return tuple(int(head / g) for g in generators)
 
 
 @dataclass(frozen=True)
@@ -167,8 +139,10 @@ class BreakStep(JsonForm):
 class HereditaryBreakCertificate(JsonForm):
     """Transcript of the constructive half of the chain-vs-hereditary
     atomicity equivalence: combined differences a'_k with (1) the head
-    excluded from <a'_1..a'_k> by a subgroup gcd, (2) every a'_k in the
-    head's Archimedean class, (3) s'_k dividing a chain partial sum."""
+    excluded from <a'_1..a'_k> by a subgroup gcd (``obstructions``), (2)
+    every a'_k in the head's Archimedean class, (3) s'_k dividing a chain
+    partial sum.  Step k names its prefix: its generators are the combined
+    elements of steps 1..k, so no step repeats them."""
 
     KIND = "hereditary-break"
     ratio: Fraction
@@ -179,6 +153,22 @@ class HereditaryBreakCertificate(JsonForm):
         self.chain.verify()
         self.verify_steps()
 
+    def obstructions(self) -> Iterator[tuple[int, int, int]]:
+        """(D, g, D * head) for each step k, in one pass: D is the lcm of
+        the denominators of the head and a'_1..a'_k, and g = gcd(D a'_1,
+        ..., D a'_k).  Every element of the group generated by the prefix,
+        and so of the monoid, is D^-1 g times an integer; hence g not
+        dividing D * head excludes the head.  Both carry from one step to
+        the next: when D grows by a factor f, g grows by f too."""
+        head = self.chain.elements[0]
+        den, g = head.denominator, 0
+        for step in self.steps:
+            x = step.combined
+            grow = lcm(den, x.denominator) // den
+            den *= grow
+            g = gcd(g * grow, x.numerator * (den // x.denominator))
+            yield den, g, head.numerator * (den // head.denominator)
+
     def verify_steps(self) -> None:
         """Check every step against the chain, taking the chain as verified."""
         q0 = self.chain.elements[0]
@@ -186,8 +176,8 @@ class HereditaryBreakCertificate(JsonForm):
         s = [Fraction(0)]
         for x in a:
             s.append(s[-1] + x)
-        running: list[Fraction] = []
-        for k, step in enumerate(self.steps, start=1):
+        partial = Fraction(0)
+        for k, (step, (den, g, target)) in enumerate(zip(self.steps, self.obstructions()), start=1):
             i1, i2 = step.chain_indices
             if not (1 <= i1 < i2 <= len(a)):
                 raise CertificateError(f"step {k}: bad chain indices")
@@ -195,9 +185,8 @@ class HereditaryBreakCertificate(JsonForm):
                 raise CertificateError(f"step {k}: combined element mismatch")
             if step.combined <= 0:
                 raise CertificateError(f"step {k}: combined element not positive")
-            running.append(step.combined)
-            expected = sum(running, Fraction(0))
-            if step.partial_sum != expected:
+            partial += step.combined
+            if step.partial_sum != partial:
                 raise CertificateError(f"step {k}: partial sum mismatch")
             mk = step.divides_index
             leftover = s[mk] - step.partial_sum
@@ -205,9 +194,13 @@ class HereditaryBreakCertificate(JsonForm):
                 raise CertificateError(f"step {k}: divisibility witness mismatch")
             if leftover < 0:
                 raise CertificateError(f"step {k}: negative divisibility leftover")
-            if step.exclusion.head != q0 or step.exclusion.generators != tuple(running):
+            if step.exclusion.head != q0:
                 raise CertificateError(f"step {k}: exclusion transcript wrong target")
-            step.exclusion.verify()
+            if target % g == 0:  # g > 0, as every a'_i is positive
+                raise CertificateError(
+                    f"step {k}: exclusion not certified: gcd {g} of {den} * a'_1..a'_{k}"
+                    f" divides {den} * {q0}"
+                )
 
 
 def synthesize_break(
@@ -243,18 +236,18 @@ def synthesize_break(
     chain = mq_chain(q, depth)
     a, q0 = chain.differences, chain.elements[0]
     built: list[BreakStep] = []
-    running: list[Fraction] = []
+    partial = Fraction(0)
     for k in range(1, steps + 1):
-        running.append(a[2 * k - 2] + a[2 * k - 1])
-        gens = tuple(running)
+        combined = a[2 * k - 2] + a[2 * k - 1]
+        partial += combined
         built.append(
             BreakStep(
-                combined=running[-1],
+                combined=combined,
                 chain_indices=(2 * k - 1, 2 * k),
-                partial_sum=sum(running, Fraction(0)),
+                partial_sum=partial,
                 divides_index=2 * k,
                 leftover_indices=(),
-                exclusion=ExclusionTranscript(q0, gens, _bounds(q0, gens), 0),
+                exclusion=ExclusionTranscript(q0, 0),
             )
         )
     cert = HereditaryBreakCertificate(q, chain, tuple(built))

@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's search machinery: factorizations
 by plain nested loops, signs by mpmath interval refinement or exact
-squaring, membership by unstructured brute force.  They stay independent
-of the code paths they check.
+squaring, membership by unstructured brute force, atoms by a window scan
+over ``contains``.  They stay independent of the code paths they check.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from posmon.monoids import contains
 
 
 def brute_force_factorizations(gens: tuple[int, ...], b: int) -> set[tuple[int, ...]]:
@@ -127,6 +129,20 @@ def brute_force_membership(gens: list[Fraction], x: Fraction) -> bool:
         return False
 
     return rec(0, int(x * den))
+
+
+def no_window_decomposition(m, t, window, depth: int) -> bool:
+    """True when no window generator g yields t = g + (nonzero member):
+    the definition of an atom read literally over the window, one
+    ``contains`` query per generator, which the closed-form split rules
+    of ``factor._atom_rule`` are checked against."""
+    for g in window:
+        diff = t - g
+        if diff.is_zero or diff.is_negative:
+            continue
+        if contains(m, diff, depth).is_in:
+            return False
+    return True
 
 
 def mq_members_below(q: Fraction, max_index: int, max_coeff: int, bound: Fraction):

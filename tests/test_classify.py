@@ -22,6 +22,7 @@ from posmon.monoids import (
     Conductive,
     FIRST_POSITIVE,
     FULL_CONE,
+    FiniteGenerated,
     GeometricPuiseux,
     LexCone,
     Localized,
@@ -229,6 +230,18 @@ class TestChainConsistency:
         rep = classify_known(m)
         assert check_chain_consistency(rep)
         assert rep.to_json()["chain_ok"] is True
+
+    def test_non_archimedean_finitely_generated_is_ffm(self):
+        # every finitely generated monoid is FFM; the limit-point criterion
+        # is asked only over an Archimedean group
+        rep = classify_known(FiniteGenerated((lexvec(Z2, 1, 0), lexvec(Z2, 0, 1))))
+        assert rep.verdicts["FFM"] == Verdict("Proved", "known:finitely-generated-ffm")
+        for prop in ("FFM", "BFM", "ACCP", "SAM", "ATM"):
+            assert rep.status(prop) == "Proved"
+        assert check_chain_consistency(rep)
+        assert rep.to_json()["chain_ok"] is True
+        # a numerical monoid keeps its limit-point source for BFM
+        assert classify_known(numerical(3, 5)).verdicts["BFM"].source == "limit-point-criterion"
 
 
 class TestReportJson:

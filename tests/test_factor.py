@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from oracles import brute_force_factorizations, minimal_numerical_monoids
+from oracles import brute_force_factorizations, minimal_numerical_monoids, no_window_decomposition
 from posmon.classify import classify_conductive
 import posmon.factor as factor_module
 from posmon.elements import Q2, Z, Z2, Z2_SECOND, Group, GroupMismatch, lexvec, rational, triple, zero
@@ -30,6 +30,7 @@ from posmon.monoids import (
     GeometricPuiseux,
     LexCone,
     Localized,
+    NearlyAtomicAlpha,
     NotAMember,
     PrimeReciprocal,
     Product,
@@ -127,7 +128,7 @@ class TestAtoms:
             assert Fraction(4, 3) <= v < Fraction(7, 3)
 
 
-# the families whose atom windows are re-verified in ints, with one wrong
+# the families whose atom windows are re-verified without contains, with one wrong
 # closed-form candidate each: t = g + (nonzero member) for a window g
 INT_CHECKED = [
     (GeometricPuiseux(Fraction(2, 3)), rational(Fraction(5, 3))),
@@ -141,6 +142,8 @@ INT_CHECKED = [
     (PrimeReciprocal(), rational(Fraction(5, 6))),
     (Localized(3, Fraction(4, 3)), rational(Fraction(8, 3))),
     (almost_not_nearly_instance(), rational(Fraction(5, 6))),
+    (AlphaBeta(Fraction(2, 3)), triple(Fraction(5, 3), 0, 0)),
+    (NearlyAtomicAlpha(), triple(1, 0, 0)),
 ]
 
 # each family's int split rule against the full window scan through
@@ -187,6 +190,12 @@ INT_PATH_CASES += [
     (depth, m)
     for depth in (3, 5, 6, 7, 8)
     for m in (GeometricPuiseux(Fraction(2, 3)), PrimeReciprocal(), Localized(3, Fraction(4, 3)))
+]
+# the two irrational constructions at depths 1-10 (INT_CHECKED's at the others)
+INT_PATH_CASES += [
+    (depth, m)
+    for depth in (3, 5, 6, 7, 8, 9, 10)
+    for m in (AlphaBeta(Fraction(2, 3)), NearlyAtomicAlpha())
 ]
 # the union of M_0 with its group's tail, at six thresholds
 UNION_THRESHOLDS = [Fraction(x) for x in ("1/2", "1", "173/210", "5/4", "7/6", "3/2")]
@@ -247,7 +256,7 @@ class TestAtomReverification:
         window = generators(m, depth).generators
         expected = tuple(
             t for t in factor_module._atom_rule(m, depth).candidates
-            if factor_module._no_window_decomposition(m, t, window, depth)
+            if no_window_decomposition(m, t, window, depth)
         )
 
         def no_contains(*args, **kwargs):
@@ -267,7 +276,7 @@ class TestAtomReverification:
         window = generators(m, depth).generators
         got = [rule.splits(t) for t in rule.candidates]
         assert got == [
-            not factor_module._no_window_decomposition(m, t, window, depth) for t in rule.candidates
+            not no_window_decomposition(m, t, window, depth) for t in rule.candidates
         ]
         assert not any(got) or rule.mode == "filter"
 
@@ -305,9 +314,21 @@ class TestAtomReverification:
         splits = factor_module._atom_rule(m, depth).splits
         got = [splits(t) for t in ts]
         assert got == [
-            not factor_module._no_window_decomposition(m, t, window, depth) for t in ts
+            not no_window_decomposition(m, t, window, depth) for t in ts
         ]
         assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("m, depth, count", [
+        (AlphaBeta(Fraction(2, 3)), 60, 61 + 2 * 60),
+        (NearlyAtomicAlpha(), 160, 160),
+    ], ids=str)
+    def test_irrational_atoms_deep_within_a_second(self, m, depth, count):
+        # the split rule reads the prime coefficient and runs no membership
+        # search, so a deep window costs only its candidates
+        factor_module._atoms_cached.cache_clear()
+        start = time.monotonic()
+        assert len(atoms(m, depth).atoms) == count
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (5, 6), (7, 4)])
     def test_ray_candidates_are_the_window_below_twice_the_threshold(self, p, top):
@@ -321,7 +342,7 @@ class TestAtomReverification:
     def test_generated_union_lists_base_ray_atoms(self, depth):
         m = two_rays(2, "1", 3, "4/3")
         window = generators(m, depth).generators
-        expected = sorted(t for t in window if factor_module._no_window_decomposition(m, t, window, depth))
+        expected = sorted(t for t in window if no_window_decomposition(m, t, window, depth))
         assert list(atoms(m, depth).atoms) == expected
         assert rational(1) in expected
         assert is_atomic_element(m, rational(1), depth).status == "yes"

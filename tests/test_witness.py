@@ -5,6 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from posmon.monoids import NotAMember, contains, quasi_not_almost_instance
 from posmon import witness
 from posmon.elements import rational
 from posmon.witness import (
+    BreakStep,
     CertificateError,
     ChainCertificate,
     ExclusionTranscript,
@@ -129,21 +131,40 @@ class TestBreakSynthesis:
 
     def test_exclusions_are_exhaustive(self):
         # every gcd-certified exclusion, re-checked by brute-force membership
+        # over the step's prefix a'_1..a'_k
         for q in (Fraction(2, 3), Fraction(3, 4), Fraction(3, 5)):
             n, d = q.numerator, q.denominator
             cert = synthesize_break(q, 5, depth=10)
+            obstructions = list(cert.obstructions())
             for k, step in enumerate(cert.steps, 1):
-                ex = step.exclusion
-                assert not brute_force_membership(list(ex.generators), ex.head)
-                den, g, target = ex.obstruction()
-                assert g == d * d - n * n and target % g != 0
+                prefix = [st.combined for st in cert.steps[:k]]
+                assert step.exclusion.head == d
+                assert not brute_force_membership(prefix, step.exclusion.head)
+                den, g, target = obstructions[k - 1]
+                assert den == lcm(*(x.denominator for x in prefix))
+                assert g == gcd(*(x.numerator * (den // x.denominator) for x in prefix))
+                assert g == d * d - n * n and target == d * den and target % g != 0
                 assert step.chain_indices == (2 * k - 1, 2 * k)
                 assert step.leftover_indices == ()
 
     def test_generated_head_rejected(self):
-        ex = ExclusionTranscript(Fraction(3), (Fraction(1),), (3,), 0)
-        with pytest.raises(CertificateError):
-            ex.verify()
+        # a'_1 = 1/2 + 1/2 generates the head 3; the chain is taken as given
+        chain = ChainCertificate(
+            Fraction(2, 3), (Fraction(3), Fraction(5, 2), Fraction(2)), (Fraction(1, 2), Fraction(1, 2))
+        )
+        step = BreakStep(Fraction(1), (1, 2), Fraction(1), 2, (), ExclusionTranscript(Fraction(3), 0))
+        cert = HereditaryBreakCertificate(Fraction(2, 3), chain, (step,))
+        with pytest.raises(CertificateError, match="exclusion not certified"):
+            cert.verify_steps()
+
+    def test_four_hundred_steps_stay_small_and_fast(self):
+        # step k names its prefix instead of listing it: the document grows
+        # as the partial sums do, not cubically in the steps
+        start = time.monotonic()
+        text = json.dumps(synthesize_break(Fraction(2, 3), 400).to_json())
+        assert len(text) <= 2_000_000
+        assert verify_certificate_json(json.loads(text)) == "hereditary-break"
+        assert time.monotonic() - start < 2.0
 
     @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(2, 5)], ids=str)
     def test_twelve_steps_build_and_replay_fast(self, q):
@@ -170,6 +191,10 @@ class TestBreakSynthesis:
         HereditaryBreakCertificate.from_json(blob).verify()
         blob["steps"][1]["partial_sum"] = "9/2"
         with pytest.raises(CertificateError):
+            HereditaryBreakCertificate.from_json(blob).verify()
+        blob = json.loads(json.dumps(cert.to_json()))
+        blob["steps"][1]["exclusion"]["head"] = "2"
+        with pytest.raises(CertificateError, match="wrong target"):
             HereditaryBreakCertificate.from_json(blob).verify()
 
     def test_build_replays_the_chain_once(self, monkeypatch):
