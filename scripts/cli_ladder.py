@@ -49,6 +49,8 @@ LADDER = (
     ("atoms", "nearly", "--depth", "160"),
     ("break", "mq:2/3", "--steps", "400", "-o", "{tmp}/b.json"),
     ("verify", "{tmp}/b.json"),
+    ("chain", "mq:2/3", "--depth", "3000", "-o", "{tmp}/c.json"),
+    ("verify", "{tmp}/c.json"),
 )
 
 

@@ -19,6 +19,7 @@ renaming a field changes the format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -826,31 +827,37 @@ def _fg_contains(m: FiniteGenerated, x: GroupElement) -> MembershipVerdict:
 # -- geometric <q^n> ---------------------------------------------------------
 
 
-def _mq_digits(n: int, d: int, big: int, k: int) -> Optional[list[int]]:
-    """The canonical coefficients c_0..c_k of big over q = n/d, or None.
+def _mq_digits(n: int, d: int, big: int, k: int) -> Optional[list[tuple[int, int]]]:
+    """The nonzero canonical terms (i, c_i) of big over q = n/d, by
+    ascending index, or None.
 
-    They satisfy sum c_i n^i d^(k-i) == big with every c_i >= 0 and
-    c_i < d for i >= 1.  Modulo d only the top term survives, so c_k is
+    The coefficients satisfy sum c_i n^i d^(k-i) == big with every c_i >= 0
+    and c_i < d for i >= 1.  Modulo d only the top term survives, so c_k is
     forced to big * n^-k (mod d); subtracting it and dividing by d leaves
-    the same problem one level down.  Once the remainder is negative no
-    nonnegative completion exists.
+    the same problem one level down.  Once the remainder is zero the lower
+    coefficients are all zero, and once it is negative no nonnegative
+    completion exists.
     """
-    digits = [0] * (k + 1)
+    terms = []
     inv = pow(n, -1, d)
     step = pow(inv, k, d)  # n^-i mod d at level i
     power = n**k
     for i in range(k, 0, -1):
+        c = big % d * step % d
+        if c:
+            big -= c * power
+            terms.append((i, c))
+        big //= d
         if big <= 0:
             break
-        c = big % d * step % d
-        big = (big - c * power) // d
-        digits[i] = c
         power //= n
         step = step * n % d
     if big < 0:
         return None
-    digits[0] = big
-    return digits
+    if big:
+        terms.append((0, big))
+    terms.reverse()
+    return terms
 
 
 @lru_cache(maxsize=65536)
@@ -863,28 +870,42 @@ def _mq_solve(q: Fraction, x: Fraction) -> Optional[tuple[tuple[int, int], ...]]
     d q^(i+1) = n q^i turns any representation of a member into one with
     every coefficient at index >= 1 below d.  Uniqueness: the residues of
     ``_mq_digits`` force each such coefficient, so there is no search.
-    The least K with den(x) | d^K (each gcd step lowers every exponent of
-    den(x) by that of d, so K steps find it) suffices: if 0 < c_j < d at the top
-    index j >= 1, then d^j x is an integer that d does not divide, so
-    d^(j-1) x is not an integer and den(x) divides no d^(j-1); hence
-    j <= K.  See S. T. Chapman, F. Gotti and M. Gotti, "Factorization
-    invariants of Puiseux monoids generated by geometric sequences",
-    Comm. Algebra 48 (2020).
+
+    The digits are taken at the least K with den(x) | d^K.  That K
+    suffices: if 0 < c_j < d at the top index j >= 1, then d^j x is an
+    integer that d does not divide, so d^(j-1) x is not an integer and
+    den(x) divides no d^(j-1); hence j <= K.  And the least K keeps the
+    digit loop short: it runs K levels at most, and a one-term member
+    such as (d - n) q^k ends after its first.  When den(x) | d^K for some
+    K at all, every prime p of den(x) divides d, so
+    K = max ceil(v_p(den(x)) / v_p(d)) <= max v_p(den(x)) <= log2(den(x)),
+    which is below B = ``den(x).bit_length()``.  So den(x) | d^B decides
+    whether den(x) has a prime that d lacks, and since den(x) | d^k is
+    monotone in k, a binary search on ``pow(d, k, den(x)) == 0`` over
+    0..B finds K in O(log B) modular powers.  See S. T. Chapman, F. Gotti
+    and M. Gotti, "Factorization invariants of Puiseux monoids generated
+    by geometric sequences", Comm. Algebra 48 (2020).
     """
-    if x < 0:
+    return _mq_rep(q.numerator, q.denominator, x.numerator, x.denominator)
+
+
+@lru_cache(maxsize=65536)
+def _mq_rep(n: int, d: int, num: int, den: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """``_mq_solve(n/d, num/den)`` for num/den in lowest terms, den > 0,
+    cached on the four ints, so a lookup hashes no Fraction."""
+    if num < 0:
         return None
-    n, d = q.numerator, q.denominator
-    k, den = 0, x.denominator
-    while den > 1:
-        g = gcd(den, d)
-        if g == 1:
-            return None  # den(x) has a prime factor that d lacks
-        den //= g
-        k += 1
-    digits = _mq_digits(n, d, x.numerator * (d**k // x.denominator), k)
-    if digits is None:
-        return None
-    return tuple((i, c) for i, c in enumerate(digits) if c > 0)
+    lo, hi = 0, den.bit_length()
+    if pow(d, hi, den):
+        return None  # den has a prime factor that d lacks
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pow(d, mid, den):
+            lo = mid + 1
+        else:
+            hi = mid
+    terms = _mq_digits(n, d, num * (d**lo // den), lo)
+    return None if terms is None else tuple(terms)
 
 
 def _mq_contains(m: GeometricPuiseux, x: GroupElement) -> MembershipVerdict:
@@ -1314,6 +1335,19 @@ def _expect(kind, v):
     return v
 
 
+_PLAIN_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _fraction(v) -> Fraction:
+    """``Fraction(v)``, with a plain ASCII "n" or "n/d", the form that
+    ``str`` writes, read as two ints without Fraction's string parser.
+    Any other value, the errors included, goes through ``Fraction(v)``."""
+    if type(v) is str and _PLAIN_RATIO.fullmatch(v):
+        num, _, den = v.partition("/")
+        return Fraction(int(num), int(den or 1))
+    return Fraction(v)
+
+
 # (encode, decode) by type hint; an int reads through ``operator.index``,
 # which takes a bool as 0 or 1
 _SCALARS = {
@@ -1321,7 +1355,7 @@ _SCALARS = {
     str: (_same, partial(_expect, str)),
     dict: (_same, partial(_expect, dict)),
     object: (_same, _same),
-    Fraction: (str, Fraction),
+    Fraction: (str, _fraction),
     Group: (attrgetter("token"), group_from_token),
     GroupElement: (element_to_json, element_from_json),
     MonoidDescriptor: (descriptor_to_json, descriptor_from_json),

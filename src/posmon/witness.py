@@ -31,7 +31,7 @@ from .monoids import (
     GeometricPuiseux,
     JsonForm,
     NotAMember,
-    _mq_solve,
+    _mq_rep,
     _sqrt2_floor_check,
     almost_not_nearly_instance,
     alphabeta_atom,
@@ -72,39 +72,53 @@ class ChainCertificate(JsonForm):
         return len(self.differences)
 
     def verify(self) -> None:
-        """Replays every chain identity, and decides each difference a by
-        its canonical representation (``_mq_solve``), re-summed in ints:
-        with j its top index, sum c_i n^i d^(j-i) == d^j a."""
+        """Replays every chain identity q_i == q_(i+1) + a by integer
+        cross-multiplication, and decides each difference a by its
+        canonical representation (``monoids._mq_rep``), re-summed in ints:
+        with j its top index, sum c_i n^i d^(j-i) == d^j a.  The
+        representation is taken at the least K with den(a) | d^K, found by
+        a binary search below ``den(a).bit_length()`` (K is at most log2 of
+        the denominator when such a K exists), so a chain difference
+        (d - n) q^k costs O(log k) modular powers and one digit level."""
         q = self.ratio
         GeometricPuiseux(q)  # validates the ratio
         if len(self.elements) != len(self.differences) + 1:
             raise CertificateError("chain length mismatch")
         n, d = q.numerator, q.denominator
         for i, a in enumerate(self.differences):
-            if self.elements[i] != self.elements[i + 1] + a:
+            e, f = self.elements[i], self.elements[i + 1]
+            an, ad = a.numerator, a.denominator
+            # e == f + a, over the common denominator e.den * f.den * a.den
+            if e.numerator * f.denominator * ad != (f.numerator * ad + an * f.denominator) * e.denominator:
                 raise CertificateError(f"chain identity fails at step {i}")
-            if a <= 0:
+            if an <= 0:
                 raise CertificateError(f"difference {i + 1} is not positive")
-            rep = _mq_solve(q, a)
+            rep = _mq_rep(n, d, an, ad)
             if rep is None:
                 raise CertificateError(f"difference {i + 1} is not a member")
             top = rep[-1][0]
             total = sum(c * n**j * d ** (top - j) for j, c in rep)
-            if total * a.denominator != a.numerator * d**top:
+            if total * ad != an * d**top:
                 raise CertificateError(f"membership certificate {i + 1} broken")
 
 
 def mq_chain(q: Fraction, depth: int) -> ChainCertificate:
     """The canonical non-stabilizing chain of M_q:
-    q_n = d(q) q^n and a_{n+1} = (d(q) - n(q)) q^n."""
+    q_k = d(q) q^k and a_(k+1) = (d(q) - n(q)) q^k, built from the running
+    powers n^k and d^k."""
     q = Fraction(q)
     GeometricPuiseux(q)  # validates 0 < q < 1 and n(q) >= 2
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n, d = q.numerator, q.denominator
-    elements = tuple(d * q**k for k in range(depth + 1))
-    differences = tuple((d - n) * q**k for k in range(depth))
-    cert = ChainCertificate(q, elements, differences)
+    elements, differences = [Fraction(d)], []
+    nk, dk = 1, 1
+    for _ in range(depth):
+        differences.append(Fraction((d - n) * nk, dk))
+        nk *= n
+        dk *= d
+        elements.append(Fraction(d * nk, dk))
+    cert = ChainCertificate(q, tuple(elements), tuple(differences))
     cert.verify()
     return cert
 
@@ -189,6 +203,10 @@ class HereditaryBreakCertificate(JsonForm):
             if step.partial_sum != partial:
                 raise CertificateError(f"step {k}: partial sum mismatch")
             mk = step.divides_index
+            if not 0 <= mk <= len(a):
+                raise CertificateError(f"step {k}: divides index {mk} outside 0..{len(a)}")
+            if not all(1 <= i <= len(a) for i in step.leftover_indices):
+                raise CertificateError(f"step {k}: a leftover index is outside 1..{len(a)}")
             leftover = s[mk] - step.partial_sum
             if leftover != sum((a[i - 1] for i in step.leftover_indices), Fraction(0)):
                 raise CertificateError(f"step {k}: divisibility witness mismatch")

@@ -155,6 +155,41 @@ def mq_members_below(q: Fraction, max_index: int, max_coeff: int, bound: Fractio
     return sorted(vals)
 
 
+def mq_solve_by_gcd_steps(q: Fraction, x: Fraction):
+    """The canonical representation ((i, c_i), ...) of x in M_q, or None,
+    by the earlier algorithm: the least K with den(x) | d^K one gcd per
+    exponent (each step strips from den(x) the primes it shares with d),
+    then every canonical coefficient c_K..c_0 forced by its residue mod d
+    in a dense list, zeros included."""
+    if x < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    k, den = 0, x.denominator
+    while den > 1:
+        g = gcd(den, d)
+        if g == 1:
+            return None
+        den //= g
+        k += 1
+    big = x.numerator * (d**k // x.denominator)
+    digits = [0] * (k + 1)
+    inv = pow(n, -1, d)
+    step = pow(inv, k, d)
+    power = n**k
+    for i in range(k, 0, -1):
+        if big <= 0:
+            break
+        c = big % d * step % d
+        big = (big - c * power) // d
+        digits[i] = c
+        power //= n
+        step = step * n % d
+    if big < 0:
+        return None
+    digits[0] = big
+    return tuple((i, c) for i, c in enumerate(digits) if c > 0)
+
+
 def interval_sign(c0: Fraction, c1: Fraction, c2: Fraction) -> int:
     """Sign of c0 + c1 sqrt2 + c2 sqrt3 by mpmath interval refinement."""
     if c0 == 0 and c1 == 0 and c2 == 0:

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_triple_factorizations,
     brute_force_vector_factorizations,
     mq_members_below,
+    mq_solve_by_gcd_steps,
 )
 from posmon.elements import Group, GroupElement, Q, Q2, T, Z2, Z2_SECOND, lexvec, rational, triple, zero
 from posmon.factor import (
@@ -102,6 +103,29 @@ class TestCanonicalRepresentation:
                 assert _mq_solve(q, Fraction(1, p)) is None
                 assert _mq_solve(q, Fraction(1, p * d)) is None
                 assert _mq_solve(q, Fraction(p * d + 1, p * d)) is None
+
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_matches_gcd_step_oracle(self, q):
+        # the binary-searched exponent and sparse digits against the
+        # exponent-at-a-time loop and dense digits, on every divisor of
+        # d^j (powers of d and the proper divisors between them), on
+        # d^j times a prime d lacks, deep powers, zero and negatives
+        rng = random.Random(f"mq-oracle-{q}")
+        d = q.denominator
+        dens = {e for j in range(4) for e in range(1, d**j + 1) if d**j % e == 0}
+        dens |= {d**j for j in range(4, 40, 5)}
+        dens |= {d**j * p for j in range(6) for p in (2, 3, 5, 7, 11, 13) if d % p}
+        values = [Fraction(0), Fraction(-1), Fraction(-1, d), Fraction(-5, d**3)]
+        for den in sorted(dens):
+            nums = set(range(1, 2 * d + 2)) | {rng.randrange(1, 4 * den + 2) for _ in range(6)}
+            values += [Fraction(num, den) for num in nums]
+            values += [Fraction(-num, den) for num in sorted(nums)[:3]]
+        members = 0
+        for x in values:
+            rep = _mq_solve(q, x)
+            assert rep == mq_solve_by_gcd_steps(q, x), (q, x)
+            members += rep is not None
+        assert 0 < members < len(values)
 
     def test_denominator_properly_dividing_a_power_of_d(self):
         q = Fraction(3, 4)

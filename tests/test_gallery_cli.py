@@ -30,6 +30,7 @@ from posmon.monoids import (
     UnionShift,
     numerical,
 )
+from posmon.witness import synthesize_break
 
 # prime_sum_refutation(1/5) as a document; replay stopped only once the
 # greedy prefix reached ``count`` primes, so a count below 1 never returned
@@ -42,6 +43,14 @@ PRIME_SUM_1_5 = {
     "sum_num_digest": "sha256:9f6d6e9327033f012a2a2ff4debe2e35a1b913f24cab419483a29b76a225c3b1",
     "sum_den_digest": "sha256:033120502e89cb1d29b42bc6fb52c2891138e7970fbd34dfa73a3ce37699e003",
 }
+# a one-step break over the depth-6 chain of M_(2/3) as a document
+BREAK_6 = synthesize_break(Fraction(2, 3), 1, depth=6).to_json()
+
+
+def break_6(divides_index, leftover_indices):
+    """BREAK_6 with its step's divisibility witness replaced."""
+    step = {**BREAK_6["steps"][0], "divides_index": divides_index, "leftover_indices": leftover_indices}
+    return {**BREAK_6, "steps": [step]}
 
 
 class TestGallery:
@@ -252,9 +261,16 @@ class TestCliCommands:
             *({**PRIME_SUM_1_5, "count": count} for count in (0, -1, None, "3x")),
             # replay stops once a prime passes last_prime, not after count primes
             {**PRIME_SUM_1_5, "count": 2_000_000},
+            # step indices past the chain, and negative ones, which Python
+            # indexing would wrap to the chain's end (s_6 = s'_1 + a_3..a_6)
+            break_6(99, []),
+            break_6(2, [99]),
+            break_6(-1, [3, 4, 5, 6]),
+            break_6(6, [-3, -2, -1, 0]),
         ],
         ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences",
-             "count-0", "count-negative", "count-null", "count-text", "count-2000000"],
+             "count-0", "count-negative", "count-null", "count-text", "count-2000000",
+             "divides-index-99", "leftover-index-99", "divides-index-negative", "leftover-indices-negative"],
     )
     def test_verify_malformed_document_exit_two(self, capsys, tmp_path, doc):
         path = tmp_path / "cert.json"
@@ -263,7 +279,8 @@ class TestCliCommands:
         code = main(["verify", str(path)])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_MISMATCH
-        assert "FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "Traceback" not in captured.err
 
     def test_factorize_deep_mq_power_is_total(self, capsys):
         # the membership descent takes one level per power of d(q)

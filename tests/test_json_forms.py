@@ -32,6 +32,7 @@ from posmon.monoids import (
     PrimeReciprocal,
     Product,
     UnionShift,
+    _fraction,
     descriptor_from_json,
     descriptor_to_json,
     numerical,
@@ -189,6 +190,31 @@ def test_malformed_field_raises_certificate_error(name, doc, path, mutate):
     with pytest.raises(CertificateError):
         verify_certificate_json(broken)
     assert time.monotonic() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# the Fraction decoder reads plain "n/d" as two ints, and is Fraction(v)
+
+
+FRACTION_CORPUS = [
+    "3/4", "-3/4", "+3/4", " 3/4", "3 /4", "3/-4", "1_000/3", "00/5", "-0", "1/0", "-0/7",
+    "\u0663/4", "1.5", "1e3", "", "3/4/5", "/4", "3/", "-", "12345678901234567890/9876543210",
+    7, -2, None, 1.5, ["3/4"],
+]
+
+
+def _outcome(decode, v):
+    try:
+        return "value", decode(v)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("v", FRACTION_CORPUS, ids=repr)
+def test_fraction_decoder_agrees_with_fraction(v):
+    got = _outcome(_fraction, v)
+    assert got == _outcome(Fraction, v)
+    assert got[0] == "raises" or type(got[1]) is Fraction
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from math import gcd, lcm
 import pytest
 
 from oracles import brute_force_membership, greedy_prime_prefix
-from posmon.monoids import NotAMember, contains, quasi_not_almost_instance
+from posmon.monoids import NotAMember, _mq_rep, contains, quasi_not_almost_instance
 from posmon import witness
 from posmon.elements import rational
 from posmon.witness import (
@@ -89,6 +89,21 @@ class TestChain:
         c = mq_chain(Fraction(2, 3), 400)
         assert c.depth == 400
         assert time.perf_counter() - start < 2.0
+
+    def test_depth_three_thousand_builds_and_replays_fast(self):
+        # the replay starts from a cold solver cache, as a fresh `verify` does
+        start = time.perf_counter()
+        c = mq_chain(Fraction(2, 3), 3000)
+        _mq_rep.cache_clear()
+        c.verify()
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(3, 4), Fraction(4, 9), Fraction(7, 10)], ids=str)
+    def test_running_powers_give_the_chain(self, q):
+        d, n = q.denominator, q.numerator
+        c = mq_chain(q, 30)
+        assert c.elements == tuple(d * q**k for k in range(31))
+        assert c.differences == tuple((d - n) * q**k for k in range(30))
 
     def test_json_roundtrip(self):
         c = mq_chain(Fraction(4, 7), 6)
