@@ -6,32 +6,32 @@ encoded once per atom list as a ``Window`` on the object that owns the
 list (``AtomSet.window``, ``FiniteGenerated.window``): int tuples of lex
 coordinates in priority order or of (1, sqrt2, sqrt3) coefficients, one
 common denominator cleared and every coordinate that is 0 on all atoms
-dropped.  A query encodes only its target, which has no factorization
-when its denominator does not divide the window's or it is nonzero on a
-dropped coordinate.  The search follows the shape of the encoded window, not
-the monoid family, and no search works on group elements.  Rank 1 runs
-one scalar loop: with suffix gcds g_i = gcd(v_i, g_(i+1)), the
-multiplicity at level i solves c * v_i = r (mod g_(i+1)), so it steps
-through one residue class modulo g_(i+1) / g_i (n(q) for M_q, the prime
-p_i for M_0).  Rank 2 with every atom's leading coordinate at least 1
-(a plane window) runs one walk in which the leading coordinate is a
-length budget and the trailing one is bounded by suffix ratio ranges,
-compared by integer cross-multiplication; budgets with room for at most
-one atom are leaves, and each node (level, residual) is expanded once
-and its value kept (``_plane_walk``).  Neither needs the group's order,
-so they also serve sqrt2/sqrt3 windows of those shapes.  Every other
-window (lex windows of encoded rank 3 and up or with mixed leading
-coordinates, and the other sqrt2/sqrt3 windows) runs one vector loop: the
-scalar rule per coordinate, combined by CRT, and an order bound by tuple
-comparison (lex) or exact signs (sqrt2/sqrt3).  All three loops are
-iterative, with per-level arrays in place of recursion, and
-``_enumerate`` is the only way into them: factorizations, length sets,
-atomicity witnesses, the atoms of finitely generated monoids and their
-membership all go through it.  Every search emits in lexicographic order
-of the multiplicity vector over the descending atoms, so reports are
-reproducible.  A finitely generated monoid is atomic with a complete atom
-list, so there the enumeration itself decides membership (an empty one
-raises NotAMember).
+dropped.  The window picks its search loop from its encoded shape, not the
+monoid family, and builds that loop's tables, once.  A query encodes only
+its target, which has no factorization when its denominator does not
+divide the window's or it is nonzero on a dropped coordinate; no search
+works on group elements.  Rank 1 runs one scalar loop: with suffix gcds
+g_i = gcd(v_i, g_(i+1)), the multiplicity at level i solves c * v_i = r
+(mod g_(i+1)), so it steps through one residue class modulo g_(i+1) / g_i
+(n(q) for M_q, the prime p_i for M_0).  Rank 2 with every atom's leading
+coordinate at least 1 (a plane window) runs one walk in which the leading
+coordinate is a length budget and the trailing one is bounded by suffix
+ratio ranges, compared by integer cross-multiplication; budgets with room
+for at most one atom are leaves, and each node (level, residual) is
+expanded once and its value kept (``_plane_walk``).  Neither needs the
+group's order, so they also serve sqrt2/sqrt3 windows of those shapes.
+Every other window (lex windows of encoded rank 3 and up or with mixed
+leading coordinates, and the other sqrt2/sqrt3 windows) runs one vector
+loop: the scalar rule per coordinate, combined by CRT, and an order bound
+by tuple comparison (lex) or exact signs (sqrt2/sqrt3).  All three loops
+are iterative, with per-level arrays in place of recursion, and
+``_enumerate``, which runs the window's loop on the encoded target, is the
+only way into them: factorizations, length sets, atomicity witnesses, the
+atoms of finitely generated monoids and their membership all go through
+it.  Every search emits in lexicographic order of the multiplicity vector
+over the descending atoms, so reports are reproducible.  A finitely
+generated monoid is atomic with a complete atom list, so there the
+enumeration itself decides membership (an empty one raises NotAMember).
 
 ``factorizations``, ``length_set`` and ``is_atomic_element`` differ only
 in how they shape the answer: all three enter the search through
@@ -527,13 +527,13 @@ def _pairs(desc, vec) -> tuple:
 
 class Window:
     """One atom list, encoded once: the atoms in descending order, their
-    int tuples (``pts``) over the common denominator ``den``, the
-    positions kept (``keep``, in priority order or among the (1, sqrt2,
-    sqrt3) coefficients; the others are 0 on every atom) and, at encoded
-    rank 1, the scalar loop's tables.  A multiset of atoms sums to a
-    target exactly when their tuples sum to the target's (``encode``)."""
+    int tuples (``pts``) over the common denominator ``den``, the positions
+    kept (``keep``, in priority order or among the (1, sqrt2, sqrt3)
+    coefficients; the others are 0 on every atom) and the loop for its
+    shape with its tables (``search``, ``tables``).  A multiset of atoms
+    sums to a target exactly when their tuples do (``encode``)."""
 
-    __slots__ = ("atoms", "pts", "den", "keep", "dropped", "order", "scalar")
+    __slots__ = ("atoms", "pts", "den", "keep", "dropped", "order", "search", "tables")
 
     def __init__(self, desc):
         self.atoms = desc = tuple(desc)
@@ -548,20 +548,14 @@ class Window:
         self.dropped = tuple(k for k in range(rank) if k not in self.keep)
         if self.dropped:
             pts = [tuple(p[k] for k in self.keep) for p in pts]
-        self.pts = tuple(pts)
-        self.scalar = None
+        self.pts = pts = tuple(pts)
         if len(self.keep) == 1:
-            # per level: g_i = gcd(v_i, g_(i+1)), the step g_(i+1) / g_i and the inverse
-            # of v_i / g_i modulo the step (1 and 0 where every multiplicity qualifies)
-            vals = [x for (x,) in pts]
-            n = len(vals)
-            g, step, inv = vals[:], [1] * n, [0] * n
-            for i in range(n - 2, -1, -1):
-                g[i] = gcd(vals[i], g[i + 1])
-                if g[i] != g[i + 1]:
-                    step[i] = g[i + 1] // g[i]
-                    inv[i] = pow(vals[i] // g[i], -1, step[i])
-            self.scalar = tuple(vals), tuple(g), tuple(step), tuple(inv)
+            self.search, self.tables = _scalar_search, _scalar_tables([x for (x,) in pts])
+        elif len(self.keep) == 2 and all(x >= 1 for x, _ in pts):
+            self.search, self.tables = _plane_walk, _plane_tables(pts)
+        else:
+            keep = self.keep if g.kind == "sqrt23" else None
+            self.search, self.tables = _vector_search, _vector_tables(pts, keep)
 
     def _coords(self, v) -> tuple:
         if self.order:
@@ -589,25 +583,31 @@ class Window:
 
 
 def _enumerate(win: Window, target, max_count, lengths_only: bool = False):
-    """(solutions, truncated) for target over the window: the scalar loop,
-    the plane walk or the vector loop, by the shape of the encoded window;
-    this is the only caller of the three.  Only the target is encoded.
-    With lengths_only the solutions are factorization lengths; a plane
-    window then gives each length once."""
+    """(solutions, truncated) for target over the window, by the loop and
+    tables the window chose; this is the only caller of the three loops.
+    Only the target is encoded.  With lengths_only the solutions are
+    factorization lengths; a plane window then gives each length once."""
     t = win.encode(target)
     if t is None:
         return [], False
-    if win.scalar:
-        return _scalar_search(win.scalar, t[0], max_count, lengths_only)
-    if len(t) == 2 and all(x >= 1 for x, _ in win.pts):
-        return _plane_walk(win.pts, t, max_count, lengths_only)
-    triples = target.group.kind == "sqrt23"
-    return _vector_search(win.pts, t, max_count, lengths_only, win.keep if triples else None)
+    return win.search(win.tables, t, max_count, lengths_only)
+
+
+def _scalar_tables(vals) -> tuple:
+    """``_scalar_search``'s tables: the atoms, g_i, the steps and the inverses."""
+    n = len(vals)
+    g, step, inv = vals[:], [1] * n, [0] * n
+    for i in range(n - 2, -1, -1):
+        g[i] = gcd(vals[i], g[i + 1])
+        if g[i] != g[i + 1]:
+            step[i] = g[i + 1] // g[i]
+            inv[i] = pow(vals[i] // g[i], -1, step[i])
+    return tuple(vals), tuple(g), tuple(step), tuple(inv)
 
 
 def _scalar_search(tables, tgt, max_count, lengths_only):
-    """Knapsack solutions for the int tgt over positive int atoms in
-    descending order, from a window's scalar tables.
+    """Knapsack solutions for the 1-tuple tgt over positive int atoms in
+    descending order (``_scalar_tables``).
 
     With suffix gcds g_i = gcd(v_i, g_(i+1)), the residual r entering level
     i is a multiple of g_i, and what it leaves to the later levels must be
@@ -616,7 +616,7 @@ def _scalar_search(tables, tgt, max_count, lengths_only):
     has the single multiplicity r / v_last.
     """
     vals, g, step, inv = tables
-    if tgt % g[0]:
+    if tgt[0] % g[0]:
         return [], False
     n = len(vals)
     last = n - 1
@@ -625,7 +625,7 @@ def _scalar_search(tables, tgt, max_count, lengths_only):
     counts = [0] * n
     rems = [0] * n  # residual entering each level
     lens = [0] * n  # length chosen above each level
-    i, r, ln = 0, tgt, 0
+    i, r, ln = 0, tgt[0], 0
     while True:
         while r >= low and i < last:
             c = r // g[i] * inv[i] % step[i]
@@ -660,9 +660,25 @@ def _scalar_search(tables, tgt, max_count, lengths_only):
             counts[i] = 0
 
 
-def _plane_walk(pts, tgt, max_count, lengths_only):
+def _plane_tables(pts) -> tuple:
+    """``_plane_walk``'s tables: xs, ys, lo_i and hi_i, min(xs), atom levels."""
+    n = len(pts)
+    xs, ys = zip(*pts)
+    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
+    ln, ld = hn, hd = ys[-1], xs[-1]
+    for i in range(n - 1, -1, -1):
+        x, y = pts[i]
+        if y * ld < ln * x:
+            ln, ld = y, x
+        if y * hd > hn * x:
+            hn, hd = y, x
+        lo_n[i], lo_d[i], hi_n[i], hi_d[i] = ln, ld, hn, hd
+    return xs, ys, lo_n, lo_d, hi_n, hi_d, min(xs), {p: k for k, p in enumerate(pts)}
+
+
+def _plane_walk(tables, tgt, max_count, lengths_only):
     """Solutions over rank-2 int atoms (x, y) with x >= 1, in descending
-    order: multiplicity vectors, or with lengths_only each length once.
+    order (``_plane_tables``): vectors, or with lengths_only each length once.
 
     The leading coordinate is a length budget.  A node of the search tree
     is (level i, leading residual m, trailing residual r), and the
@@ -691,23 +707,11 @@ def _plane_walk(pts, tgt, max_count, lengths_only):
     lengths of the solutions counted so far are the open nodes' masks,
     folded up the levels.
     """
+    xs, ys, lo_n, lo_d, hi_n, hi_d, low, at = tables
     # like the other loops, stop no sooner than at the first solution
     max_count = max(max_count, 1)
-    n = len(pts)
+    n = len(xs)
     last = n - 1
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    lo_n, lo_d, hi_n, hi_d = [0] * n, [1] * n, [0] * n, [1] * n
-    ln, ld = hn, hd = ys[last], xs[last]
-    for i in range(last, -1, -1):
-        x, y = pts[i]
-        if y * ld < ln * x:
-            ln, ld = y, x
-        if y * hd > hn * x:
-            hn, hd = y, x
-        lo_n[i], lo_d[i], hi_n[i], hi_d[i] = ln, ld, hn, hd
-    low = min(xs)
-    at = {p: k for k, p in enumerate(pts)}
     memo: list[dict] = [{} for _ in range(n)]
     # per level: passed or open; the open node (m, r), the multiplicity of
     # its current child (0 from the current level on, so cs is the vector
@@ -793,10 +797,10 @@ def _bits(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
-    """Solutions over int atom vectors in descending order: lex points in
-    priority order when keep is None, else sqrt2/sqrt3 triples restricted
-    to the (1, sqrt2, sqrt3) positions that keep names.
+def _vector_tables(pts, keep=None) -> tuple:
+    """The vector loop's tables over int atom vectors in descending order:
+    lex points in priority order when keep is None, else sqrt2/sqrt3
+    triples restricted to the (1, sqrt2, sqrt3) positions that keep names.
 
     Let g_(i,j) be the gcd of coordinate j over the atoms from level i on
     (0 when none of them touches it).  The residual r entering level i is
@@ -806,15 +810,16 @@ def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
     per coordinate.  A coordinate that atom i touches and no later atom
     does (g_(i+1,j) = 0) fixes c = r_j / a_(i,j) outright, as every touched
     coordinate does at the last level; otherwise the classes combine by
-    CRT into one class modulo a per-level modulus, through which c steps.  c rises only while c * a_i <= r in the group's
-    order.  For lex points r is 0 before the atom's leading coordinate L
-    (those coordinates were fixed at earlier levels, which subsumes the
-    level prune), so the bound is r_L // a_L, less one when the rest of
+    CRT into one class modulo a per-level modulus, through which c steps.
+    c rises only while c * a_i <= r in the group's order (``top_of``).
+    For lex points r is 0 before the atom's leading coordinate L (those
+    coordinates were fixed at earlier levels, which subsumes the level
+    prune), so the bound is r_L // a_L, less one when the rest of
     r - c * a_i then starts negative.  For triples a 64-bit fixed-point
     quotient seeds the bound and exact signs of r - c * a_i settle it.
     """
-    n, k = len(pts), len(tgt)
-    after = [0] * k  # g_(i+1,j) while the tables are built, then g_(0,j)
+    n = len(pts)
+    after = [0] * len(pts[0])  # g_(i+1,j) while the tables are built, then g_(0,j)
     # per level: the coordinate that fixes c (or -1), the coordinates whose
     # congruence constrains c as (j, a_(i,j), g_(i+1,j)), and the CRT plan
     fixes, cons, plans, mods = [-1] * n, [()] * n, [()] * n, [1] * n
@@ -837,9 +842,6 @@ def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
                 mod *= mh
             plans[i], mods[i] = tuple(plan), mod
         after = [gcd(x, g) for x, g in zip(a, after)]
-    if any(t % g for t, g in zip(tgt, after)):
-        return [], False
-
     if keep is None:
         leads = [next(j for j, x in enumerate(a) if x) for a in pts]
 
@@ -869,7 +871,15 @@ def _vector_search(pts, tgt, max_count, lengths_only, keep=None):
             while sign([x - (c + 1) * y for x, y in zip(r, a)]) >= 0:
                 c += 1
             return c
+    return pts, fixes, cons, plans, mods, after, top_of
 
+
+def _vector_search(tables, tgt, max_count, lengths_only):
+    """Solutions over int atom vectors in descending order (``_vector_tables``)."""
+    pts, fixes, cons, plans, mods, after, top_of = tables
+    if any(t % g for t, g in zip(tgt, after)):
+        return [], False
+    n = len(pts)
     out: list = []
     counts = [0] * n
     rems = [tgt] * n  # residual entering each level

@@ -187,9 +187,7 @@ class HereditaryBreakCertificate(JsonForm):
         """Check every step against the chain, taking the chain as verified."""
         q0 = self.chain.elements[0]
         a = self.chain.differences  # a_1 ... (index shift: a[i-1] = a_i)
-        s = [Fraction(0)]
-        for x in a:
-            s.append(s[-1] + x)
+        s = [Fraction(0)]  # the chain prefix sums s_0 ..., as far as a step reads
         partial = Fraction(0)
         for k, (step, (den, g, target)) in enumerate(zip(self.steps, self.obstructions()), start=1):
             i1, i2 = step.chain_indices
@@ -207,6 +205,8 @@ class HereditaryBreakCertificate(JsonForm):
                 raise CertificateError(f"step {k}: divides index {mk} outside 0..{len(a)}")
             if not all(1 <= i <= len(a) for i in step.leftover_indices):
                 raise CertificateError(f"step {k}: a leftover index is outside 1..{len(a)}")
+            while len(s) <= mk:
+                s.append(s[-1] + a[len(s) - 1])
             leftover = s[mk] - step.partial_sum
             if leftover != sum((a[i - 1] for i in step.leftover_indices), Fraction(0)):
                 raise CertificateError(f"step {k}: divisibility witness mismatch")

@@ -22,7 +22,10 @@ from posmon.elements import Group, GroupElement, Q, Q2, T, Z2, Z2_SECOND, lexvec
 from posmon.factor import (
     Window,
     _enumerate,
+    _plane_walk,
+    _scalar_search,
     _vector_search,
+    _vector_tables,
     atoms,
     factorizations,
     is_atomic_element,
@@ -391,7 +394,8 @@ class TestEngineEdges:
         keeps a node open on every level down to the atom (1, 2), so the
         walk holds one open node per level.  Its vectors and its lengths
         come from the same walk, and both are checked against the vector
-        loop on the same points, which shares no code with the walk.  The
+        loop over tables built from the same raw points (a ``Window`` of
+        them would pick the walk), which shares no code with the walk.  The
         vector loop is asked for the walk's solutions only, since
         exhausting this window costs it about levels**3 nodes.  An
         untruncated count is the number of partitions of the trailing
@@ -400,7 +404,8 @@ class TestEngineEdges:
         levels = sys.getrecursionlimit() + 200
         ys = range(levels - 1, -1, -1)
         win = Window([lexvec(Z2, 1, y) for y in ys])
-        pts = [(1, y) for y in ys]
+        assert win.search is _plane_walk
+        tables = _vector_tables([(1, y) for y in ys])
         for target, max_count, count in (
             ((3, 6), 100, 7), ((3, 6), 3, 3), ((2, 0), 1, 1), ((3, 1), 100, 1),
         ):
@@ -408,8 +413,8 @@ class TestEngineEdges:
             vectors, truncated = _enumerate(win, b, max_count)
             lengths = _enumerate(win, b, max_count, lengths_only=True)
             assert len(vectors) == count and truncated == (count == max_count), target
-            assert vectors == _vector_search(pts, target, count, False)[0], target
-            reference = _vector_search(pts, target, count, True)[0]
+            assert vectors == _vector_search(tables, target, count, False)[0], target
+            reference = _vector_search(tables, target, count, True)[0]
             assert lengths == (sorted(set(reference)), truncated), target
 
 
@@ -595,7 +600,13 @@ def test_cached_window_matches_brute_force(name, m, targets):
     for members and non-members alike: targets whose denominator does not
     divide the window's, or that are nonzero on a coordinate every
     generator leaves at 0, have none.  Membership certificates are the
-    first vector over the generators."""
+    first vector over the generators.
+
+    A window builds its loop's tables once and every call shares them, so
+    each window answers max_count 1, 3 and unbounded, vectors and lengths
+    interleaved, and each answer must be the prefix of the full one (for
+    a plane window, the set of its lengths), truncated exactly when the
+    search was cut."""
     atom_set = atoms(m)
     assert m.window.atoms == tuple(sorted(set(m.generators), reverse=True))
     assert atom_set.window.atoms == atom_set.atoms[::-1]
@@ -609,9 +620,13 @@ def test_cached_window_matches_brute_force(name, m, targets):
                 expected[win] = brute_force_triple_factorizations([a.value for a in win.atoms], b.value)
             else:
                 expected[win] = brute_force_vector_factorizations(*_cleared(win.atoms, b))
-            assert _enumerate(win, b, 10**6) == (expected[win], False), (b, win.atoms)
-            lengths, truncated = _enumerate(win, b, 10**6, lengths_only=True)
-            assert set(lengths) == {sum(v) for v in expected[win]} and not truncated, b
+            for k in (1, 3, 10**6):
+                full, cut = expected[win], len(expected[win]) >= k
+                assert _enumerate(win, b, k) == (full[:k], cut), (b, k, win.atoms)
+                lengths = [sum(v) for v in full[:k]]
+                if win.search is _plane_walk:
+                    lengths = sorted(set(lengths))
+                assert _enumerate(win, b, k, lengths_only=True) == (lengths, cut), (b, k, win.atoms)
         if b.is_negative:
             continue
         first = expected[m.window][:1]
@@ -622,3 +637,11 @@ def test_cached_window_matches_brute_force(name, m, targets):
             assert verdict.certificate == tuple((a, c) for a, c in zip(m.window.atoms, first[0]) if c)
             assert replay_certificate(verdict, zero(m.group)) == b
     assert members
+
+
+def test_window_cases_cover_every_loop():
+    """``WINDOW_CASES`` run the scalar loop, the plane walk over both
+    groups and the vector loop over both groups."""
+    loops = {(m.window.search, m.group.kind) for _, m, _ in WINDOW_CASES}
+    assert loops >= {(_scalar_search, "Q"), (_plane_walk, "lex"), (_plane_walk, "sqrt23"),
+                     (_vector_search, "lex"), (_vector_search, "sqrt23")}
