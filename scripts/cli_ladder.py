@@ -46,11 +46,14 @@ LADDER = (
     ("probe", "cone:NxZ", "LFM", "--bound", "12,40"),
     ("probe", "conductive:Z2:a=(1,0)", "HFM", "--bound", "12,40"),
     ("atoms", "malphabeta:2/3", "--depth", "60"),
+    ("atoms", "malphabeta:2/3", "--depth", "3000"),
+    ("atoms", "malphabeta:2/3", "--depth", "5000"),
     ("atoms", "nearly", "--depth", "160"),
     ("break", "mq:2/3", "--steps", "400", "-o", "{tmp}/b.json"),
     ("verify", "{tmp}/b.json"),
     ("chain", "mq:2/3", "--depth", "3000", "-o", "{tmp}/c.json"),
     ("verify", "{tmp}/c.json"),
+    ("factorize", "m0", "1/3317044064679887385962123"),
 )
 
 

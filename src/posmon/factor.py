@@ -390,13 +390,13 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
         return AtomRule(sorted(cands), splits, False, None, "filter")
     if isinstance(m, AlphaBeta):
         cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
-        for s in alphabeta_domain(m.q, depth):
-            cands += [alphabeta_atom(m.q, s, "alpha"), alphabeta_atom(m.q, s, "beta")]
+        for s, p in zip(alphabeta_domain(m.q, depth), first_primes(depth)):
+            cands += [alphabeta_atom(s, p, "alpha"), alphabeta_atom(s, p, "beta")]
         mq_split = _canonical_split(partial(_mq_solve, m.q), depth)
         splits = lambda t: not any(t.value[1:]) and mq_split(rational(t.value[0]))
         return AtomRule(cands, splits, False, "ratio powers plus the two sqrt directions", "assert")
     if isinstance(m, NearlyAtomicAlpha):
-        cands = [nearly_atom(x) for x in calkin_wilf(depth)]
+        cands = [nearly_atom(x, p) for x, p in zip(calkin_wilf(depth), first_primes(depth))]
         note = "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms"
         return AtomRule(cands, lambda t: not t.value[1], False, note, "assert")
     raise UnsupportedFamily(f"no atom procedure for {m.family}")

@@ -43,7 +43,6 @@ from .elements import (
 )
 from .primes import (
     calkin_wilf,
-    calkin_wilf_index,
     factorize,
     first_primes,
     is_prime,
@@ -490,7 +489,10 @@ def alphabeta_domain(q: Fraction, count: int) -> tuple[Fraction, ...]:
     enumerated by increasing grade K + sum(c_i) and lexicographic
     coefficient order inside a grade; a value joins S the first time it
     appears.  The order is fixed so that phi (n-th element -> n-th prime)
-    is reproducible across runs.
+    is reproducible across runs.  Every site that walks this tuple reads
+    phi by position, zipping it with ``first_primes``; only a value found
+    by arithmetic (``verify_not_strongly_atomic``'s d + q^k) is looked up
+    by ``alphabeta_phi``.
     """
     q = Fraction(q)
     found: list[Fraction] = []
@@ -510,29 +512,24 @@ def alphabeta_domain(q: Fraction, count: int) -> tuple[Fraction, ...]:
     return tuple(found)
 
 
-def _graded_values(q: Fraction, grade: int):
+def _graded_values(q: Fraction, grade: int) -> list[Fraction]:
     """Values of coefficient vectors whose top index K and coefficient sum
     satisfy K + sum(c) == grade, top coefficient nonzero (except the empty
-    vector at grade 0)."""
+    vector at grade 0), by K and then lexicographically in c."""
+    if grade == 0:
+        return [Fraction(0)]
     powers = [q**i for i in range(grade + 1)]
     out: list[Fraction] = []
-    for top_index in range(grade + 1):
-        budget = grade - top_index
-        if top_index == 0:
-            for c in range(budget + 1):
-                if grade == 0 or c >= 1:
-                    out.append(powers[0] * c)
-            continue
 
-        def rec(idx: int, budget_: int, acc: Fraction):
-            if idx > top_index:
-                out.append(acc)
-                return
-            lo = 1 if idx == top_index else 0
-            for c in range(lo, budget_ + 1):
-                rec(idx + 1, budget_ - c, acc + powers[idx] * c)
+    def rec(idx: int, top: int, budget: int, acc: Fraction):
+        if idx == top:  # the top coefficient takes what is left
+            out.append(acc + powers[idx] * budget)
+            return
+        for c in range(budget):
+            rec(idx + 1, top, budget - c, acc + powers[idx] * c)
 
-        rec(0, budget, Fraction(0))
+    for top in range(grade):
+        rec(0, top, grade - top, Fraction(0))
     return out
 
 
@@ -548,27 +545,13 @@ def alphabeta_phi(q: Fraction, s: Fraction) -> int:
         count *= 2
 
 
-def nearly_phi(x: Fraction) -> int:
-    """phi(x) for the Calkin-Wilf enumeration of Q_{>=0}: the prime at
-    x's position, read from the first 16 * 2^j primes that reach it."""
-    index = calkin_wilf_index(Fraction(x), 21)
-    if index is None:
-        raise RuntimeError(f"{x} not reached within the enumeration cap")
-    count = 16
-    while count <= index:
-        count *= 2
-    return first_primes(count)[index]
-
-
-def nearly_atom(x: Fraction) -> GroupElement:
-    """The atom (alpha + x)/phi(x) of the nearly-atomic instance."""
-    p = nearly_phi(x)
+def nearly_atom(x: Fraction, p: int) -> GroupElement:
+    """The atom (alpha + x)/p of the nearly-atomic instance, p = phi(x)."""
     return triple(Fraction(x) / p, Fraction(1, p), 0)
 
 
-def alphabeta_atom(q: Fraction, s: Fraction, direction: str) -> GroupElement:
-    """(alpha - s)/phi(s) or (beta - s)/phi(s) as an exact triple."""
-    p = alphabeta_phi(q, s)
+def alphabeta_atom(s: Fraction, p: int, direction: str) -> GroupElement:
+    """(alpha - s)/p or (beta - s)/p as an exact triple, p = phi(s)."""
     if direction == "alpha":
         return triple(-Fraction(s) / p, Fraction(1, p), 0)
     if direction == "beta":
@@ -625,18 +608,18 @@ def _window_elements(m: MonoidDescriptor, depth: int) -> list[Element]:
         return _window_elements(m.base, depth) + _window_elements(m.tail, depth)
     if isinstance(m, AlphaBeta):
         out: list[Element] = []
-        for s in alphabeta_domain(m.q, depth):
+        for s, p in zip(alphabeta_domain(m.q, depth), first_primes(depth)):
             if s != 0:
                 out.append(triple(s, 0, 0))
-            out.append(alphabeta_atom(m.q, s, "alpha"))
-            out.append(alphabeta_atom(m.q, s, "beta"))
+            out.append(alphabeta_atom(s, p, "alpha"))
+            out.append(alphabeta_atom(s, p, "beta"))
         return out
     if isinstance(m, NearlyAtomicAlpha):
         out = []
-        for x in calkin_wilf(depth):
+        for x, p in zip(calkin_wilf(depth), first_primes(depth)):
             if x != 0:
                 out.append(triple(x, 0, 0))
-            out.append(nearly_atom(x))
+            out.append(nearly_atom(x, p))
         return out
     raise UnsupportedFamily(f"no generator window for {m.family}")
 
@@ -1067,13 +1050,13 @@ def _nearly_contains(x: GroupElement, depth: int) -> MembershipVerdict:
         if c0 < 0:
             return VERDICT_OUT
         return verdict_in(((triple(c0, 0, 0), 1),)) if c0 > 0 else verdict_in(())
-    parts = [(q, nearly_phi(q)) for q in calkin_wilf(depth)]
+    parts = list(zip(calkin_wilf(depth), first_primes(depth)))
     mults = _prime_part_solve(parts, c1)
     if mults is not None:
         rat = c0 - sum(Fraction(q) * m / p for (q, p), m in zip(parts, mults))
         if rat >= 0:
             cert = [
-                (nearly_atom(q), m) for (q, p), m in zip(parts, mults) if m > 0
+                (nearly_atom(q, p), m) for (q, p), m in zip(parts, mults) if m > 0
             ]
             if rat > 0:
                 cert.append((triple(rat, 0, 0), 1))
@@ -1093,8 +1076,7 @@ def _alphabeta_contains(
             return VERDICT_OUT
         cert = tuple((triple(g.value, 0, 0), c) for g, c in base.certificate)
         return verdict_in(cert)
-    dom = alphabeta_domain(m.q, depth)
-    parts = [(s, alphabeta_phi(m.q, s)) for s in dom]
+    parts = list(zip(alphabeta_domain(m.q, depth), first_primes(depth)))
     am = _prime_part_solve(parts, c1)
     bm = _prime_part_solve(parts, c2)
     if am is not None and bm is not None:
@@ -1106,12 +1088,12 @@ def _alphabeta_contains(
         sub = _mq_solve(m.q, rat) if rat >= 0 else None
         if sub is not None:
             cert = [
-                (alphabeta_atom(m.q, s, "alpha"), k)
+                (alphabeta_atom(s, p, "alpha"), k)
                 for (s, p), k in zip(parts, am)
                 if k > 0
             ]
             cert += [
-                (alphabeta_atom(m.q, s, "beta"), k)
+                (alphabeta_atom(s, p, "beta"), k)
                 for (s, p), k in zip(parts, bm)
                 if k > 0
             ]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator
 
 _SMALL_SIEVE_LIMIT = 1 << 16
 
@@ -51,19 +51,25 @@ def first_primes(n: int) -> tuple[int, ...]:
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86 (2017)); above it primality falls back to trial division.
+# Math. Comp. 86 (2017)).  At any size its "composite" is a proof; above the
+# bound its "probable prime" proves nothing, and no prime is certified there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality below _MR_LIMIT.  At or above it, False when
+    Miller-Rabin proves n composite; otherwise ValueError, as n cannot be
+    certified prime."""
     if n < _SMALL_SIEVE_LIMIT:
         ps = primes_below(_SMALL_SIEVE_LIMIT)
         i = bisect_left(ps, n)
         return i < len(ps) and ps[i] == n
-    if n < _MR_LIMIT:
-        return _miller_rabin(n)
-    return _trial_division(n)
+    if not _miller_rabin(n):
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is at least {_MR_LIMIT}: Miller-Rabin cannot certify it prime")
+    return True
 
 
 def _miller_rabin(n: int) -> bool:
@@ -88,25 +94,15 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _trial_division(n: int) -> bool:
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     The sieve primes are divided out first, which settles every n below
     the square of the sieve limit.  A larger cofactor has no prime factor
-    below the sieve limit: below _MR_LIMIT it is split by Pollard's rho
-    until Miller-Rabin certifies every part; above it trial division
-    continues from the sieve limit.
+    below the sieve limit: it is split by Pollard's rho until Miller-Rabin
+    certifies every part.  A part at or above _MR_LIMIT that Miller-Rabin
+    does not prove composite raises ValueError (see ``is_prime``); rho
+    itself is unbounded on a part whose least prime factor is large.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -127,29 +123,15 @@ def factorize(n: int) -> dict[int, int]:
     # have divided n down to 1)
     if n == 1:
         return out
-    if n >= _MR_LIMIT:
-        _factor_by_trial(n, _SMALL_SIEVE_LIMIT + 1, out)
-        return out
     stack = [n]  # divisors of n, so free of primes below the sieve limit
     while stack:
         m = stack.pop()
-        if m < _SMALL_SIEVE_LIMIT**2 or _miller_rabin(m):
+        if m < _SMALL_SIEVE_LIMIT**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             f = _rho(m)
             stack += [f, m // f]
     return dict(sorted(out.items()))
-
-
-def _factor_by_trial(n: int, d: int, out: dict[int, int]) -> None:
-    """Trial division of n by the odd d, d + 2, ...; records into out."""
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
 
 
 def _rho(n: int) -> int:
@@ -208,33 +190,3 @@ def calkin_wilf(count: int) -> tuple[Fraction, ...]:
         out.append(q)
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
     return tuple(out)
-
-
-def calkin_wilf_index(x: Fraction, bits: int) -> Optional[int]:
-    """The position of x >= 0 in ``calkin_wilf``, or None when it is
-    2^bits or more (or x is negative).
-
-    Position 0 holds 0.  A positive a/b sits at index n of the Calkin-Wilf
-    tree (root 1/1 at n = 1): its children a/(a+b) and (a+b)/b sit at 2n
-    and 2n + 1, so the bits of n after the leading 1 spell the path from
-    1/1.  Walking up from a/b, a run of k steps in one direction is one
-    division, as in Euclid's algorithm.
-    """
-    if x <= 0:
-        return 0 if x == 0 else None
-    a, b = x.numerator, x.denominator
-    index, shift = 0, 0
-    while a != b:
-        if a > b:
-            k = (a - 1) // b  # right steps: (a - b)/b is the parent of a/b
-            if shift + k >= bits:
-                return None
-            a -= k * b
-            index |= ((1 << k) - 1) << shift
-        else:
-            k = (b - 1) // a  # left steps: a/(b - a) is the parent of a/b
-            if shift + k >= bits:
-                return None
-            b -= k * a
-        shift += k
-    return index | (1 << shift)

@@ -39,7 +39,6 @@ from .monoids import (
     alphabeta_phi,
     contains,
     nearly_atom,
-    nearly_phi,
     quasi_not_almost_instance,
 )
 from .primes import calkin_wilf, first_primes, iter_primes, prime_support
@@ -535,11 +534,11 @@ def verify_nearly_atomic(depth: int = DEFAULT_DEPTH) -> NearlyAtomicReport:
     a positive alpha-coordinate)."""
     alpha = triple(0, 1, 0)
     qs = calkin_wilf(depth)
+    ps = first_primes(depth)
+    atoms = [nearly_atom(x, p) for x, p in zip(qs, ps)]
     decomps: list[dict] = []
-    for idx, q0 in enumerate(qs):
-        p = nearly_phi(q0)
-        head = nearly_atom(q0)
-        extra = [nearly_atom(qs[(idx + 1) % len(qs)])] if len(qs) > 1 else []
+    for idx, (q0, p, head) in enumerate(zip(qs, ps, atoms)):
+        extra = [atoms[(idx + 1) % len(qs)]] if len(qs) > 1 else []
         r = triple(q0, 0, 0) + sum(extra, zero(head.group))
         lhs = alpha + r
         rhs = head.scale(p)
@@ -609,9 +608,9 @@ def verify_not_strongly_atomic(
         u = d + q**k
         p = alphabeta_phi(q, u)
         lhs_a = alpha - triple(d, 0, 0)
-        rhs_a = alphabeta_atom(q, u, "alpha").scale(p) + triple(q**k, 0, 0)
+        rhs_a = alphabeta_atom(u, p, "alpha").scale(p) + triple(q**k, 0, 0)
         lhs_b = beta - triple(d, 0, 0)
-        rhs_b = alphabeta_atom(q, u, "beta").scale(p) + triple(q**k, 0, 0)
+        rhs_b = alphabeta_atom(u, p, "beta").scale(p) + triple(q**k, 0, 0)
         if lhs_a != rhs_a or lhs_b != rhs_b:
             raise CertificateError(f"common-divisor identity fails at d = {d}")
         out.append(CommonDivisorReplay(d, k, u, p))

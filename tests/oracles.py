@@ -3,12 +3,15 @@
 These deliberately avoid the package's search machinery: factorizations
 by plain nested loops, signs by mpmath interval refinement or exact
 squaring, membership by unstructured brute force, atoms by a window scan
-over ``contains``.  They stay independent of the code paths they check.
+over ``contains``, primes by trial division, the Calkin-Wilf order by
+Stern's diatomic sequence, and the sqrt2 discovery order as first written.
+They stay independent of the code paths they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -244,26 +247,112 @@ def minimal_numerical_monoids(max_gens: int = 4, max_gen: int = 20):
     return out
 
 
+def is_prime_by_trial(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def primes_by_trial(count: int) -> list[int]:
+    """The first count primes, by trial division."""
+    out: list[int] = []
+    n = 2
+    while len(out) < count:
+        if is_prime_by_trial(n):
+            out.append(n)
+        n += 1
+    return out
+
+
 def greedy_prime_prefix(excluded, threshold: Fraction):
     """Same construction as the library, written independently: trial
     division primality, direct Fraction summation."""
-
-    def is_prime(n: int) -> bool:
-        if n < 2:
-            return False
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1
-        return True
-
     total = Fraction(0)
     out = []
     n = 2
     while total <= threshold:
-        if is_prime(n) and n not in excluded:
+        if is_prime_by_trial(n) and n not in excluded:
             out.append(n)
             total += Fraction(1, n)
         n += 1
     return out, total
+
+
+def stern_calkin_wilf(count: int) -> list[Fraction]:
+    """The first count terms of 0, 1, 1/2, 2, 1/3, 3/2, ...: term n is
+    fusc(n)/fusc(n + 1) for Stern's diatomic sequence, fusc(0) = 0,
+    fusc(1) = 1, fusc(2n) = fusc(n), fusc(2n + 1) = fusc(n) + fusc(n + 1)."""
+    fusc = [0, 1]
+    while len(fusc) <= count:
+        n = len(fusc)
+        fusc.append(fusc[n // 2] + fusc[n // 2 + 1] if n % 2 else fusc[n // 2])
+    return [Fraction(fusc[n], fusc[n + 1]) for n in range(count)]
+
+
+# The discovery enumeration of {s in M_q : s < sqrt2} as the library first
+# wrote it: each grade lists every coefficient vector of grade at most g,
+# and ``seen`` drops the values already found at a lower grade.
+
+
+def _sqrt2_floor_check(value: Fraction) -> bool:
+    """value < sqrt2, exactly (value assumed >= 0)."""
+    return value.numerator**2 < 2 * value.denominator**2
+
+
+@lru_cache(maxsize=None)
+def alphabeta_domain_by_le_grade(q: Fraction, count: int) -> tuple[Fraction, ...]:
+    """First `count` elements of S = {s in M_q : s < sqrt2}, in discovery order.
+
+    Discovery order: representations c_0 + c_1 q + ... + c_K q^K are
+    enumerated by increasing grade K + sum(c_i) and lexicographic
+    coefficient order inside a grade; a value joins S the first time it
+    appears.  The order is fixed so that phi (n-th element -> n-th prime)
+    is reproducible across runs.
+    """
+    q = Fraction(q)
+    found: list[Fraction] = []
+    seen: set[Fraction] = set()
+    grade = 0
+    while len(found) < count:
+        for value in _le_graded_values(q, grade):
+            if value in seen or not _sqrt2_floor_check(value):
+                continue
+            seen.add(value)
+            found.append(value)
+            if len(found) == count:
+                break
+        grade += 1
+        if grade > 200:
+            raise RuntimeError("discovery enumeration exceeded its safety cap")
+    return tuple(found)
+
+
+def _le_graded_values(q: Fraction, grade: int):
+    """Values of coefficient vectors whose top index K and coefficient sum
+    satisfy K + sum(c) <= grade, top coefficient nonzero (except the empty
+    vector at grade 0)."""
+    powers = [q**i for i in range(grade + 1)]
+    out: list[Fraction] = []
+    for top_index in range(grade + 1):
+        budget = grade - top_index
+        if top_index == 0:
+            for c in range(budget + 1):
+                if grade == 0 or c >= 1:
+                    out.append(powers[0] * c)
+            continue
+
+        def rec(idx: int, budget_: int, acc: Fraction):
+            if idx > top_index:
+                out.append(acc)
+                return
+            lo = 1 if idx == top_index else 0
+            for c in range(lo, budget_ + 1):
+                rec(idx + 1, budget_ - c, acc + powers[idx] * c)
+
+        rec(0, budget, Fraction(0))
+    return out

@@ -4,6 +4,7 @@ modules rely on."""
 
 import random
 import sys
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -12,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    alphabeta_domain_by_le_grade,
     brute_force_membership,
     brute_force_triple_factorizations,
     brute_force_vector_factorizations,
     mq_members_below,
     mq_solve_by_gcd_steps,
+    primes_by_trial,
+    stern_calkin_wilf,
 )
 from posmon.elements import Group, GroupElement, Q, Q2, T, Z2, Z2_SECOND, lexvec, rational, triple, zero
 from posmon.factor import (
@@ -48,12 +52,13 @@ from posmon.monoids import (
     alphabeta_domain,
     alphabeta_phi,
     contains,
+    generators,
     numerical,
     quasi_not_almost_instance,
     replay_certificate,
 )
 from posmon.elements import Z
-from posmon.primes import factorize, is_prime
+from posmon.primes import _MR_LIMIT, calkin_wilf, factorize, is_prime
 
 
 RATIOS = [Fraction(2, 3), Fraction(3, 5), Fraction(4, 7), Fraction(5, 8), Fraction(7, 9)]
@@ -322,6 +327,29 @@ class TestFactorization:
         assert factorize(p * q) == {p: 1, q: 1}
         assert is_prime(p) and is_prime(q) and not is_prime(p * q)
 
+    @pytest.mark.parametrize("n, expected", [
+        ((2**61 - 1) * (2**31 - 1), {2**31 - 1: 1, 2**61 - 1: 1}),
+        (65537**7, {65537: 7}),
+        (65537**2 * 1000003**3, {65537: 2, 1000003: 3}),
+    ], ids=["mersenne-pair", "65537^7", "65537^2*1000003^3"])
+    def test_cofactors_above_the_miller_rabin_limit(self, n, expected):
+        # each is at least _MR_LIMIT: rho splits it, Miller-Rabin proves the parts
+        assert n >= _MR_LIMIT
+        start = time.perf_counter()
+        assert factorize(n) == expected
+        assert not is_prime(n)
+        assert time.perf_counter() - start < 1.0
+
+    def test_probable_prime_above_the_limit_is_refused(self):
+        # passes all 13 bases, so nothing here can certify it prime
+        n = 3317044064679887385962123
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+        with pytest.raises(ValueError, match=str(n)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(6 * n)  # the cofactor left by the sieve
+
 
 class TestPhiDeterminism:
     @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(3, 5)], ids=str)
@@ -341,6 +369,54 @@ class TestPhiDeterminism:
     def test_domain_values_below_sqrt2(self):
         for s in alphabeta_domain(Fraction(2, 3), 32):
             assert s.numerator**2 < 2 * s.denominator**2
+
+
+# the ratios whose discovery order is checked against the <=-grade oracle
+PHI_RATIOS = [Fraction(r) for r in ("2/3", "3/4", "3/5", "5/7", "2/5")]
+
+
+class TestPhiByPosition:
+    """Every atom takes the prime at its position in the enumeration that
+    the library walks; both enumerations are checked against oracles that
+    share no code with them."""
+
+    @pytest.mark.parametrize("q", PHI_RATIOS, ids=str)
+    def test_domain_matches_the_le_grade_enumeration(self, q):
+        assert alphabeta_domain(q, 480) == alphabeta_domain_by_le_grade(q, 480)
+
+    def test_calkin_wilf_matches_stern(self):
+        assert list(calkin_wilf(3000)) == stern_calkin_wilf(3000)
+
+    def test_nearly_atoms_take_the_prime_at_their_position(self):
+        got = {}
+        for a in atoms(NearlyAtomicAlpha(), 3000).atoms:
+            c0, c1, c2 = a.value  # (x + alpha)/p
+            assert c1.numerator == 1 and c2 == 0
+            got[c0 / c1] = c1.denominator
+        assert got == dict(zip(stern_calkin_wilf(3000), primes_by_trial(3000)))
+
+    @pytest.mark.parametrize("q", PHI_RATIOS, ids=str)
+    def test_alphabeta_atoms_take_the_prime_at_their_position(self, q):
+        alpha, beta = {}, {}
+        for a in atoms(AlphaBeta(q), 480).atoms:
+            c0, c1, c2 = a.value  # (alpha - s)/p, (beta - s)/p or q^i
+            for coeff, phi in ((c1, alpha), (c2, beta)):
+                if coeff:
+                    assert coeff.numerator == 1
+                    phi[-c0 / coeff] = coeff.denominator
+        want = dict(zip(alphabeta_domain_by_le_grade(q, 480), primes_by_trial(480)))
+        assert alpha == want and beta == want
+
+    @pytest.mark.parametrize("q", PHI_RATIOS, ids=str)
+    def test_alphabeta_generators_and_certificates_use_the_atoms(self, q):
+        m = AlphaBeta(q)
+        window = atoms(m, 12).atoms
+        irrational = [a for a in window if any(a.value[1:])]
+        assert sorted(g for g in generators(m, 12).generators if any(g.value[1:])) == irrational
+        for x in (irrational[0] + irrational[-1], triple(0, 1, 1), irrational[3].scale(2) + triple(q**2, 0, 0)):
+            v = contains(m, x, 12)
+            assert v.is_in and replay_certificate(v, zero(m.group)) == x
+            assert all(g in window for g, _ in v.certificate if any(g.value[1:])), x
 
 
 class TestIrrationalCertificates:

@@ -320,11 +320,13 @@ class TestAtomReverification:
 
     @pytest.mark.parametrize("m, depth, count", [
         (AlphaBeta(Fraction(2, 3)), 60, 61 + 2 * 60),
+        (AlphaBeta(Fraction(2, 3)), 1000, 1001 + 2 * 1000),
         (NearlyAtomicAlpha(), 160, 160),
     ], ids=str)
     def test_irrational_atoms_deep_within_a_second(self, m, depth, count):
         # the split rule reads the prime coefficient and runs no membership
-        # search, so a deep window costs only its candidates
+        # search, and each candidate takes its prime from its position in
+        # the enumeration, so a deep window costs only its candidates
         factor_module._atoms_cached.cache_clear()
         start = time.monotonic()
         assert len(atoms(m, depth).atoms) == count

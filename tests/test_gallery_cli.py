@@ -261,6 +261,8 @@ class TestCliCommands:
             *({**PRIME_SUM_1_5, "count": count} for count in (0, -1, None, "3x")),
             # replay stops once a prime passes last_prime, not after count primes
             {**PRIME_SUM_1_5, "count": 2_000_000},
+            # a denominator that Miller-Rabin cannot factor into certified primes
+            {**PRIME_SUM_1_5, "q": "1/3317044064679887385962123"},
             # step indices past the chain, and negative ones, which Python
             # indexing would wrap to the chain's end (s_6 = s'_1 + a_3..a_6)
             break_6(99, []),
@@ -269,7 +271,7 @@ class TestCliCommands:
             break_6(6, [-3, -2, -1, 0]),
         ],
         ids=["list", "list-of-object", "string", "list-kind", "null-ratio", "null-elements", "no-differences",
-             "count-0", "count-negative", "count-null", "count-text", "count-2000000",
+             "count-0", "count-negative", "count-null", "count-text", "count-2000000", "q-uncertified",
              "divides-index-99", "leftover-index-99", "divides-index-negative", "leftover-indices-negative"],
     )
     def test_verify_malformed_document_exit_two(self, capsys, tmp_path, doc):
@@ -301,6 +303,16 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "is not a member of M_0" in err and "Traceback" not in err
+
+    def test_m0_uncertifiable_denominator_is_refused(self, capsys):
+        # the denominator is above the Miller-Rabin limit and passes all 13
+        # bases, so no prime factor of it can be certified
+        start = time.perf_counter()
+        code = main(["factorize", "m0", "1/3317044064679887385962123"])
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "cannot certify" in err and "Traceback" not in err
 
     def test_unknown_instance_exit_usage(self, capsys):
         code = main(["atoms", "mystery:9"])

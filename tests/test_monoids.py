@@ -40,13 +40,12 @@ from posmon.monoids import (
     generators,
     gp_membership,
     members_within,
-    nearly_phi,
     numerical,
     quasi_not_almost_instance,
     replay_certificate,
 )
 from posmon.factor import atoms, is_atomic_element
-from posmon.primes import calkin_wilf, calkin_wilf_index, first_primes
+from posmon.primes import first_primes
 
 MQ = GeometricPuiseux(Fraction(2, 3))
 M0 = PrimeReciprocal()
@@ -319,25 +318,10 @@ class TestIrrationalFamilies:
         assert alphabeta_phi(Fraction(2, 3), dom[0]) == 2
         assert len(set(alphabeta_phi(Fraction(2, 3), s) for s in dom)) == len(dom)
 
-    def test_nearly_phi_calkin_wilf(self):
-        assert nearly_phi(Fraction(0)) == 2
-        assert nearly_phi(Fraction(1)) == 3
-        assert nearly_phi(Fraction(1, 2)) == 5
-        assert nearly_phi(Fraction(2)) == 7
-
-    def test_nearly_phi_matches_the_enumeration(self):
-        terms = calkin_wilf(3000)
-        primes = first_primes(len(terms))
-        assert [nearly_phi(x) for x in terms] == list(primes)
-        assert [calkin_wilf_index(x, 21) for x in terms] == list(range(len(terms)))
-
-    def test_nearly_phi_cap(self):
-        # 1/n sits at index 2^(n-1): inside the cap up to n = 21
-        assert calkin_wilf_index(Fraction(1, 21), 21) == 1 << 20
-        assert calkin_wilf_index(Fraction(1, 22), 21) is None
-        assert calkin_wilf_index(Fraction(10**9, 1), 21) is None
-        with pytest.raises(RuntimeError, match="enumeration cap"):
-            nearly_phi(Fraction(1, 10**12))
+    def test_nearly_atoms_take_calkin_wilf_primes(self):
+        # phi reads the position in 0, 1, 1/2, 2, ...: the atom of x is (alpha + x)/phi(x)
+        want = {(Fraction(x) / p, Fraction(1, p), 0) for x, p in (("0", 2), ("1", 3), ("1/2", 5), ("2", 7))}
+        assert {a.value for a in atoms(NearlyAtomicAlpha(), 4).atoms} == want
 
 
 class TestProduct:
