@@ -49,8 +49,9 @@ The queries cover:
 - the JSON documents (sorted keys) of chain, break, quasi-witness and
   prime-sum certificates at a few parameters, each with its replay
   verdict, of the two near-atomicity reports, of the common-divisor
-  replays of M_(a,b)[2/3], and of every descriptor above, each with
-  whether it decodes back to itself.
+  replays of M_(a,b)[2/3] at the default depth and of M_(a,b)[q] for q
+  in {3/4, 3/5, 5/7} at depths 8, 10 and 12, and of every descriptor
+  above, each with whether it decodes back to itself.
 
 Usage (stdlib only):
 
@@ -448,6 +449,16 @@ def json_documents() -> None:
         document_line(f"nearly-atomic-report {depth}", lambda: verify_nearly_atomic(depth))
     for k, replay in enumerate(verify_not_strongly_atomic(Fraction(2, 3))):
         document_line(f"common-divisor 2/3 #{k}", lambda: replay)
+    for q in map(Fraction, ("3/4", "3/5", "5/7")):
+        for depth in (8, 10, 12):
+            case = f"common-divisor {q} depth {depth}"
+            try:
+                replays = verify_not_strongly_atomic(q, depth)
+            except Exception as exc:  # the answer under test includes the failure
+                emit({"query": "json", "case": case, "error": error(exc)})
+                continue
+            for k, replay in enumerate(replays):
+                document_line(f"{case} #{k}", lambda: replay)
     families = [e.descriptor for e in gallery_list()]
     families += [GeometricPuiseux(q) for q in RATIOS]
     families += [numerical(*g) for g in NUMERICAL] + list(EXTRA_FINITE)

@@ -47,6 +47,7 @@ LADDER = (
     ("probe", "conductive:Z2:a=(1,0)", "HFM", "--bound", "12,40"),
     ("atoms", "malphabeta:2/3", "--depth", "60"),
     ("atoms", "malphabeta:2/3", "--depth", "3000"),
+    ("atoms", "malphabeta:3/4", "--depth", "3000"),
     ("atoms", "malphabeta:2/3", "--depth", "5000"),
     ("atoms", "nearly", "--depth", "160"),
     ("break", "mq:2/3", "--steps", "400", "-o", "{tmp}/b.json"),

@@ -58,7 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cmp_to_key, lru_cache, partial
 from math import ceil, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -238,8 +238,39 @@ def _atoms_cached(m: MonoidDescriptor, depth: int) -> AtomSet:
             out.append(t)
         elif rule.mode == "assert":
             raise AssertionError(f"closed-form atom {t} of {m} failed its decomposition check")
-    out.sort()
+    if out and out[0].group.kind == "sqrt23":
+        out = _sorted_triples(out)
+    else:
+        out.sort()
     return AtomSet(m, depth, tuple(out), rule.complete, rule.note)
+
+
+def _sorted_triples(elements: list[GroupElement]) -> list[GroupElement]:
+    """sqrt2/sqrt3 elements in increasing order, compared as int triples.
+
+    Each element becomes (a, b, c, den), its value (a + b sqrt2 + c
+    sqrt3)/den.  A first pass by an int estimate of value * 2^64 puts all
+    but near ties in place, so the exact pass (``_int_triple_sign`` of the
+    cross-multiplied triples) makes about one comparison per element.
+    Comparing the Fraction triples would subtract three Fractions each time.
+    """
+    def ints(g: GroupElement) -> tuple[int, int, int, int]:
+        c0, c1, c2 = g.value
+        den = lcm(c0.denominator, c1.denominator, c2.denominator)
+        return (c0.numerator * (den // c0.denominator), c1.numerator * (den // c1.denominator),
+                c2.numerator * (den // c2.denominator), den)
+
+    def approx(key: tuple[tuple[int, int, int, int], GroupElement]) -> int:
+        a, b, c, den = key[0]
+        return ((a << 64) + b * _SQRT2_64 + c * _SQRT3_64) // den
+
+    def exact(x, y) -> int:
+        (a, b, c, d), (e, f, g, h) = x[0], y[0]
+        return _int_triple_sign(a * h - e * d, b * h - f * d, c * h - g * d)
+
+    keyed = sorted(((ints(g), g) for g in elements), key=approx)
+    keyed.sort(key=cmp_to_key(exact))
+    return [g for _, g in keyed]
 
 
 class AtomRule(NamedTuple):

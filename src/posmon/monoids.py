@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 from operator import attrgetter, index, itemgetter, methodcaller
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -476,9 +476,19 @@ def almost_not_nearly_instance() -> UnionShift:
 # phi enumerations
 
 
-def _sqrt2_floor_check(value: Fraction) -> bool:
-    """value < sqrt2, exactly (value assumed >= 0)."""
-    return value.numerator**2 < 2 * value.denominator**2
+_GRADE_CAP = 200  # the last grade the discovery enumeration reaches
+_PHI_CAP = 8192  # the longest enumeration prefix that phi looks in
+
+
+class EnumerationCapExceeded(RuntimeError):
+    """A fixed cap of the sqrt2/sqrt3 constructions stopped a search
+    before it found what it sought: ``value`` is that (an element count, an
+    element or a divisor) and ``cap`` the bound it reached."""
+
+    def __init__(self, message: str, value, cap: int) -> None:
+        super().__init__(message)
+        self.value = value
+        self.cap = cap
 
 
 @lru_cache(maxsize=None)
@@ -492,70 +502,119 @@ def alphabeta_domain(q: Fraction, count: int) -> tuple[Fraction, ...]:
     is reproducible across runs.  Every site that walks this tuple reads
     phi by position, zipping it with ``first_primes``; only a value found
     by arithmetic (``verify_not_strongly_atomic``'s d + q^k) is looked up
-    by ``alphabeta_phi``.
+    by ``alphabeta_phi``, in the value -> index map that ``_alphabeta_index``
+    keeps beside the tuple.
+
+    The walk runs in ints: grade g lists numerators over d^(g-1), d = d(q),
+    and those already found are carried to the next grade by a factor d.
+    A grade past ``_GRADE_CAP`` raises EnumerationCapExceeded.
     """
     q = Fraction(q)
-    found: list[Fraction] = []
-    seen: set[Fraction] = set()
-    grade = 0
+    n, d = q.numerator, q.denominator
+    found = [Fraction(0)][:count]  # grade 0: the empty vector
+    seen = {0}  # numerators over d^(grade-1) of the values found
+    grade = 1
     while len(found) < count:
-        for value in _graded_values(q, grade):
-            if value in seen or not _sqrt2_floor_check(value):
+        if grade > 1:
+            seen = {v * d for v in seen}
+        den = d ** (grade - 1)
+        for value in _graded_values(n, d, grade):
+            if value in seen:
                 continue
             seen.add(value)
-            found.append(value)
+            found.append(Fraction(value, den))
             if len(found) == count:
                 break
         grade += 1
-        if grade > 200:
-            raise RuntimeError("discovery enumeration exceeded its safety cap")
+        if grade > _GRADE_CAP:
+            raise EnumerationCapExceeded(
+                f"the first {count} elements below sqrt2 for q = {q} run past"
+                f" the safety cap, grade {_GRADE_CAP}",
+                count, _GRADE_CAP,
+            )
     return tuple(found)
 
 
-def _graded_values(q: Fraction, grade: int) -> list[Fraction]:
-    """Values of coefficient vectors whose top index K and coefficient sum
-    satisfy K + sum(c) == grade, top coefficient nonzero (except the empty
-    vector at grade 0), by K and then lexicographically in c."""
-    if grade == 0:
-        return [Fraction(0)]
-    powers = [q**i for i in range(grade + 1)]
-    out: list[Fraction] = []
+def _graded_values(n: int, d: int, grade: int) -> list[int]:
+    """The values below sqrt2 of the coefficient vectors whose top index K
+    and coefficient sum satisfy K + sum(c) == grade >= 1, top coefficient
+    nonzero, by K and then lexicographically in c; as numerators over
+    d^(grade-1), for q = n/d.
 
-    def rec(idx: int, top: int, budget: int, acc: Fraction):
+    Term i weighs n^i d^(grade-1-i), and the weights fall with i, so the
+    least completion of a prefix puts the rest of the sum on the top index.
+    Once that passes sqrt2, that is, its numerator passes isqrt(2
+    d^(2 grade-2)) (sqrt2 d^(grade-1) is irrational), every larger choice
+    at the current index does too, and the loop stops.
+    """
+    e = grade - 1
+    den = d**e
+    cut = isqrt(2 * den * den)
+    weights = [n**i * d ** (e - i) for i in range(grade)]
+    out: list[int] = []
+
+    def rec(idx: int, top: int, budget: int, acc: int) -> None:
+        wt = weights[top]
         if idx == top:  # the top coefficient takes what is left
-            out.append(acc + powers[idx] * budget)
+            out.append(acc + wt * budget)
             return
+        wi = weights[idx]
         for c in range(budget):
-            rec(idx + 1, top, budget - c, acc + powers[idx] * c)
+            if acc + c * wi + (budget - c) * wt > cut:
+                break
+            rec(idx + 1, top, budget - c, acc + c * wi)
 
     for top in range(grade):
-        rec(0, top, grade - top, Fraction(0))
+        if (grade - top) * weights[top] <= cut:
+            rec(0, top, grade - top, 0)
     return out
 
 
+@lru_cache(maxsize=None)
+def _alphabeta_index(q: Fraction, count: int) -> dict[Fraction, int]:
+    """value -> position in ``alphabeta_domain(q, count)``."""
+    return {s: i for i, s in enumerate(alphabeta_domain(q, count))}
+
+
 def alphabeta_phi(q: Fraction, s: Fraction) -> int:
-    """phi(s): the prime assigned to s by discovery order."""
+    """phi(s): the prime assigned to s by discovery order.  It looks s up in
+    the enumeration prefixes of 16, 32, ... elements and raises
+    EnumerationCapExceeded when s is not among the first ``_PHI_CAP``."""
     count = 16
     while True:
-        dom = alphabeta_domain(q, count)
-        if s in dom:
-            return first_primes(len(dom))[dom.index(s)]
-        if count > 4096:
-            raise RuntimeError(f"{s} not discovered within the enumeration cap")
+        i = _alphabeta_index(q, count).get(s)
+        if i is not None:
+            return first_primes(count)[i]
+        if count >= _PHI_CAP:
+            raise EnumerationCapExceeded(
+                f"{s} not discovered within the enumeration cap, {_PHI_CAP} elements",
+                s, _PHI_CAP,
+            )
         count *= 2
+
+
+def _atom_ints(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(c0, c1, c) with (num/den + r)/p == (c0 + c1 r)/c for r = sqrt2 or
+    sqrt3: the atom (alpha + x)/p of the nearly-atomic instance has num/den
+    = x, and the atoms (alpha - s)/p, (beta - s)/p of M_(a,b)[q] have -s."""
+    return num, den, den * p
 
 
 def nearly_atom(x: Fraction, p: int) -> GroupElement:
     """The atom (alpha + x)/p of the nearly-atomic instance, p = phi(x)."""
-    return triple(Fraction(x) / p, Fraction(1, p), 0)
+    x = Fraction(x)
+    c0, c1, c = _atom_ints(x.numerator, x.denominator, p)
+    return triple(Fraction(c0, c), Fraction(c1, c), 0)
 
 
 def alphabeta_atom(s: Fraction, p: int, direction: str) -> GroupElement:
     """(alpha - s)/p or (beta - s)/p as an exact triple, p = phi(s)."""
+    s = Fraction(s)
+    c0, c1, c = _atom_ints(-s.numerator, s.denominator, p)
     if direction == "alpha":
-        return triple(-Fraction(s) / p, Fraction(1, p), 0)
+        return triple(Fraction(c0, c), Fraction(c1, c), 0)
     if direction == "beta":
-        return triple(-Fraction(s) / p, 0, Fraction(1, p))
+        return triple(Fraction(c0, c), 0, Fraction(c1, c))
     raise ValueError("direction must be 'alpha' or 'beta'")
 
 
@@ -910,28 +969,38 @@ def _prime_sum(x: Fraction, spare: int) -> Optional[dict[int, int]]:
     The denominator must be squarefree; for each prime p dividing it the
     residue c_p = x * (den/p)^-1 (mod p) is forced, and the leftover must
     be a nonnegative integer k, absorbed as k * spare copies of 1/spare.
+    The leftover is kept as its numerator over den, so no Fraction is
+    built; it is a multiple of den, as the residues clear it modulo every
+    prime of the squarefree den, so only its sign can refuse x.
     """
-    den = x.denominator
+    num, den = x.numerator, x.denominator
     fac = factorize(den)
     if any(e > 1 for e in fac.values()):
         return None
     coeffs: dict[int, int] = {}
-    rest = x
+    rest = num  # den * (x - the residues so far)
     for p in sorted(fac):
-        a = (x.numerator * pow(den // p, -1, p)) % p
+        part = den // p
+        a = (num * pow(part, -1, p)) % p
         coeffs[p] = a
-        rest -= Fraction(a, p)
-    if rest.denominator != 1 or rest < 0:
+        rest -= a * part
+    if rest < 0:
         return None
-    if rest > 0:
-        coeffs[spare] = coeffs.get(spare, 0) + spare * int(rest)
+    if rest:
+        coeffs[spare] = coeffs.get(spare, 0) + spare * (rest // den)
     return coeffs
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
 def _m0_solve(x: Fraction) -> Optional[tuple[tuple[int, int], ...]]:
     """Coefficients ((p, c_p), ...) with sum c_p / p == x, or None; the
-    leftover integer is absorbed by copies of 1/2."""
+    leftover integer is absorbed by copies of 1/2.
+
+    The cache holds 1,024 answers: a miss costs one ``_prime_sum`` (a few
+    microseconds once the denominator is factored), while every held entry
+    costs a Fraction key and a tuple of pairs, so a larger bound mostly
+    keeps memory in long query streams over ever new targets.
+    """
     coeffs = _prime_sum(x, 2)
     return None if coeffs is None else tuple(sorted(coeffs.items()))
 

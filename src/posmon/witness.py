@@ -18,27 +18,25 @@ choice, the minimal admissible index is taken.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import exp, gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .elements import rational, triple, zero
+from .elements import rational
 from .monoids import (
     DEFAULT_DEPTH,
+    EnumerationCapExceeded,
     GeometricPuiseux,
     JsonForm,
     NotAMember,
+    _atom_ints,
     _mq_rep,
-    _sqrt2_floor_check,
     almost_not_nearly_instance,
-    alphabeta_atom,
     alphabeta_domain,
     alphabeta_phi,
     contains,
-    nearly_atom,
     quasi_not_almost_instance,
 )
 from .primes import calkin_wilf, first_primes, iter_primes, prime_support
@@ -384,6 +382,10 @@ def _digest(n: int) -> str:
     h = hex(n)
     if len(h) <= 66:
         return h
+    # imported here: hashlib loads OpenSSL, a few MB of resident memory
+    # that a process which never digests a long sum should not carry
+    import hashlib
+
     return "sha256:" + hashlib.sha256(h.encode()).hexdigest()
 
 
@@ -531,26 +533,25 @@ def verify_nearly_atomic(depth: int = DEFAULT_DEPTH) -> NearlyAtomicReport:
     the exact atomic decomposition of alpha + r as phi(q0) copies of
     (alpha + q0)/phi(q0) plus the atoms; and certify that no nonzero
     rational member decomposes into window atoms (every atom contributes
-    a positive alpha-coordinate)."""
-    alpha = triple(0, 1, 0)
+    a positive alpha-coordinate).
+
+    Each identity is replayed in ints: the extra atoms stand on both
+    sides, so it holds exactly when alpha + q0 == p * head, with the head
+    (c0 + c1 alpha)/c (``monoids._atom_ints``); that is p c0 b == a c and
+    p c1 == c for q0 = a/b."""
     qs = calkin_wilf(depth)
-    ps = first_primes(depth)
-    atoms = [nearly_atom(x, p) for x, p in zip(qs, ps)]
     decomps: list[dict] = []
-    for idx, (q0, p, head) in enumerate(zip(qs, ps, atoms)):
-        extra = [atoms[(idx + 1) % len(qs)]] if len(qs) > 1 else []
-        r = triple(q0, 0, 0) + sum(extra, zero(head.group))
-        lhs = alpha + r
-        rhs = head.scale(p)
-        for at in extra:
-            rhs = rhs + at
-        if lhs != rhs:
+    extra = 1 if len(qs) > 1 else 0
+    for q0, p in zip(qs, first_primes(depth)):
+        a, b = q0.numerator, q0.denominator
+        c0, c1, c = _atom_ints(a, b, p)
+        if p * c0 * b != a * c or p * c1 != c:
             raise CertificateError(f"decomposition fails for q0 = {q0}")
         decomps.append(
             {
                 "q0": str(q0),
                 "phi": p,
-                "extra_atoms": len(extra),
+                "extra_atoms": extra,
                 "identity": f"alpha + r = {p}*[(alpha+{q0})/{p}] + extras",
             }
         )
@@ -589,29 +590,36 @@ def verify_not_strongly_atomic(
     rational window), find k <= depth with d + q^k still below alpha, and
     replay the identities showing q^k is a nonzero common divisor of
     alpha - d and beta - d.  Reports are per-divisor; a missing k within
-    the depth raises (the construction gives no a-priori bound on k)."""
+    the depth raises EnumerationCapExceeded (the construction gives no
+    a-priori bound on k).
+
+    Everything runs in ints over the denominator D = b m^k of d + q^k, for
+    d = a/b and q = n/m: the exponent search tests (a m^k + b n^k)^2 <
+    2 D^2 on the running powers n^k and m^k, and with the atom (alpha -
+    u)/p = (c0 + c1 alpha)/c (``monoids._atom_ints``), u = d + q^k and p =
+    phi(u), the identity alpha - d == p (alpha - u)/p + q^k is (p c0 m^k +
+    n^k c) b == -a c m^k and p c1 == c.  The beta identity has the same
+    coordinates in the sqrt3 place, so the same two equations replay it."""
     q = Fraction(q)
+    n, m = q.numerator, q.denominator
     out = []
-    domain = alphabeta_domain(q, depth)
-    alpha = triple(0, 1, 0)
-    beta = triple(0, 0, 1)
-    for d in domain[: max(4, depth // 2)]:
-        k = None
-        for kk in range(1, depth + 1):
-            if _sqrt2_floor_check(d + q**kk):
-                k = kk
+    for d in alphabeta_domain(q, depth)[: max(4, depth // 2)]:
+        a, b = d.numerator, d.denominator
+        nk = mk = 1
+        for k in range(1, depth + 1):
+            nk *= n
+            mk *= m
+            num, den = a * mk + b * nk, b * mk
+            if num * num < 2 * den * den:
                 break
-        if k is None:
-            raise RuntimeError(
-                f"no exponent within depth {depth} keeps {d} + q^k below alpha"
+        else:
+            raise EnumerationCapExceeded(
+                f"no exponent within depth {depth} keeps {d} + q^k below alpha", d, depth
             )
-        u = d + q**k
+        u = Fraction(num, den)
         p = alphabeta_phi(q, u)
-        lhs_a = alpha - triple(d, 0, 0)
-        rhs_a = alphabeta_atom(u, p, "alpha").scale(p) + triple(q**k, 0, 0)
-        lhs_b = beta - triple(d, 0, 0)
-        rhs_b = alphabeta_atom(u, p, "beta").scale(p) + triple(q**k, 0, 0)
-        if lhs_a != rhs_a or lhs_b != rhs_b:
+        c0, c1, c = _atom_ints(-num, den, p)
+        if (p * c0 * mk + nk * c) * b != -a * c * mk or p * c1 != c:
             raise CertificateError(f"common-divisor identity fails at d = {d}")
         out.append(CommonDivisorReplay(d, k, u, p))
     return tuple(out)

@@ -15,7 +15,16 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from posmon.monoids import contains
+from posmon.elements import triple, zero
+from posmon.monoids import _GRADE_CAP, _PHI_CAP, EnumerationCapExceeded, contains
+from posmon.witness import CertificateError, CommonDivisorReplay, NearlyAtomicReport
+
+
+# every ratio the benchmark workloads query
+ALL_RATIOS = [Fraction(r) for r in (
+    "2/3", "3/4", "2/5", "3/5", "4/5", "5/6", "3/7", "4/7", "5/7",
+    "5/8", "7/8", "4/9", "7/9", "7/10", "9/10",
+)]
 
 
 def brute_force_factorizations(gens: tuple[int, ...], b: int) -> set[tuple[int, ...]]:
@@ -356,3 +365,175 @@ def _le_graded_values(q: Fraction, grade: int):
 
         rec(0, budget, Fraction(0))
     return out
+
+
+# The Fraction forms of the sqrt2/sqrt3 reports, of the discovery
+# enumeration and of the prime-sum solver, as the library wrote them before
+# it moved them to ints: every value a Fraction, every identity an equation
+# of GroupElement triples, phi a scan of the enumeration tuple.  The caps
+# and their messages are the library's, so the exceptions compare too.
+
+
+def graded_values_by_fractions(q: Fraction, grade: int) -> list[Fraction]:
+    """Values of coefficient vectors whose top index K and coefficient sum
+    satisfy K + sum(c) == grade, top coefficient nonzero (except the empty
+    vector at grade 0), by K and then lexicographically in c."""
+    if grade == 0:
+        return [Fraction(0)]
+    powers = [q**i for i in range(grade + 1)]
+    out: list[Fraction] = []
+
+    def rec(idx: int, top: int, budget: int, acc: Fraction):
+        if idx == top:  # the top coefficient takes what is left
+            out.append(acc + powers[idx] * budget)
+            return
+        for c in range(budget):
+            rec(idx + 1, top, budget - c, acc + powers[idx] * c)
+
+    for top in range(grade):
+        rec(0, top, grade - top, Fraction(0))
+    return out
+
+
+@lru_cache(maxsize=None)
+def alphabeta_domain_by_fractions(q: Fraction, count: int) -> tuple[Fraction, ...]:
+    """The discovery order over ``graded_values_by_fractions``."""
+    q = Fraction(q)
+    found: list[Fraction] = []
+    seen: set[Fraction] = set()
+    grade = 0
+    while len(found) < count:
+        for value in graded_values_by_fractions(q, grade):
+            if value in seen or not _sqrt2_floor_check(value):
+                continue
+            seen.add(value)
+            found.append(value)
+            if len(found) == count:
+                break
+        grade += 1
+        if grade > _GRADE_CAP:
+            raise EnumerationCapExceeded(
+                f"the first {count} elements below sqrt2 for q = {q} run past"
+                f" the safety cap, grade {_GRADE_CAP}",
+                count, _GRADE_CAP,
+            )
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _primes_by_trial_cached(count: int) -> tuple[int, ...]:
+    return tuple(primes_by_trial(count))
+
+
+def alphabeta_phi_by_scan(q: Fraction, s: Fraction) -> int:
+    """phi(s) by a scan of the enumeration prefixes of 16, 32, ... elements."""
+    count = 16
+    while True:
+        dom = alphabeta_domain_by_fractions(q, count)
+        if s in dom:
+            return _primes_by_trial_cached(len(dom))[dom.index(s)]
+        if count >= _PHI_CAP:
+            raise EnumerationCapExceeded(
+                f"{s} not discovered within the enumeration cap, {_PHI_CAP} elements",
+                s, _PHI_CAP,
+            )
+        count *= 2
+
+
+def verify_not_strongly_atomic_by_fractions(q: Fraction, depth: int):
+    """The common-divisor replays with Fraction triples."""
+    q = Fraction(q)
+    out = []
+    domain = alphabeta_domain_by_fractions(q, depth)
+    alpha = triple(0, 1, 0)
+    beta = triple(0, 0, 1)
+    for d in domain[: max(4, depth // 2)]:
+        k = None
+        for kk in range(1, depth + 1):
+            if _sqrt2_floor_check(d + q**kk):
+                k = kk
+                break
+        if k is None:
+            raise EnumerationCapExceeded(
+                f"no exponent within depth {depth} keeps {d} + q^k below alpha", d, depth
+            )
+        u = d + q**k
+        p = alphabeta_phi_by_scan(q, u)
+        lhs_a = alpha - triple(d, 0, 0)
+        rhs_a = triple(-u / p, Fraction(1, p), 0).scale(p) + triple(q**k, 0, 0)
+        lhs_b = beta - triple(d, 0, 0)
+        rhs_b = triple(-u / p, 0, Fraction(1, p)).scale(p) + triple(q**k, 0, 0)
+        if lhs_a != rhs_a or lhs_b != rhs_b:
+            raise CertificateError(f"common-divisor identity fails at d = {d}")
+        out.append(CommonDivisorReplay(d, k, u, p))
+    return tuple(out)
+
+
+def verify_nearly_atomic_by_fractions(depth: int):
+    """The nearly-atomic report with Fraction triples, over Stern's order
+    and primes by trial division."""
+    alpha = triple(0, 1, 0)
+    qs = stern_calkin_wilf(depth)
+    ps = primes_by_trial(depth)
+    atoms = [triple(x / p, Fraction(1, p), 0) for x, p in zip(qs, ps)]
+    decomps: list[dict] = []
+    for idx, (q0, p, head) in enumerate(zip(qs, ps, atoms)):
+        extra = [atoms[(idx + 1) % len(qs)]] if len(qs) > 1 else []
+        r = triple(q0, 0, 0) + sum(extra, zero(head.group))
+        lhs = alpha + r
+        rhs = head.scale(p)
+        for at in extra:
+            rhs = rhs + at
+        if lhs != rhs:
+            raise CertificateError(f"decomposition fails for q0 = {q0}")
+        decomps.append(
+            {
+                "q0": str(q0),
+                "phi": p,
+                "extra_atoms": len(extra),
+                "identity": f"alpha + r = {p}*[(alpha+{q0})/{p}] + extras",
+            }
+        )
+    obstructions = [
+        {
+            "member": str(x),
+            "alpha_coordinate": "0",
+            "conclusion": "no decomposition: every atom adds 1/phi(q) > 0",
+        }
+        for x in qs
+        if x != 0
+    ]
+    return NearlyAtomicReport(tuple(decomps), tuple(obstructions))
+
+
+def _factor_by_trial(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def prime_sum_by_fractions(x: Fraction, spare: int):
+    """Multiplicities {p: c_p} with sum c_p / p == x over distinct primes,
+    or None, with the leftover kept as a Fraction."""
+    den = x.denominator
+    fac = _factor_by_trial(den)
+    if any(e > 1 for e in fac.values()):
+        return None
+    coeffs: dict[int, int] = {}
+    rest = x
+    for p in sorted(fac):
+        a = (x.numerator * pow(den // p, -1, p)) % p
+        coeffs[p] = a
+        rest -= Fraction(a, p)
+    if rest.denominator != 1 or rest < 0:
+        return None
+    if rest > 0:
+        coeffs[spare] = coeffs.get(spare, 0) + spare * int(rest)
+    return coeffs

@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ALL_RATIOS,
+    alphabeta_domain_by_fractions,
     alphabeta_domain_by_le_grade,
     brute_force_membership,
     brute_force_triple_factorizations,
     brute_force_vector_factorizations,
+    graded_values_by_fractions,
     mq_members_below,
     mq_solve_by_gcd_steps,
     primes_by_trial,
@@ -48,6 +51,7 @@ from posmon.monoids import (
     FiniteGenerated,
     NearlyAtomicAlpha,
     UnsupportedFamily,
+    _graded_values,
     _mq_solve,
     alphabeta_domain,
     alphabeta_phi,
@@ -62,11 +66,6 @@ from posmon.primes import _MR_LIMIT, calkin_wilf, factorize, is_prime
 
 
 RATIOS = [Fraction(2, 3), Fraction(3, 5), Fraction(4, 7), Fraction(5, 8), Fraction(7, 9)]
-# every ratio the benchmark workloads query
-ALL_RATIOS = [Fraction(r) for r in (
-    "2/3", "3/4", "2/5", "3/5", "4/5", "5/6", "3/7", "4/7", "5/7",
-    "5/8", "7/8", "4/9", "7/9", "7/10", "9/10",
-)]
 
 
 def _check_canonical(q, x, rep):
@@ -380,7 +379,7 @@ class TestPhiByPosition:
     the library walks; both enumerations are checked against oracles that
     share no code with them."""
 
-    @pytest.mark.parametrize("q", PHI_RATIOS, ids=str)
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
     def test_domain_matches_the_le_grade_enumeration(self, q):
         assert alphabeta_domain(q, 480) == alphabeta_domain_by_le_grade(q, 480)
 
@@ -721,3 +720,20 @@ def test_window_cases_cover_every_loop():
     loops = {(m.window.search, m.group.kind) for _, m, _ in WINDOW_CASES}
     assert loops >= {(_scalar_search, "Q"), (_plane_walk, "lex"), (_plane_walk, "sqrt23"),
                      (_vector_search, "lex"), (_vector_search, "sqrt23")}
+
+
+class TestGradedValuesInInts:
+    """The int enumeration lists, grade by grade, exactly the values below
+    sqrt2 of the Fraction enumeration, in its order."""
+
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_each_grade_matches_the_fraction_reference(self, q):
+        n, d = q.numerator, q.denominator
+        for grade in range(1, 12):
+            want = [v for v in graded_values_by_fractions(q, grade) if v.numerator**2 < 2 * v.denominator**2]
+            got = [Fraction(v, d ** (grade - 1)) for v in _graded_values(n, d, grade)]
+            assert got == want, grade
+
+    @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(7, 10), Fraction(9, 10)], ids=str)
+    def test_domain_matches_the_fraction_reference(self, q):
+        assert alphabeta_domain(q, 300) == alphabeta_domain_by_fractions(q, 300)

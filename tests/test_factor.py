@@ -221,6 +221,26 @@ INT_PATH_CASES += [(depth, m) for depth in (1, 2) for m in RAY_PAIRS]
 INT_PATH_CASES += [(3, m) for m in RAY_PAIRS[:6]]
 
 
+class TestTripleOrder:
+    def test_int_triple_sort_is_the_exact_order(self):
+        """Convergents of sqrt2 and sqrt3 far closer to them than 2^-64,
+        among random triples, sort as the GroupElement order sorts them."""
+        close = []
+        for r, root in ((2, triple(0, 1, 0)), (3, triple(0, 0, 1))):
+            p = q = 1
+            for _ in range(40):  # p/q -> sqrt r, within 1/q^2
+                p, q = p + r * q, p + q
+                close.append(triple(Fraction(p, q), 0, 0))
+            close.append(root)
+        rng = random.Random(5)
+        elements = close + [
+            triple(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))) for _ in range(300)
+        ]
+        elements += [x.scale(2) for x in close[:5]] + [triple(0, 1, -1), triple(0, -1, 1)]
+        rng.shuffle(elements)
+        assert factor_module._sorted_triples(elements) == sorted(elements)
+
+
 class TestAtomReverification:
     @pytest.mark.parametrize("m, wrong", INT_CHECKED, ids=lambda v: str(v))
     def test_injected_wrong_candidate_raises(self, monkeypatch, m, wrong):

@@ -9,8 +9,22 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import brute_force_membership, greedy_prime_prefix
-from posmon.monoids import NotAMember, _mq_rep, contains, quasi_not_almost_instance
+from oracles import (
+    ALL_RATIOS,
+    brute_force_membership,
+    greedy_prime_prefix,
+    prime_sum_by_fractions,
+    verify_nearly_atomic_by_fractions,
+    verify_not_strongly_atomic_by_fractions,
+)
+from posmon.monoids import (
+    EnumerationCapExceeded,
+    NotAMember,
+    _mq_rep,
+    _prime_sum,
+    contains,
+    quasi_not_almost_instance,
+)
 from posmon import witness
 from posmon.elements import rational
 from posmon.witness import (
@@ -351,6 +365,90 @@ class TestNotStronglyAtomic:
         for r in out:
             assert (r.divisor + Fraction(2, 3) ** r.exponent) == r.shifted
             assert r.shifted.numerator**2 < 2 * r.shifted.denominator**2
+
+    def test_a_shifted_value_past_the_phi_cap_raises_the_typed_error(self):
+        """At depth 40 a divisor's shifted value d + q^k is not among the
+        first 8,192 discovered elements; the search took 2.7 s through the
+        Fraction enumeration and takes about 0.05 s in ints."""
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded) as info:
+            verify_not_strongly_atomic(Fraction(3, 4), 40)
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.cap == 8192
+        assert str(info.value.value) in str(info.value) and "8192" in str(info.value)
+        assert time.perf_counter() - start < 2.0
+
+    def test_no_exponent_within_the_depth_names_the_divisor(self):
+        with pytest.raises(EnumerationCapExceeded) as info:
+            verify_not_strongly_atomic(Fraction(2, 3), 4)
+        assert (info.value.value, info.value.cap) == (Fraction(4, 3), 4)
+        assert "4/3" in str(info.value) and "depth 4" in str(info.value)
+
+
+def _answer(call):
+    """What call() returns, or the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the answer under test includes the failure
+        return exc
+
+
+def _documents(answer) -> str:
+    if isinstance(answer, Exception):
+        return f"{type(answer).__name__}: {answer}"
+    rows = answer if isinstance(answer, tuple) else (answer,)
+    return json.dumps([r.to_json() for r in rows], sort_keys=True)
+
+
+class TestReportsMatchTheFractionReferences:
+    """The int replays of both sqrt2/sqrt3 reports give the reports of the
+    Fraction references, JSON bytes and exceptions included, and an atom
+    that does not fit its identity still makes them fail."""
+
+    @pytest.mark.parametrize("q", ALL_RATIOS, ids=str)
+    def test_not_strongly_atomic(self, q):
+        for depth in range(1, 13):
+            want = _answer(lambda: verify_not_strongly_atomic_by_fractions(q, depth))
+            got = _answer(lambda: verify_not_strongly_atomic(q, depth))
+            assert type(got) is type(want), depth
+            assert _documents(got) == _documents(want), depth
+            if not isinstance(want, Exception):
+                assert got == want
+
+    def test_nearly_atomic(self):
+        for depth in range(1, 61):
+            want, got = verify_nearly_atomic_by_fractions(depth), verify_nearly_atomic(depth)
+            assert got == want
+            assert _documents(got) == _documents(want), depth
+
+    @pytest.mark.parametrize("wrong", [
+        lambda num, den, p: (num + 1, den, den * p),  # the atom's rational part is off
+        lambda num, den, p: (num, den, den * (p + 2)),  # the atom carries another prime than phi
+    ], ids=["atom", "phi"])
+    def test_a_wrong_atom_fails_both_replays(self, monkeypatch, wrong):
+        monkeypatch.setattr(witness, "_atom_ints", wrong)
+        with pytest.raises(CertificateError, match="common-divisor identity fails"):
+            verify_not_strongly_atomic(Fraction(2, 3), 10)
+        with pytest.raises(CertificateError, match="decomposition fails"):
+            verify_nearly_atomic(8)
+
+
+class TestPrimeSum:
+    """``monoids._prime_sum`` in ints equals the Fraction reference, key
+    order included."""
+
+    DENOMINATORS = (1, 2, 3, 6, 30, 210, 77, 2 * 3 * 5 * 7 * 11 * 13, 4, 12, 9, 50, 8 * 3, 49 * 5)
+
+    @pytest.mark.parametrize("den", DENOMINATORS)
+    def test_matches_the_reference(self, den):
+        nums = range(-3 * den, 4 * den + 1)
+        if den > 250:
+            nums = random.Random(den).sample(nums, 1000)
+        for num in nums:
+            x = Fraction(num, den)
+            for spare in (2, 3, 5):
+                got, want = _prime_sum(x, spare), prime_sum_by_fractions(x, spare)
+                assert got == want and (got is None or list(got) == list(want)), (x, spare)
 
 
 class TestVerifyDispatch:
