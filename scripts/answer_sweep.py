@@ -80,7 +80,7 @@ from posmon.factor import (
 )
 from posmon.gallery import gallery_list, run_entry
 from posmon.classify import classify_known
-from posmon.monoids import (
+from posmon.descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -95,12 +95,10 @@ from posmon.monoids import (
     Product,
     ProductElement,
     UnionShift,
-    contains,
-    descriptor_from_json,
-    descriptor_to_json,
-    generators,
     numerical,
 )
+from posmon.monoids import contains, generators
+from posmon.jsonforms import descriptor_from_json, descriptor_to_json
 from posmon.witness import (
     ChainCertificate,
     mq_chain,

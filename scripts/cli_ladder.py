@@ -55,6 +55,7 @@ LADDER = (
     ("chain", "mq:2/3", "--depth", "3000", "-o", "{tmp}/c.json"),
     ("verify", "{tmp}/c.json"),
     ("factorize", "m0", "1/3317044064679887385962123"),
+    ("lengths", "cone:NxZ", "(1000000000000,0)@prio=0"),
 )
 
 

@@ -10,7 +10,7 @@ import sys
 from posmon.classify import PROPERTIES, classify_conductive
 from posmon.elements import Z, Z2, lexvec
 from posmon.factor import probe_property
-from posmon.monoids import Conductive
+from posmon.descriptors import Conductive
 
 
 def main() -> int:

@@ -24,15 +24,13 @@ from .elements import (
     triple,
     zero,
 )
-from .monoids import (
+from .descriptors import (
     AlphaBeta,
     Conductive,
     FiniteGenerated,
-    GeneratorWindow,
     GeometricPuiseux,
     LexCone,
     Localized,
-    MembershipVerdict,
     MonoidDescriptor,
     NearlyAtomicAlpha,
     NotAMember,
@@ -42,17 +40,20 @@ from .monoids import (
     UnionShift,
     UnsupportedFamily,
     almost_not_nearly_instance,
+    numerical,
+    quasi_not_almost_instance,
+)
+from .monoids import (
+    GeneratorWindow,
+    MembershipVerdict,
     contains,
-    descriptor_from_json,
-    descriptor_to_json,
     divides,
     generators,
     gp_membership,
     members_within,
-    numerical,
-    quasi_not_almost_instance,
     replay_certificate,
 )
+from .jsonforms import descriptor_from_json, descriptor_to_json
 from .factor import (
     AtomSet,
     AtomicityWitness,

@@ -21,16 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elements import GroupElement, arch_valuation, rational
-from .factor import length_set, ProbeResult
-from .monoids import (
+from .descriptors import (
     AlphaBeta,
     Conductive,
-    DEFAULT_DEPTH,
     FiniteGenerated,
     GENERATE,
     GeometricPuiseux,
-    JsonForm,
     LexCone,
     Localized,
     MonoidDescriptor,
@@ -41,8 +37,11 @@ from .monoids import (
     UnionShift,
     UnsupportedFamily,
     FULL_CONE,
-    descriptor_to_json,
 )
+from .elements import GroupElement, arch_valuation, rational
+from .factor import length_set, ProbeResult
+from .jsonforms import JsonForm, descriptor_to_json
+from .monoids import DEFAULT_DEPTH
 
 PROPERTIES = ("UFM", "HFM", "LFM", "FFM", "BFM", "ACCP", "SAM", "ATM", "NAM", "AAM", "QAM")
 

@@ -17,10 +17,7 @@ from functools import cache
 
 from . import __version__
 from .classify import PROPERTIES, classify_known
-from .elements import group_from_token, parse_element, parse_fraction
-from .factor import atoms, factorizations, length_set, probe_property, PROBEABLE
-from .gallery import by_id, gallery_list, run_entry
-from .monoids import (
+from .descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -31,10 +28,13 @@ from .monoids import (
     NearlyAtomicAlpha,
     PrimeReciprocal,
     almost_not_nearly_instance,
-    descriptor_to_json,
     numerical,
     quasi_not_almost_instance,
 )
+from .elements import group_from_token, parse_element, parse_fraction
+from .factor import atoms, factorizations, length_set, probe_property, PROBEABLE
+from .gallery import by_id, gallery_list, run_entry
+from .jsonforms import descriptor_to_json
 from .witness import (
     CertificateError,
     mq_chain,

@@ -21,19 +21,7 @@ from .classify import (
     check_chain_consistency,
     limit_point_bfm,
 )
-from .elements import (
-    GroupElement,
-    Q2,
-    Z,
-    Z2,
-    Z2_SECOND,
-    lexvec,
-    rational,
-    triple,
-    zero,
-)
-from .factor import atoms, factorizations, is_atomic_element, length_function_check, probe_property
-from .monoids import (
+from .descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -47,10 +35,21 @@ from .monoids import (
     ProductElement,
     UnionShift,
     almost_not_nearly_instance,
-    contains,
-    gp_membership,
     quasi_not_almost_instance,
 )
+from .elements import (
+    GroupElement,
+    Q2,
+    Z,
+    Z2,
+    Z2_SECOND,
+    lexvec,
+    rational,
+    triple,
+    zero,
+)
+from .factor import atoms, factorizations, is_atomic_element, length_function_check, probe_property
+from .monoids import contains, gp_membership
 from .primes import first_primes
 from .witness import (
     mq_chain,

@@ -1,8 +1,9 @@
-"""Finite descriptors for the monoid families of the gallery, with
-membership and divisibility decision procedures.
+"""Membership and divisibility decision procedures for the monoid families
+of ``descriptors``, their generator windows and their members below a
+bound.
 
 Membership is exact (In/Out) wherever a decision procedure exists:
-finitely generated monoids (the integer knapsack engine of ``factor``,
+finitely generated monoids (the integer knapsack engine of ``search``,
 stopped at the first combination), conductive monoids and lex cones (cone
 rule), the geometric monoid <q^n> (canonical representation), the
 prime-reciprocal monoid <1/p> (residue decomposition), localized rays
@@ -10,88 +11,50 @@ Z[1/p]_{>=t}, their unions, and direct products.  The two families built
 around an irrational basis element only admit bounded verdicts, reported
 honestly as ``unknown`` rather than coerced to Out.
 
-Descriptors are immutable; generator windows are memoized behind
-``functools.lru_cache`` and all operations may be called concurrently.
-Every JSON document of the package, descriptors included, is its
-dataclass's fields under their JSON names (``_Codec``), so adding or
-renaming a field changes the format.
+Generator windows are memoized behind ``functools.lru_cache`` and all
+operations may be called concurrently.  The phi enumerations of the two
+irrational constructions are in ``phi``.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
-from math import ceil, floor, gcd, isqrt
-from operator import attrgetter, index, itemgetter, methodcaller
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from math import ceil, floor, gcd
+from typing import Optional
 
-from .elements import (
-    Group,
-    GroupElement,
-    GroupMismatch,
-    Q,
-    T,
-    group_from_token,
-    parse_element,
-    rational,
-    to_text,
-    triple,
-    zero,
+# numerical and FIRST_POSITIVE are not used here; the benchmark workloads
+# build their monoids through posmon.monoids
+from .descriptors import (
+    FIRST_POSITIVE,
+    FULL_CONE,
+    UNION,
+    AlphaBeta,
+    Conductive,
+    Element,
+    FiniteGenerated,
+    GeometricPuiseux,
+    LexCone,
+    Localized,
+    MonoidDescriptor,
+    NearlyAtomicAlpha,
+    PrimeReciprocal,
+    Product,
+    ProductElement,
+    UnionShift,
+    UnsupportedFamily,
+    numerical,
 )
-from .primes import (
-    calkin_wilf,
-    factorize,
-    first_primes,
-    is_prime,
-    is_squarefree,
-)
+from .elements import Group, GroupElement, GroupMismatch, Q, rational, triple, zero
+from .phi import alphabeta_atom, alphabeta_domain, nearly_atom
+from .primes import calkin_wilf, factorize, first_primes, is_squarefree
 
 DEFAULT_DEPTH = 12
 RAY_EXPONENT_CAP = 4  # the largest denominator exponent of a ray's window
 
 IN, OUT, UNKNOWN = "in", "out", "unknown"
-
-
-class UnsupportedFamily(ValueError):
-    """Raised when an operation has no procedure for the given family."""
-
-
-class NotAMember(ValueError):
-    """Raised when an argument required to be a member is not one."""
-
-
-# ---------------------------------------------------------------------------
-# elements of product monoids
-
-
-@dataclass(frozen=True)
-class ProductElement:
-    """A pair (left, right) of group elements, for Product descriptors."""
-
-    left: GroupElement
-    right: GroupElement
-
-    def __add__(self, other: "ProductElement") -> "ProductElement":
-        return ProductElement(self.left + other.left, self.right + other.right)
-
-    def __sub__(self, other: "ProductElement") -> "ProductElement":
-        return ProductElement(self.left - other.left, self.right - other.right)
-
-    def __neg__(self) -> "ProductElement":
-        return ProductElement(-self.left, -self.right)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.left.is_zero and self.right.is_zero
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
-
-
-Element = Union[GroupElement, ProductElement]
 
 
 # ---------------------------------------------------------------------------
@@ -155,467 +118,6 @@ class GeneratorWindow:
     descriptor: "MonoidDescriptor"
     depth: int
     generators: tuple[Element, ...]
-
-
-# ---------------------------------------------------------------------------
-# descriptors
-
-
-class MonoidDescriptor:
-    """Base class; all concrete families are frozen dataclasses."""
-
-    family: str = "abstract"
-    _hash = None
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        # a __hash__ in the class body keeps @dataclass from generating one
-        super().__init_subclass__(**kwargs)
-        cls.__hash__ = MonoidDescriptor._hash_once
-
-    def _hash_once(self) -> int:
-        """The fields' hash, kept at first use: every query looks its
-        descriptor up in the atom cache, through ``Fraction.__hash__``."""
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-        return self._hash
-
-    @property
-    def group(self) -> Group:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.family
-
-
-@dataclass(frozen=True)
-class FiniteGenerated(MonoidDescriptor):
-    """<g_1, ..., g_k> for finitely many positive generators."""
-
-    generators: tuple[GroupElement, ...]
-    family = "finite-generated"
-
-    def __post_init__(self) -> None:
-        if not self.generators:
-            raise ValueError("need at least one generator")
-        g0 = self.generators[0].group
-        for g in self.generators:
-            if g.group != g0:
-                raise GroupMismatch("generators from different groups")
-            if not g.is_positive:
-                raise ValueError("generators must be positive")
-        # not a cached_property: set up front, ``window``'s attribute stays inline,
-        # where a late one makes CPython build an instance __dict__ (250 bytes)
-        object.__setattr__(self, "_window", None)
-
-    @property
-    def group(self) -> Group:
-        return self.generators[0].group
-
-    @property
-    def window(self):
-        """The encoded window (``factor.Window``) of the distinct
-        generators, descending: membership and the atoms' split rule
-        search it."""
-        if self._window is None:
-            from .factor import Window
-
-            object.__setattr__(self, "_window", Window(sorted(set(self.generators), reverse=True)))
-        return self._window
-
-    def __str__(self) -> str:
-        return "<" + ", ".join(str(g) for g in self.generators) + ">"
-
-
-def numerical(*gens: int) -> FiniteGenerated:
-    """Additive submonoid of the nonnegative rationals with integer generators."""
-    return FiniteGenerated(tuple(rational(g) for g in gens))
-
-
-@dataclass(frozen=True)
-class GeometricPuiseux(MonoidDescriptor):
-    """M_q = <q^n | n >= 0> for 0 < q < 1 whose inverse is not an integer."""
-
-    q: Fraction = field(metadata={"json": "ratio"})
-    family = "geometric"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", Fraction(self.q))
-        if not 0 < self.q < 1:
-            raise ValueError("ratio must lie strictly between 0 and 1")
-        if self.q.numerator < 2:
-            raise ValueError("ratio must have numerator >= 2 (1/q not an integer)")
-
-    @property
-    def group(self) -> Group:
-        return Q
-
-    def __str__(self) -> str:
-        return f"M_{self.q}"
-
-
-@dataclass(frozen=True)
-class PrimeReciprocal(MonoidDescriptor):
-    """M_0 = <1/p | p prime>."""
-
-    family = "prime-reciprocal"
-
-    @property
-    def group(self) -> Group:
-        return Q
-
-    def __str__(self) -> str:
-        return "M_0"
-
-
-@dataclass(frozen=True)
-class Conductive(MonoidDescriptor):
-    """M_a = {0} union G_{>=a} for a positive threshold a."""
-
-    threshold: GroupElement
-    family = "conductive"
-
-    def __post_init__(self) -> None:
-        if not self.threshold.is_positive:
-            raise ValueError("threshold must be positive")
-
-    @property
-    def group(self) -> Group:
-        return self.threshold.group
-
-    def __str__(self) -> str:
-        return f"M_a[{self.group.token}, a={self.threshold}]"
-
-
-FIRST_POSITIVE = "first-positive"
-FULL_CONE = "full-cone"
-
-
-@dataclass(frozen=True)
-class LexCone(MonoidDescriptor):
-    """A cone-style positive monoid of a lex vector group.
-
-    rule "full-cone": the whole nonnegative cone G+.
-    rule "first-positive": {0} union {v : priority coordinate of v > 0};
-    e.g. {0} u (N x Z) in Z^2 and {0} u (Q_{>0} x Q) in Q^2.
-    """
-
-    lex_group: Group = field(metadata={"json": "group"})
-    rule: str
-    family = "lex-cone"
-
-    def __post_init__(self) -> None:
-        if self.lex_group.kind != "lex":
-            raise ValueError("LexCone needs a lex vector group")
-        if self.rule not in (FIRST_POSITIVE, FULL_CONE):
-            raise ValueError(f"unknown cone rule {self.rule!r}")
-
-    @property
-    def group(self) -> Group:
-        return self.lex_group
-
-    def __str__(self) -> str:
-        return f"cone[{self.lex_group.token}, {self.rule}]"
-
-
-@dataclass(frozen=True)
-class Localized(MonoidDescriptor):
-    """{0} union {x in Z[1/p] : x >= t} for a prime p and threshold t >= 0."""
-
-    prime: int
-    min_nonzero: Fraction = field(metadata={"json": "min"})
-    family = "localized"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_nonzero", Fraction(self.min_nonzero))
-        if not is_prime(self.prime):
-            raise ValueError("localization base must be prime")
-        if self.min_nonzero < 0:
-            raise ValueError("threshold must be nonnegative")
-
-    @property
-    def group(self) -> Group:
-        return Q
-
-    def __str__(self) -> str:
-        return f"Z[1/{self.prime}]_(>= {self.min_nonzero})"
-
-
-@dataclass(frozen=True)
-class Product(MonoidDescriptor):
-    """Direct product; members are ProductElement pairs, componentwise."""
-
-    left: MonoidDescriptor
-    right: MonoidDescriptor
-    family = "product"
-
-    @property
-    def group(self) -> Group:
-        raise UnsupportedFamily("a product has no single ambient ground group")
-
-    def __str__(self) -> str:
-        return f"({self.left}) x ({self.right})"
-
-
-UNION = "union"
-GENERATE = "generate"
-
-
-@dataclass(frozen=True)
-class UnionShift(MonoidDescriptor):
-    """Extension of a base monoid by a tail.
-
-    mode "union" with a threshold: members are base-members together with
-    the elements of the difference group of the base that are >= threshold
-    (a set union; both parts are closed under addition across the union).
-
-    mode "generate" with a tail descriptor: the monoid generated by the
-    union of the two member sets, i.e. all sums base + tail.
-    """
-
-    base: MonoidDescriptor
-    tail: Optional[MonoidDescriptor] = None
-    threshold: Optional[Fraction] = None
-    mode: str = UNION
-    family = "union-shift"
-
-    def __post_init__(self) -> None:
-        if self.threshold is not None:
-            object.__setattr__(self, "threshold", Fraction(self.threshold))
-        if self.mode == UNION:
-            if self.threshold is None or self.tail is not None:
-                raise ValueError("union mode takes a threshold and no tail")
-            if not isinstance(self.base, PrimeReciprocal):
-                raise UnsupportedFamily(
-                    "group-tail union is implemented over the prime-reciprocal base"
-                )
-            if self.threshold < Fraction(1, 2):
-                # below 1/2 the tail splits prime reciprocals (1/2 = 5/14 +
-                # 1/7 at threshold 1/3), so they are no longer all atoms
-                raise UnsupportedFamily(
-                    "group-tail union is implemented for thresholds >= 1/2"
-                )
-        elif self.mode == GENERATE:
-            if self.tail is None or self.threshold is not None:
-                raise ValueError("generate mode takes a tail and no threshold")
-            if not (
-                isinstance(self.base, Localized)
-                and isinstance(self.tail, Localized)
-                and self.base.prime != self.tail.prime
-            ):
-                raise UnsupportedFamily(
-                    "generated union is implemented for two localized rays "
-                    "at distinct primes"
-                )
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def group(self) -> Group:
-        return Q
-
-    def __str__(self) -> str:
-        if self.mode == UNION:
-            return f"{self.base} u gp_(>= {self.threshold})"
-        return f"<{self.base} u {self.tail}>"
-
-
-@dataclass(frozen=True)
-class AlphaBeta(MonoidDescriptor):
-    """The rank-three construction over M_q with two extra basis directions.
-
-    Generated by s, (alpha - s)/phi(s) and (beta - s)/phi(s) for s ranging
-    over S = {s in M_q : s < alpha}, with alpha = sqrt2, beta = sqrt3 and
-    phi the injection of S into the primes by discovery order.
-    """
-
-    q: Fraction = field(metadata={"json": "ratio"})
-    family = "alpha-beta"
-
-    def __post_init__(self) -> None:
-        GeometricPuiseux(self.q)  # validates the ratio
-        object.__setattr__(self, "q", Fraction(self.q))
-
-    @property
-    def group(self) -> Group:
-        return T
-
-    def __str__(self) -> str:
-        return f"M_(a,b)[{self.q}]"
-
-
-@dataclass(frozen=True)
-class NearlyAtomicAlpha(MonoidDescriptor):
-    """<q, (alpha + q)/phi(q) | q in Q_{>=0}> with alpha = sqrt2 and phi the
-    injection of Q_{>=0} into the primes by Calkin-Wilf order."""
-
-    family = "nearly-atomic-alpha"
-
-    @property
-    def group(self) -> Group:
-        return T
-
-    def __str__(self) -> str:
-        return "M_nearly[sqrt2]"
-
-
-def quasi_not_almost_instance() -> UnionShift:
-    """<Z[1/2]_{>=0} u Z[1/3]_{>=4/3}>."""
-    return UnionShift(
-        base=Localized(2, Fraction(0)),
-        tail=Localized(3, Fraction(4, 3)),
-        mode=GENERATE,
-    )
-
-
-def almost_not_nearly_instance() -> UnionShift:
-    """M_0 extended by the elements of its difference group that are >= 1."""
-    return UnionShift(base=PrimeReciprocal(), threshold=Fraction(1), mode=UNION)
-
-
-# ---------------------------------------------------------------------------
-# phi enumerations
-
-
-_GRADE_CAP = 200  # the last grade the discovery enumeration reaches
-_PHI_CAP = 8192  # the longest enumeration prefix that phi looks in
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """A fixed cap of the sqrt2/sqrt3 constructions stopped a search
-    before it found what it sought: ``value`` is that (an element count, an
-    element or a divisor) and ``cap`` the bound it reached."""
-
-    def __init__(self, message: str, value, cap: int) -> None:
-        super().__init__(message)
-        self.value = value
-        self.cap = cap
-
-
-@lru_cache(maxsize=None)
-def alphabeta_domain(q: Fraction, count: int) -> tuple[Fraction, ...]:
-    """First `count` elements of S = {s in M_q : s < sqrt2}, in discovery order.
-
-    Discovery order: representations c_0 + c_1 q + ... + c_K q^K are
-    enumerated by increasing grade K + sum(c_i) and lexicographic
-    coefficient order inside a grade; a value joins S the first time it
-    appears.  The order is fixed so that phi (n-th element -> n-th prime)
-    is reproducible across runs.  Every site that walks this tuple reads
-    phi by position, zipping it with ``first_primes``; only a value found
-    by arithmetic (``verify_not_strongly_atomic``'s d + q^k) is looked up
-    by ``alphabeta_phi``, in the value -> index map that ``_alphabeta_index``
-    keeps beside the tuple.
-
-    The walk runs in ints: grade g lists numerators over d^(g-1), d = d(q),
-    and those already found are carried to the next grade by a factor d.
-    A grade past ``_GRADE_CAP`` raises EnumerationCapExceeded.
-    """
-    q = Fraction(q)
-    n, d = q.numerator, q.denominator
-    found = [Fraction(0)][:count]  # grade 0: the empty vector
-    seen = {0}  # numerators over d^(grade-1) of the values found
-    grade = 1
-    while len(found) < count:
-        if grade > 1:
-            seen = {v * d for v in seen}
-        den = d ** (grade - 1)
-        for value in _graded_values(n, d, grade):
-            if value in seen:
-                continue
-            seen.add(value)
-            found.append(Fraction(value, den))
-            if len(found) == count:
-                break
-        grade += 1
-        if grade > _GRADE_CAP:
-            raise EnumerationCapExceeded(
-                f"the first {count} elements below sqrt2 for q = {q} run past"
-                f" the safety cap, grade {_GRADE_CAP}",
-                count, _GRADE_CAP,
-            )
-    return tuple(found)
-
-
-def _graded_values(n: int, d: int, grade: int) -> list[int]:
-    """The values below sqrt2 of the coefficient vectors whose top index K
-    and coefficient sum satisfy K + sum(c) == grade >= 1, top coefficient
-    nonzero, by K and then lexicographically in c; as numerators over
-    d^(grade-1), for q = n/d.
-
-    Term i weighs n^i d^(grade-1-i), and the weights fall with i, so the
-    least completion of a prefix puts the rest of the sum on the top index.
-    Once that passes sqrt2, that is, its numerator passes isqrt(2
-    d^(2 grade-2)) (sqrt2 d^(grade-1) is irrational), every larger choice
-    at the current index does too, and the loop stops.
-    """
-    e = grade - 1
-    den = d**e
-    cut = isqrt(2 * den * den)
-    weights = [n**i * d ** (e - i) for i in range(grade)]
-    out: list[int] = []
-
-    def rec(idx: int, top: int, budget: int, acc: int) -> None:
-        wt = weights[top]
-        if idx == top:  # the top coefficient takes what is left
-            out.append(acc + wt * budget)
-            return
-        wi = weights[idx]
-        for c in range(budget):
-            if acc + c * wi + (budget - c) * wt > cut:
-                break
-            rec(idx + 1, top, budget - c, acc + c * wi)
-
-    for top in range(grade):
-        if (grade - top) * weights[top] <= cut:
-            rec(0, top, grade - top, 0)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _alphabeta_index(q: Fraction, count: int) -> dict[Fraction, int]:
-    """value -> position in ``alphabeta_domain(q, count)``."""
-    return {s: i for i, s in enumerate(alphabeta_domain(q, count))}
-
-
-def alphabeta_phi(q: Fraction, s: Fraction) -> int:
-    """phi(s): the prime assigned to s by discovery order.  It looks s up in
-    the enumeration prefixes of 16, 32, ... elements and raises
-    EnumerationCapExceeded when s is not among the first ``_PHI_CAP``."""
-    count = 16
-    while True:
-        i = _alphabeta_index(q, count).get(s)
-        if i is not None:
-            return first_primes(count)[i]
-        if count >= _PHI_CAP:
-            raise EnumerationCapExceeded(
-                f"{s} not discovered within the enumeration cap, {_PHI_CAP} elements",
-                s, _PHI_CAP,
-            )
-        count *= 2
-
-
-def _atom_ints(num: int, den: int, p: int) -> tuple[int, int, int]:
-    """(c0, c1, c) with (num/den + r)/p == (c0 + c1 r)/c for r = sqrt2 or
-    sqrt3: the atom (alpha + x)/p of the nearly-atomic instance has num/den
-    = x, and the atoms (alpha - s)/p, (beta - s)/p of M_(a,b)[q] have -s."""
-    return num, den, den * p
-
-
-def nearly_atom(x: Fraction, p: int) -> GroupElement:
-    """The atom (alpha + x)/p of the nearly-atomic instance, p = phi(x)."""
-    x = Fraction(x)
-    c0, c1, c = _atom_ints(x.numerator, x.denominator, p)
-    return triple(Fraction(c0, c), Fraction(c1, c), 0)
-
-
-def alphabeta_atom(s: Fraction, p: int, direction: str) -> GroupElement:
-    """(alpha - s)/p or (beta - s)/p as an exact triple, p = phi(s)."""
-    s = Fraction(s)
-    c0, c1, c = _atom_ints(-s.numerator, s.denominator, p)
-    if direction == "alpha":
-        return triple(Fraction(c0, c), Fraction(c1, c), 0)
-    if direction == "beta":
-        return triple(Fraction(c0, c), 0, Fraction(c1, c))
-    raise ValueError("direction must be 'alpha' or 'beta'")
 
 
 # ---------------------------------------------------------------------------
@@ -1293,148 +795,3 @@ def _normalize_box(group: Group, bound) -> tuple[int, ...]:
     if min(box, default=0) < 0:
         raise ValueError(f"negative box entry in {box}")
     return box
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def element_to_json(x: Element):
-    if isinstance(x, ProductElement):
-        return {"left": element_to_json(x.left), "right": element_to_json(x.right)}
-    return {"group": x.group.token, "value": to_text(x)}
-
-
-def element_from_json(obj) -> Element:
-    if "left" in obj:
-        return ProductElement(
-            element_from_json(obj["left"]), element_from_json(obj["right"])
-        )
-    return parse_element(group_from_token(obj["group"]), obj["value"])
-
-
-def descriptor_to_json(m: MonoidDescriptor) -> dict:
-    return _codec(type(m)).encode(m)
-
-
-def descriptor_from_json(obj: dict) -> MonoidDescriptor:
-    fam = obj["family"]
-    for cls in MonoidDescriptor.__subclasses__():
-        if cls.family == fam:
-            return _codec(cls).decode(obj)
-    raise UnsupportedFamily(f"unknown family tag {fam!r}")
-
-
-class JsonForm:
-    """Base of the dataclasses whose document is their fields (``_codec``):
-    certificates, reports and their parts.  A class ``KIND`` is written
-    as the "kind" tag."""
-
-    def to_json(self) -> dict:
-        return _codec(type(self)).encode(self)
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        return _codec(cls).decode(obj)
-
-
-class _Codec:
-    """The JSON form of one dataclass, built once from its fields and type
-    hints: the tag ("family" for a descriptor, "kind" for a class
-    ``KIND``), then each field under its JSON name, the one in its
-    ``field(metadata={"json": ...})`` or else its own.  A None field is
-    left out, and only a field whose default is None may be missing.  A
-    malformed document raises TypeError, KeyError or ValueError."""
-
-    def __init__(self, cls) -> None:
-        self.cls = cls
-        kind = getattr(cls, "KIND", None)
-        self.tag = {"family": cls.family} if issubclass(cls, MonoidDescriptor) else {"kind": kind} if kind else {}
-        hints = get_type_hints(cls)
-        self.writers, self.readers = [], []
-        for f in fields(cls):
-            key = f.metadata.get("json", f.name)
-            enc, dec = _converters(hints[f.name])
-            self.writers.append((f.name, key, enc))
-            # a missing key raises KeyError, or reads as None where None is the default
-            self.readers.append((methodcaller("get", key) if f.default is None else itemgetter(key), dec))
-
-    def encode(self, x) -> dict:
-        out = dict(self.tag)
-        for name, key, enc in self.writers:
-            v = getattr(x, name)
-            if v is not None:
-                out[key] = enc(v)
-        return out
-
-    def decode(self, obj):
-        obj = _expect(dict, obj)
-        return self.cls(*[dec(get(obj)) for get, dec in self.readers])
-
-
-_codec = lru_cache(maxsize=None)(_Codec)  # one codec per class
-
-
-def _same(v):
-    return v
-
-
-def _expect(kind, v):
-    """v, if its JSON type is exactly kind."""
-    if type(v) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
-    return v
-
-
-_PLAIN_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _fraction(v) -> Fraction:
-    """``Fraction(v)``, with a plain ASCII "n" or "n/d", the form that
-    ``str`` writes, read as two ints without Fraction's string parser.
-    Any other value, the errors included, goes through ``Fraction(v)``."""
-    if type(v) is str and _PLAIN_RATIO.fullmatch(v):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or 1))
-    return Fraction(v)
-
-
-# (encode, decode) by type hint; an int reads through ``operator.index``,
-# which takes a bool as 0 or 1
-_SCALARS = {
-    int: (_same, index),
-    str: (_same, partial(_expect, str)),
-    dict: (_same, partial(_expect, dict)),
-    object: (_same, _same),
-    Fraction: (str, _fraction),
-    Group: (attrgetter("token"), group_from_token),
-    GroupElement: (element_to_json, element_from_json),
-    MonoidDescriptor: (descriptor_to_json, descriptor_from_json),
-}
-
-
-def _converters(hint):
-    """(encode, decode) for a field's type hint: a scalar above, Optional
-    of one, a tuple of one item type, or a dataclass with its own codec."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union and type(None) in args:
-        (inner,) = (a for a in args if a is not type(None))
-        enc, dec = _converters(inner)
-        return enc, lambda v: None if v is None else dec(v)
-    if origin is tuple:
-        # tuple[X, ...], or a fixed length of one item type such as tuple[int, int]
-        (item,) = set(args) - {Ellipsis}
-        size = None if args[-1] is Ellipsis else len(args)
-        enc, dec = _converters(item)
-
-        def dec_tuple(v):
-            out = tuple(map(dec, _expect(list, v)))
-            if size is not None and len(out) != size:
-                raise ValueError(f"expected {size} entries, got {len(out)}")
-            return out
-
-        return (list if enc is _same else lambda v: [enc(x) for x in v]), dec_tuple
-    if hint in _SCALARS:
-        return _SCALARS[hint]
-    codec = _codec(hint)
-    return codec.encode, codec.decode

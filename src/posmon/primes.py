@@ -7,11 +7,10 @@ call pattern warrants it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator
 
 _SMALL_SIEVE_LIMIT = 1 << 16
@@ -62,9 +61,9 @@ def is_prime(n: int) -> bool:
     Miller-Rabin proves n composite; otherwise ValueError, as n cannot be
     certified prime."""
     if n < _SMALL_SIEVE_LIMIT:
-        ps = primes_below(_SMALL_SIEVE_LIMIT)
-        i = bisect_left(ps, n)
-        return i < len(ps) and ps[i] == n
+        # trial division, at most 255 steps: a descriptor that checks its
+        # prime (``Localized``) does not build and keep the sieve
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
     if not _miller_rabin(n):
         return False
     if n >= _MR_LIMIT:

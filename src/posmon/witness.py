@@ -7,7 +7,7 @@ atomic classes.
 Every certificate replays: its ``verify`` routine re-checks all recorded
 identities in exact arithmetic, and a hereditary break proves the
 exclusion at every step by one gcd carried across the steps.  A
-certificate document is its ``KIND`` and its fields (``monoids.JsonForm``),
+certificate document is its ``KIND`` and its fields (``jsonforms.JsonForm``),
 so adding or renaming a field changes the format, and a key that names no
 field is ignored; the CLI ``verify`` subcommand re-checks any certificate
 file.
@@ -24,21 +24,16 @@ from itertools import islice, takewhile
 from math import exp, gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .elements import rational
-from .monoids import (
-    DEFAULT_DEPTH,
-    EnumerationCapExceeded,
+from .descriptors import (
     GeometricPuiseux,
-    JsonForm,
     NotAMember,
-    _atom_ints,
-    _mq_rep,
     almost_not_nearly_instance,
-    alphabeta_domain,
-    alphabeta_phi,
-    contains,
     quasi_not_almost_instance,
 )
+from .elements import rational
+from .jsonforms import JsonForm
+from .monoids import DEFAULT_DEPTH, _mq_rep, contains
+from .phi import EnumerationCapExceeded, _atom_ints, alphabeta_domain, alphabeta_phi
 from .primes import calkin_wilf, first_primes, iter_primes, prime_support
 
 
@@ -537,7 +532,7 @@ def verify_nearly_atomic(depth: int = DEFAULT_DEPTH) -> NearlyAtomicReport:
 
     Each identity is replayed in ints: the extra atoms stand on both
     sides, so it holds exactly when alpha + q0 == p * head, with the head
-    (c0 + c1 alpha)/c (``monoids._atom_ints``); that is p c0 b == a c and
+    (c0 + c1 alpha)/c (``phi._atom_ints``); that is p c0 b == a c and
     p c1 == c for q0 = a/b."""
     qs = calkin_wilf(depth)
     decomps: list[dict] = []
@@ -596,7 +591,7 @@ def verify_not_strongly_atomic(
     Everything runs in ints over the denominator D = b m^k of d + q^k, for
     d = a/b and q = n/m: the exponent search tests (a m^k + b n^k)^2 <
     2 D^2 on the running powers n^k and m^k, and with the atom (alpha -
-    u)/p = (c0 + c1 alpha)/c (``monoids._atom_ints``), u = d + q^k and p =
+    u)/p = (c0 + c1 alpha)/c (``phi._atom_ints``), u = d + q^k and p =
     phi(u), the identity alpha - d == p (alpha - u)/p + q^k is (p c0 m^k +
     n^k c) b == -a c m^k and p c1 == c.  The beta identity has the same
     coordinates in the sqrt3 place, so the same two equations replay it."""

@@ -16,7 +16,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from posmon.elements import triple, zero
-from posmon.monoids import _GRADE_CAP, _PHI_CAP, EnumerationCapExceeded, contains
+from posmon.monoids import contains
+from posmon.phi import _GRADE_CAP, _PHI_CAP, EnumerationCapExceeded
 from posmon.witness import CertificateError, CommonDivisorReplay, NearlyAtomicReport
 
 

@@ -24,16 +24,15 @@ from posmon.elements import (
 )
 from posmon.factor import atoms, factorizations, length_set, probe_property
 from posmon.gallery import gallery_list, run_entry
-from posmon.monoids import (
+from posmon.descriptors import (
     Conductive,
     FIRST_POSITIVE,
     LexCone,
     PrimeReciprocal,
-    contains,
-    gp_membership,
     numerical,
     quasi_not_almost_instance,
 )
+from posmon.monoids import contains, gp_membership
 from posmon.primes import first_primes
 from posmon.witness import mq_chain, synthesize_break, verify_quasi_witness
 

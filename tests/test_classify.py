@@ -17,7 +17,7 @@ from posmon.classify import (
 )
 from posmon.elements import Group, GroupElement, Z, Z2, lexvec, rational
 from posmon.factor import atoms, probe_property
-from posmon.monoids import (
+from posmon.descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,

@@ -26,21 +26,9 @@ from oracles import (
     stern_calkin_wilf,
 )
 from posmon.elements import Group, GroupElement, Q, Q2, T, Z2, Z2_SECOND, lexvec, rational, triple, zero
-from posmon.factor import (
-    Window,
-    _enumerate,
-    _plane_walk,
-    _scalar_search,
-    _vector_search,
-    _vector_tables,
-    atoms,
-    factorizations,
-    is_atomic_element,
-    length_set,
-)
-from posmon.monoids import (
+from posmon.factor import atoms, factorizations, is_atomic_element, length_set
+from posmon.descriptors import (
     AlphaBeta,
-    DEFAULT_DEPTH,
     FIRST_POSITIVE,
     FULL_CONE,
     GeometricPuiseux,
@@ -51,16 +39,12 @@ from posmon.monoids import (
     FiniteGenerated,
     NearlyAtomicAlpha,
     UnsupportedFamily,
-    _graded_values,
-    _mq_solve,
-    alphabeta_domain,
-    alphabeta_phi,
-    contains,
-    generators,
     numerical,
     quasi_not_almost_instance,
-    replay_certificate,
 )
+from posmon.monoids import DEFAULT_DEPTH, _mq_solve, contains, generators, replay_certificate
+from posmon.phi import _graded_values, alphabeta_domain, alphabeta_phi
+from posmon.search import Window, _enumerate, _plane_walk, _scalar_search, _vector_search, _vector_tables
 from posmon.elements import Z
 from posmon.primes import _MR_LIMIT, calkin_wilf, factorize, is_prime
 
@@ -315,6 +299,8 @@ class TestFactorization:
         # rho and Miller-Rabin
         rng = random.Random(5)
         nums = list(range(1, 3000)) + [rng.randrange(2**32, 2**35) for _ in range(12)]
+        # the largest numbers below 2^16, which is_prime settles by trial division
+        nums += [65519, 65521, 65533, 65535]
         nums += [65521**2, 65521**3, 65537 * 65539, 65537**3, 1000003 * 1000033, 3 * 65521 * 65537]
         for n in nums:
             expected = _trial_factorization(n)
@@ -443,7 +429,7 @@ class TestIrrationalCertificates:
 class TestEngineEdges:
     def test_product_atoms_unsupported(self):
         p = Product(GeometricPuiseux(Fraction(2, 3)), Conductive(lexvec(Z, 1)))
-        from posmon.monoids import ProductElement
+        from posmon.descriptors import ProductElement
 
         with pytest.raises(UnsupportedFamily):
             factorizations(p, ProductElement(rational(1), lexvec(Z, 1)))
@@ -501,12 +487,22 @@ def _vector(desc, f):
 def _check_length_sets(m, b, depth, expected):
     """length_set under max_count 1 and 3 and in full: the lengths of the
     first max_count oracle vectors, and the completeness of the
-    factorization search with the same max_count."""
+    factorization search with the same max_count.  A first-positive cone
+    over Z^n answers from its proved length, the priority coordinate: the
+    one length, complete, that every oracle vector has too, also where the
+    window holds none."""
+    proved = isinstance(m, LexCone) and m.rule == FIRST_POSITIVE and not m.lex_group.rational_coords
     for k in (1, 3, None):
         cut = expected if k is None else expected[:k]
         kwargs = {} if k is None else {"max_count": k}
         ls = length_set(m, b, depth, **kwargs)
-        assert ls.lengths == tuple(sorted({sum(v) for v in cut})), (b, k)
+        lengths = {sum(v) for v in cut}
+        if proved:
+            lead = b.value[m.lex_group.priority]
+            assert lengths <= {lead} and ls.lengths == (lead,), (b, k)
+            assert ls.complete, (b, k)
+            continue
+        assert ls.lengths == tuple(sorted(lengths)), (b, k)
         assert ls.complete == factorizations(m, b, depth, **kwargs).complete, (b, k)
 
 
@@ -574,6 +570,13 @@ ORACLE_CASES = [
         LexCone(Z2, FIRST_POSITIVE),
         4,
         [lexvec(Z2, x, y) for x in range(1, 4) for y in range(-5, 6)],
+    ),
+    ("N-cone", LexCone(Z, FIRST_POSITIVE), 3, [lexvec(Z, x) for x in range(1, 6)]),
+    (
+        "Z2p1-cone",
+        LexCone(Z2_SECOND, FIRST_POSITIVE),
+        3,
+        [lexvec(Z2_SECOND, y, x) for x in range(1, 4) for y in range(-4, 5)],
     ),
     (
         "Z3-cone",

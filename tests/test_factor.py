@@ -11,7 +11,8 @@ import pytest
 from oracles import brute_force_factorizations, minimal_numerical_monoids, no_window_decomposition
 from posmon.classify import classify_conductive
 import posmon.factor as factor_module
-from posmon.elements import Q2, Z, Z2, Z2_SECOND, Group, GroupMismatch, lexvec, rational, triple, zero
+import posmon.descriptors as descriptors_module
+from posmon.elements import Q2, Z, Z2, Z2_SECOND, Group, GroupElement, GroupMismatch, lexvec, rational, triple, zero
 from posmon.factor import (
     atoms,
     factorizations,
@@ -20,7 +21,7 @@ from posmon.factor import (
     length_set,
     probe_property,
 )
-from posmon.monoids import (
+from posmon.descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -38,12 +39,10 @@ from posmon.monoids import (
     UnionShift,
     UnsupportedFamily,
     almost_not_nearly_instance,
-    contains,
-    generators,
-    members_within,
     numerical,
     quasi_not_almost_instance,
 )
+from posmon.monoids import contains, generators, members_within
 from posmon.primes import first_primes
 
 Z3 = Group("lex", rank=3)
@@ -756,11 +755,136 @@ class TestLengthFunction:
 
     def test_zero_map_rejected(self):
         m = numerical(3, 5)
-        assert not length_function_check(m, lambda v: 0)
+        assert not length_function_check(m, lambda v: 0, bound=20)
 
     def test_floor_by_five_rejected(self):
         m = numerical(3, 5)
-        assert not length_function_check(m, lambda v: int(v.value) // 5)
+        assert not length_function_check(m, lambda v: int(v.value) // 5, bound=20)
+
+
+# the first-positive cones over Z^n, whose priority coordinate is a proved
+# length function, and the other cone and plane monoids, which have none
+PROVED_CONES = [
+    LexCone(Z, FIRST_POSITIVE),
+    LexCone(Z2, FIRST_POSITIVE),
+    LexCone(Z2_SECOND, FIRST_POSITIVE),
+    LexCone(Z3, FIRST_POSITIVE),
+]
+BIG = 10**12
+
+# length sets of the monoids without one, as the window search gives them:
+# (monoid, depth, point, max_count, lengths, complete)
+WINDOW_LENGTHS = [
+    (LexCone(Q2, FIRST_POSITIVE), 4, (1, 0), None, (), True),
+    (LexCone(Q2, FIRST_POSITIVE), 4, (Fraction(3, 2), -1), 1, (), True),
+    (LexCone(Z2, FULL_CONE), 6, (0, 3), None, (3,), True),
+    (LexCone(Z2, FULL_CONE), 6, (0, 3), 1, (3,), False),
+    (LexCone(Z2, FULL_CONE), 6, (1, 0), None, (), True),
+    (LexCone(Z2, FULL_CONE), 6, (2, -1), None, (), True),
+    (LexCone(Z2_SECOND, FULL_CONE), 6, (3, 0), None, (3,), True),
+    (Conductive(lexvec(Z2, 1, 0)), 4, (1, 3), None, (1,), False),
+    (Conductive(lexvec(Z2, 1, 0)), 4, (2, -5), None, (), False),
+    (Conductive(lexvec(Z2, 1, 0)), 4, (3, 1), None, (2, 3), False),
+    (Conductive(lexvec(Z2, 1, 0)), 4, (3, 1), 1, (3,), False),
+    (Conductive(lexvec(Z2, 2, -1)), 4, (6, 0), None, (2, 3), False),
+    (Conductive(lexvec(Z2, 0, 2)), 6, (0, 9), None, (3, 4), True),
+    (Conductive(lexvec(Z2, 0, 2)), 6, (0, 9), 1, (4,), False),
+    (Conductive(lexvec(Z2, 0, 2)), 6, (1, 0), None, (), True),
+]
+
+
+def _lead(b):
+    return b.value[b.group.priority]
+
+
+def _cone_point(m, lead, rest):
+    """The element with priority coordinate lead and the others rest."""
+    g = m.group
+    coords = [0] * g.rank
+    for i, c in zip(g.priority_order, (lead, *rest)):
+        coords[i] = c
+    return lexvec(g, *coords)
+
+
+class TestProvedLength:
+    """The first-positive cone over Z^n answers length sets and atomicity
+    from its length function, the priority coordinate, with no search."""
+
+    @pytest.mark.parametrize("m", PROVED_CONES, ids=str)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_every_listed_atom_has_length_one(self, m, depth):
+        listed = atoms(m, depth).atoms
+        assert listed
+        for a in listed:
+            assert _lead(a) == 1
+            assert length_set(m, a, depth).lengths == (1,)
+
+    @pytest.mark.parametrize("m", PROVED_CONES, ids=str)
+    @pytest.mark.parametrize("rest", [0, 1, -7, BIG, -(BIG**2)])
+    @pytest.mark.parametrize("lead", [1, 2, BIG])
+    def test_far_targets(self, m, lead, rest):
+        """(10^12, y) and (1, y) with |y| beyond any window: the length is
+        the priority coordinate, and the witness is (x - 1) e_p + (1, rest)."""
+        b = _cone_point(m, lead, (rest,) * (m.group.rank - 1))
+        for depth in (1, 8):
+            ls = length_set(m, b, depth, max_count=1)
+            assert ls.lengths == (lead,) and ls.complete
+            w = is_atomic_element(m, b, depth)
+            assert w.status == "yes" and w.factorization.length == lead
+            total = zero(m.group)
+            for a, c in w.factorization.pairs:
+                assert _lead(a) == 1 and contains(m, a).is_in and c > 0
+                total = total + a.scale(c)
+            assert total == b
+            pairs = w.factorization.pairs
+            assert [a for a, _ in pairs] == sorted((a for a, _ in pairs), reverse=True)
+
+    def test_witness_shape(self):
+        m = LexCone(Z2, FIRST_POSITIVE)
+        w = is_atomic_element(m, lexvec(Z2, BIG, 5))
+        assert [(a.value, c) for a, c in w.factorization.pairs] == [((1, 5), 1), ((1, 0), BIG - 1)]
+        w = is_atomic_element(m, lexvec(Z2, 3, 0))
+        assert [(a.value, c) for a, c in w.factorization.pairs] == [((1, 0), 3)]
+        w = is_atomic_element(m, lexvec(Z2, 1, -BIG))
+        assert [(a.value, c) for a, c in w.factorization.pairs] == [((1, -BIG), 1)]
+
+    @pytest.mark.parametrize("m", PROVED_CONES, ids=str)
+    def test_zero(self, m):
+        b = zero(m.group)
+        assert length_set(m, b) == length_set(m, b, 1, max_count=1)
+        assert length_set(m, b).lengths == (0,) and length_set(m, b).complete
+        w = is_atomic_element(m, b)
+        assert w.status == "yes" and w.factorization.pairs == ()
+
+    @pytest.mark.parametrize("m", PROVED_CONES[1:], ids=str)
+    def test_non_members_raise(self, m):
+        # priority coordinate 0, trailing part positive: in G+, not in M
+        b = _cone_point(m, 0, (0,) * (m.group.rank - 2) + (5,))
+        assert b.is_positive and contains(m, b).is_out
+        for query in (length_set, is_atomic_element, factorizations):
+            with pytest.raises(NotAMember):
+                query(m, b, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            length_set(m, -b, 4)
+        with pytest.raises(GroupMismatch):
+            length_set(m, rational(1), 4)
+
+    def test_factorizations_stay_window_limited(self):
+        # Z((2, 0)) is infinite: (1, t) + (1, -t) for every t
+        m = LexCone(Z2, FIRST_POSITIVE)
+        s = factorizations(m, lexvec(Z2, 2, 0), depth=6)
+        assert len(s.factorizations) == 7 and not s.complete
+
+    @pytest.mark.parametrize("m, depth, point, max_count, lengths, complete", WINDOW_LENGTHS,
+                             ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in WINDOW_LENGTHS])
+    def test_other_cones_and_planes_unchanged(self, m, depth, point, max_count, lengths, complete):
+        b = GroupElement(m.group, point) if m.group.rational_coords else lexvec(m.group, *point)
+        kwargs = {} if max_count is None else {"max_count": max_count}
+        ls = length_set(m, b, depth, **kwargs)
+        assert (ls.lengths, ls.complete) == (lengths, complete)
+        search = factorizations(m, b, depth, **kwargs)
+        assert set(ls.lengths) == {f.length for f in search.factorizations}
+        assert ls.complete == search.complete
 
 
 def _equal_builds():
@@ -817,7 +941,9 @@ class TestDescriptorHash:
                 built.append(tuple(desc))
                 super().__init__(desc)
 
-        monkeypatch.setattr(factor_module, "Window", Counting)
+        # the atom sets and the finitely generated monoids build their own
+        for module in (factor_module, descriptors_module):
+            monkeypatch.setattr(module, "Window", Counting)
         # an atom set cached by an earlier run would keep its own window
         factor_module._atoms_cached.cache_clear()
         for gens, windows in (((6, 10, 15, 23), 1), ((6, 10, 15, 23, 16), 2)):

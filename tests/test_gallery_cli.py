@@ -18,7 +18,7 @@ from posmon.cli import (
 )
 from posmon.elements import Z, Z2, lexvec
 from posmon.gallery import by_id, gallery_list, run_entry
-from posmon.monoids import (
+from posmon.descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -386,6 +386,7 @@ class TestCliCommands:
             ["atoms", "cone:QxQ", "--depth", "-2"],
             ["factorize", "cone:NxZ", "(1,0)", "--depth", "0"],
             ["lengths", "m0", "1", "--depth", "0"],
+            ["lengths", "cone:NxZ", "(1,0)", "--depth", "0"],
             ["classify", "m0", "--depth", "0"],
             ["gallery", "--run-all", "--depth", "0"],
         ],

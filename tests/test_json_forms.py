@@ -22,7 +22,7 @@ from posmon.classify import classify_known
 from posmon.cli import parse_instance
 from posmon.elements import Q2, Z, Z2, lexvec, rational, triple
 from posmon.gallery import gallery_list
-from posmon.monoids import (
+from posmon.descriptors import (
     Conductive,
     FiniteGenerated,
     GENERATE,
@@ -32,11 +32,9 @@ from posmon.monoids import (
     PrimeReciprocal,
     Product,
     UnionShift,
-    _fraction,
-    descriptor_from_json,
-    descriptor_to_json,
     numerical,
 )
+from posmon.jsonforms import _fraction, descriptor_from_json, descriptor_to_json
 from posmon.witness import (
     CertificateError,
     mq_chain,

@@ -14,7 +14,7 @@ from oracles import brute_force_membership, mq_members_below
 from posmon.elements import (
     Group, GroupElement, GroupMismatch, Q, Q2, Z, Z2, Z2_SECOND, lexvec, rational, triple, zero,
 )
-from posmon.monoids import (
+from posmon.descriptors import (
     AlphaBeta,
     Conductive,
     FIRST_POSITIVE,
@@ -29,22 +29,22 @@ from posmon.monoids import (
     ProductElement,
     UnionShift,
     UnsupportedFamily,
-    _lex_box,
     almost_not_nearly_instance,
-    alphabeta_domain,
-    alphabeta_phi,
+    numerical,
+    quasi_not_almost_instance,
+)
+from posmon.monoids import (
+    _lex_box,
     contains,
-    descriptor_from_json,
-    descriptor_to_json,
     divides,
     generators,
     gp_membership,
     members_within,
-    numerical,
-    quasi_not_almost_instance,
     replay_certificate,
 )
 from posmon.factor import atoms, is_atomic_element
+from posmon.jsonforms import descriptor_from_json, descriptor_to_json
+from posmon.phi import alphabeta_domain, alphabeta_phi
 from posmon.primes import first_primes
 
 MQ = GeometricPuiseux(Fraction(2, 3))

@@ -17,15 +17,10 @@ from oracles import (
     verify_nearly_atomic_by_fractions,
     verify_not_strongly_atomic_by_fractions,
 )
-from posmon.monoids import (
-    EnumerationCapExceeded,
-    NotAMember,
-    _mq_rep,
-    _prime_sum,
-    contains,
-    quasi_not_almost_instance,
-)
+from posmon.descriptors import NotAMember, quasi_not_almost_instance
+from posmon.monoids import _mq_rep, _prime_sum, contains
 from posmon import witness
+from posmon.phi import EnumerationCapExceeded
 from posmon.elements import rational
 from posmon.witness import (
     BreakStep,
