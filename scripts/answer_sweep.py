@@ -38,9 +38,12 @@ The queries cover:
   boxes (8, 20) and (12, 40);
 - every gallery entry run at depths 1, 4, 6, 8 and 12: the ok flag, the
   checks and the report JSON, or the error;
-- a digest of the generator windows of the conductive monoids whose
-  threshold has coordinates in [-2, 2] and of both lex cones, over Z,
-  Z^2, the second-priority Z^2 and Q^2, at depths 1-4;
+- a digest of the generator windows at depths 1-4 of every family above
+  whose atom windows are listed, of the conductive monoids whose threshold
+  has coordinates in [-2, 2] and of both lex cones, over Z, Z^2, the
+  second-priority Z^2 and Q^2, and of Conductive((1,5)) over Z^2 and
+  Conductive((0,3/2)) over Q^2, with the LFM probe of
+  Conductive((1,0)) over Q^2 on the box (2, 1), which is refused;
 - ``length_set``, ``factorizations`` and ``is_atomic_element`` of the
   inputs on which the three must agree (antimatter monoids, zeros of a
   product and of a foreign group, a member without factorization, a
@@ -384,20 +387,44 @@ def gallery_runs() -> None:
             emit({"query": "gallery", "id": entry.id, "depth": depth, **out})
 
 
-def window_digests() -> None:
+def window_families() -> list:
+    """The conductive monoids with thresholds in [-2, 2] and the lex cones
+    over Z, Z^2, the second-priority Z^2 and Q^2; the thresholds of two old
+    window faults, Conductive((1,5)) over Z^2, whose atoms at depth 4 once
+    missed its least generator, and Conductive((0,3/2)) over Q^2, whose
+    atoms once took only the integer points of the box; then every other
+    monoid whose atom windows the sweep lists, each once."""
+    families = []
     for group in (Z, Z2, Z2_SECOND, Q2):
         thresholds = [lexvec(group, *a) for a in product(SMALL, repeat=group.rank)]
-        families = [Conductive(a) for a in thresholds if a.is_positive]
+        families += [Conductive(a) for a in thresholds if a.is_positive]
         families += [LexCone(group, rule) for rule in (FIRST_POSITIVE, FULL_CONE)]
-        for m in families:
-            for depth in range(1, 5):
-                try:
-                    gens = [str(g) for g in generators(m, depth).generators]
-                    digest = hashlib.sha256("\n".join(gens).encode()).hexdigest()
-                    out = {"count": len(gens), "sha256": digest}
-                except Exception as exc:
-                    out = {"error": error(exc)}
-                emit({"query": "generators", "instance": str(m), "depth": depth, **out})
+    families += [Conductive(lexvec(Z2, 1, 5)), Conductive(lexvec(Q2, 0, Fraction(3, 2)))]
+    families += [e.descriptor for e in gallery_list()]
+    families += [GeometricPuiseux(q) for q in RATIOS]
+    families += [numerical(*g) for g in NUMERICAL] + list(EXTRA_FINITE)
+    families += [AlphaBeta(Fraction(r)) for r in ("3/4", "3/5")]
+    families += [Conductive(lexvec(Z2, *a)) for a in LEX_THRESHOLDS]
+    families += [Localized(p, Fraction(t0)) for p in (2, 3, 5, 7)
+                 for t0 in ("0", "1/100", "1", "4/3", "7/5", "3", "5/2")]
+    families += [UnionShift(PrimeReciprocal(), threshold=UNION_THRESHOLD), TWO_RAYS_AT_0]
+    families += [UnionShift(Localized(p, Fraction(t)), Localized(q, Fraction(u)), mode=GENERATE)
+                 for p, t, q, u in ((2, "1", 3, "4/3"), (5, "3/2", 2, "1/2"), (3, "1/2", 2, "5/2"))]
+    return list(dict.fromkeys(families))
+
+
+def window_digests() -> None:
+    for m in window_families():
+        for depth in range(1, 5):
+            try:
+                gens = [str(g) for g in generators(m, depth).generators]
+                digest = hashlib.sha256("\n".join(gens).encode()).hexdigest()
+                out = {"count": len(gens), "sha256": digest}
+            except Exception as exc:
+                out = {"error": error(exc)}
+            emit({"query": "generators", "instance": str(m), "depth": depth, **out})
+    # a box of Q^2 holds infinitely many members, so this probe is refused
+    probe_line(Conductive(lexvec(Q2, 1, 0)), "LFM", (2, 1))
 
 
 def agreement() -> None:

@@ -26,9 +26,11 @@ a proved length function (``_length_function``), ``length_set`` and
 ``is_atomic_element`` answer from it after the membership check, with no
 search and ``complete`` set: every factorization of b has length l(b).
 
-Each family has one exact atom rule (``_atom_rule``): its candidates and
-whether t = g + (nonzero member) for a window generator g, decided
-without building the window or scanning it through ``contains``.
+Each family has one exact atom rule (``_atom_rule``): its candidates,
+which are the family's window (``monoids._window``, the one that
+``generators()`` lists) filtered by its atom interval, and whether
+t = g + (nonzero member) for a window generator g, decided without
+scanning the window through ``contains``.
 
 Property probes are decided by bitsets over a mixed-radix integer code of
 the atom set's window, Python ints grown geometrically up to the first
@@ -42,6 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, partial
+from itertools import takewhile
 from math import ceil, lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -63,26 +66,27 @@ from .descriptors import (
     UnionShift,
     UnsupportedFamily,
 )
-from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational
+from .elements import _SQRT2_64, _SQRT3_64, GroupElement, _int_triple_sign, rational, triple
 from .jsonforms import element_to_json
 from .monoids import (
     DEFAULT_DEPTH,
-    _localized_window,
+    _group_tail_window,
     _m0_solve,
     _member_points,
     _mq_solve,
     _point_element,
     _power_support,
+    _priority_point,
     _ray_grid,
     _reach_bits,
     _two_ray_contains,
+    _window,
     _zero_of,
     check_query,
     contains,
     members_within,
 )
-from .phi import alphabeta_atom, alphabeta_domain, nearly_atom
-from .primes import calkin_wilf, first_primes, is_squarefree
+from .primes import first_primes
 from .search import Window, _enumerate, _pairs
 
 DEFAULT_MAX_COUNT = 10_000
@@ -273,6 +277,13 @@ class AtomRule(NamedTuple):
 def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
     """The candidates, split rule, flags and mode of m's atoms at depth.
 
+    The candidates are m's depth-d window (``monoids._window``) filtered by
+    the family's atom interval: all of it (finitely generated, M_q, M_0),
+    M_0's part and a threshold outside M_0 (the union with the group's
+    tail), [a, 2a) (conductive), the least element or priority coordinate
+    1 (lex cones over Z^n), below 2 t0 (a ray), the rays above a positive
+    threshold (two rays), or the irrational elements and powers of q.
+
     A finitely generated monoid, over any group, splits t exactly when t
     has a factorization of length 2 or more over its distinct generators.
     The only other one is t itself, which comes last in the enumeration
@@ -288,7 +299,9 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
     weight to larger terms and never bring a length of 2 or more below 2.
     M_0 with its group's tail above a threshold splits t at or below the
     threshold, where every candidate lies, by M_0's rule: a tail generator
-    leaves t - g <= 0, and below the threshold the members are M_0's.
+    leaves t - g <= 0, and below the threshold the members are M_0's.  A
+    threshold outside M_0 is an atom: t - 1/p < t is no member of M_0, and
+    the tail starts at t.
 
     Where the nonzero members form an up-set, t splits exactly when it
     does against the least window generator:
@@ -297,80 +310,64 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
     - ray Z[1/p] above t0: the window starts at w (``monoids._ray_grid``),
       so t splits when it lies in Z[1/p], t - w >= t0 and t > w; the atoms
       are the window below 2 t0, none when t0 = 0 (every member halves);
-    - lex cones: the least generator is the step (1, or 1/min(depth, 5)
-      over rational coordinates) in the last priority coordinate, so t
-      splits above it (full cone) or when its priority coordinate exceeds
-      the step (first-positive cone).  Over Z^n the first-positive cone's
-      atoms, the members with priority coordinate 1, also give it a proved
-      length function (``_length_function``, below).
+    - lex cones: the least generator is the step s (1, or over rational
+      coordinates 1/min(depth, 5), the least positive value of the
+      window's coordinate grid) in the last priority coordinate, so t splits above it (full cone) or
+      when its priority coordinate exceeds s (first-positive cone).  Over
+      Z^n the first-positive cone's atoms, the members with priority
+      coordinate 1, also give it a proved length function
+      (``_length_function``, below).
 
     ``_two_ray_split`` decides the monoid generated by two rays; when both
     start at 0 it is antimatter.
 
-    The two irrational constructions split no candidate, so their rule is
-    exact on the candidate lists.  Let t = x + y with x, y members and t's
-    sqrt2 (or sqrt3) coefficient 1/p, p = phi(s) the prime of its atom.
-    That coefficient of x + y is a sum of k_j / p_j, k_j >= 0, over
-    distinct primes p_j (phi is injective); times the product of p and
-    the p_j, read modulo a p_j other than p, it gives p_j | k_j, and then
-    k_j / p_j >= 1 > 1/p unless k_j = 0.  So x + y holds one copy of the
-    p-atom, which is t, and no other irrational atom (the other
-    coefficient is 0); the positive rational generators left sum to 0, so
-    there are none, and x or y is 0.  A rational member of ``AlphaBeta``
-    is a sum of rational generators (irrational coefficients cannot
-    cancel), so it splits as in M_q, whose atoms q^i are the rational
-    candidates; a rational member of ``NearlyAtomicAlpha`` splits in
-    halves, and its candidates are all irrational.
-
-    The lex conductive candidates are the interval [a, 2a) within the
-    box |coord| <= depth, while ``generators()`` is a + that box, so a
-    threshold with a coordinate beyond the depth leaves the window's least
-    generators out: at depth 4, Conductive((1, 5)) over Z^2 lists (2, -4)
-    ... (2, 4) and not (1, 5).  Both answers are flagged incomplete.
+    The two irrational constructions split no irrational candidate, so
+    their rule is exact on the candidate lists.  Let t = x + y with x, y
+    members and t's sqrt2 (or sqrt3) coefficient 1/p, p = phi(s) the prime
+    of its atom.  That coefficient of x + y is a sum of k_j / p_j,
+    k_j >= 0, over distinct primes p_j (phi is injective); times the
+    product of p and the p_j, read modulo a p_j other than p, it gives
+    p_j | k_j, and then k_j / p_j >= 1 > 1/p unless k_j = 0.  So x + y
+    holds one copy of the p-atom, which is t, and no other irrational atom
+    (the other coefficient is 0); the positive rational generators left
+    sum to 0, so there are none, and x or y is 0.  A rational member of
+    ``AlphaBeta`` is a sum of rational generators (irrational coefficients
+    cannot cancel), so it splits as in M_q, whose atoms q^i (canonical
+    form one term of coefficient 1) are the rational candidates; a
+    rational member of ``NearlyAtomicAlpha`` splits in halves.
     """
     if isinstance(m, FiniteGenerated):
         win = m.window
         splits = lambda t: any(n >= 2 for n in _enumerate(win, t, 1, lengths_only=True)[0])
+        # the window's distinct generators, which m.window holds descending
         return AtomRule(win.atoms[::-1], splits, True, None, "filter")
     if isinstance(m, GeometricPuiseux):
-        cands = [rational(m.q**i) for i in range(depth + 1)]
         splits = _canonical_split(partial(_mq_solve, m.q), depth)
-        return AtomRule(cands, splits, False, "atoms are the powers of the ratio", "assert")
+        return AtomRule(list(_window(m, depth)), splits, False, "atoms are the powers of the ratio", "assert")
     if isinstance(m, PrimeReciprocal) or isinstance(m, UnionShift) and m.mode == UNION:
-        ps = first_primes(depth)
-        cands = [rational(Fraction(1, p)) for p in ps]
+        cands = list(_window(m if isinstance(m, PrimeReciprocal) else m.base, depth))
         note = "atoms are the prime reciprocals"
         if isinstance(m, UnionShift):
-            # a threshold in the tail but outside M_0 is an atom too:
-            # t - 1/p < t is no member of M_0, and the tail starts at t
             note += " of the base"
-            if is_squarefree(m.threshold.denominator) and _m0_solve(m.threshold) is None:
-                cands.append(rational(m.threshold))
+            # the tail window is ascending from the threshold, when it holds it
+            at = takewhile(lambda g: g.value == m.threshold, _group_tail_window(m, depth))
+            outside = [g for g in at if _m0_solve(g.value) is None]
+            if outside:
+                cands += outside
                 note += " and the threshold"
-        return AtomRule(cands, _canonical_split(_m0_solve, ps[-1]), False, note, "assert")
+        return AtomRule(cands, _canonical_split(_m0_solve, first_primes(depth)[-1]), False, note, "assert")
     if isinstance(m, Conductive):
         a, g = m.threshold, m.group
         two_a = a + a
         splits = lambda t: t >= two_a
-        if g.kind == "lex":
-            lo = tuple(a.value[i] for i in g.priority_order)
-            if not any(lo[:-1]) and not g.rational_coords:
-                # over integer coordinates the interval [a, 2a) is the finite
-                # ladder a + t * e_last
-                pts = [lo[:-1] + (lo[-1] + t,) for t in range(int(lo[-1]))]
-                return AtomRule([_point_element(g, p, 1) for p in pts], splits, True, None, "assert")
-            hi = tuple(2 * c for c in lo)
-            pts = _member_points(m, (depth,) * g.rank)[0]
-            cands = [_point_element(g, p, 1) for p in pts if lo <= p < hi]
-            return AtomRule(cands, splits, False, "interval [a, 2a) meets the window box", "assert")
+        if g.kind not in ("Q", "lex"):
+            raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
+        cands = list(takewhile(lambda t: t < two_a, _window(m, depth)))
         if g.kind == "Q":
-            # the window's grid a + i/j (j <= depth, 0 <= i <= depth * j) below 2a
-            x = a.value
-            vals = {x + Fraction(i, j) for j in range(1, depth + 1)
-                    for i in range(min(ceil(x * j), depth * j + 1))}
-            cands = [rational(v) for v in sorted(vals)]
             return AtomRule(cands, splits, False, "interval [a, 2a) sampled on the window grid", "assert")
-        raise UnsupportedFamily("conductive atoms are materialized for Q and lex groups")
+        # the window holds the whole interval when it is the finite ladder a + t * e_last
+        ladder = not any(_priority_point(a)[:-1]) and not g.rational_coords
+        return AtomRule(cands, splits, ladder, None if ladder else "interval [a, 2a) meets the window box", "assert")
     if isinstance(m, LexCone):
         g = m.lex_group
         step = Fraction(1, min(depth, 5)) if g.rational_coords else 1
@@ -382,9 +379,9 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
         if g.rational_coords:
             return AtomRule([], splits, True, "antimatter: every member halves", "assert")
         if m.rule == FULL_CONE:
+            # the window's least element
             return AtomRule([least], splits, True, None, "assert")
-        pts = _member_points(m, (depth,) * g.rank)[0]
-        cands = [_point_element(g, p, 1) for p in pts if p[0] == 1]
+        cands = list(takewhile(lambda t: t.value[g.priority] == 1, _window(m, depth)))
         return AtomRule(cands, splits, False, "atoms have leading coordinate 1", "assert")
     if isinstance(m, Localized):
         p, t0 = m.prime, m.min_nonzero
@@ -393,7 +390,7 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
         splits = lambda t: _power_support(t.value.denominator, p) and t.value - w >= t0 and t.value > w
         if t0 == 0:
             return AtomRule([], splits, True, "antimatter: every member halves", "assert")
-        cands = [rational(Fraction(k, den)) for k in range(lo, min(hi, ceil(2 * t0 * den) - 1) + 1)]
+        cands = list(takewhile(lambda t: t.value < 2 * t0, _window(m, depth)))
         return AtomRule(cands, splits, False, "atoms fill [t, 2t) in the ray", "assert")
     if isinstance(m, UnionShift):
         splits = _two_ray_split(m, depth)
@@ -401,19 +398,19 @@ def _atom_rule(m: MonoidDescriptor, depth: int) -> AtomRule:
             # x = u + v with u > 0 in the p-ray is u/p + ((p-1)u/p + v),
             # and x = v in the p'-ray is v/p' + (p'-1)v/p'
             return AtomRule([], splits, True, "antimatter: every member splits off a p-th part", "assert")
-        # the rays' windows; a ray at threshold 0 adds no atom, as every
-        # member is p copies of its 1/p-th part
-        cands = {g for ray in (m.base, m.tail) if ray.min_nonzero > 0 for g in _localized_window(ray, depth)}
+        # a ray at threshold 0 adds no atom, as every member is p copies of
+        # its 1/p-th part
+        cands = {g for ray in (m.base, m.tail) if ray.min_nonzero > 0 for g in _window(ray, depth)}
         return AtomRule(sorted(cands), splits, False, None, "filter")
     if isinstance(m, AlphaBeta):
-        cands = [GroupElement(m.group, (m.q**i, Fraction(0), Fraction(0))) for i in range(depth + 1)]
-        for s, p in zip(alphabeta_domain(m.q, depth), first_primes(depth)):
-            cands += [alphabeta_atom(s, p, "alpha"), alphabeta_atom(s, p, "beta")]
         mq_split = _canonical_split(partial(_mq_solve, m.q), depth)
         splits = lambda t: not any(t.value[1:]) and mq_split(rational(t.value[0]))
+        # the window's powers of q, then its irrational elements
+        powers = [triple(g.value, 0, 0) for g in _window(GeometricPuiseux(m.q), depth)]
+        cands = powers + [t for t in _window(m, depth) if any(t.value[1:])]
         return AtomRule(cands, splits, False, "ratio powers plus the two sqrt directions", "assert")
     if isinstance(m, NearlyAtomicAlpha):
-        cands = [nearly_atom(x, p) for x, p in zip(calkin_wilf(depth), first_primes(depth))]
+        cands = [t for t in _window(m, depth) if t.value[1]]
         note = "atoms are the (sqrt2 + q)/phi(q); rational members are not atoms"
         return AtomRule(cands, lambda t: not t.value[1], False, note, "assert")
     raise UnsupportedFamily(f"no atom procedure for {m.family}")
@@ -424,24 +421,11 @@ class LengthFunction(NamedTuple):
     members are all atomic: l is a homomorphism that is 1 on every atom, so
     every factorization of a member b has length l(b), and L(b) = {l(b)}
     (the length-function criterion for half-factoriality; A. Geroldinger
-    and F. Halter-Koch, *Non-Unique Factorizations*, 2006, ch. 1).
-    ``unit`` is an atom such that b - (l(b) - 1) * unit is an atom for
-    every nonzero member b, which gives b a factorization of length l(b)
-    with no search."""
+    and F. Halter-Koch, *Non-Unique Factorizations*, 2006, ch. 1), and
+    ``factorization(b)`` is one of them, found with no search."""
 
     length: Callable[[GroupElement], int]
-    unit: GroupElement
-
-    def factorization(self, b: GroupElement) -> "Factorization":
-        """(l(b) - 1) * unit + (b - (l(b) - 1) * unit), the atoms descending."""
-        x = self.length(b)
-        if not x:
-            return Factorization((), b)
-        rest = b - self.unit.scale(x - 1)
-        if rest == self.unit:
-            return Factorization(((rest, x),), b)
-        pairs = ((rest, 1), (self.unit, x - 1)) if rest > self.unit else ((self.unit, x - 1), (rest, 1))
-        return Factorization(tuple(pair for pair in pairs if pair[1]), b)
+    factorization: Callable[[GroupElement], "Factorization"]
 
 
 def _length_function(m: MonoidDescriptor) -> Optional[LengthFunction]:
@@ -468,8 +452,24 @@ def _length_function(m: MonoidDescriptor) -> Optional[LengthFunction]:
 
 @lru_cache(maxsize=None)  # one per integer lex group, of which there are few
 def _cone_length(g) -> LengthFunction:
-    p = g.priority
-    return LengthFunction(lambda v: v.value[p], _point_element(g, (1,) + (0,) * (g.rank - 1), 1))
+    p, others = g.priority, g.priority_order[1:]
+    unit = _point_element(g, (1,) + (0,) * (g.rank - 1), 1)
+
+    def factorization(b: GroupElement) -> Factorization:
+        """(x - 1) * e_p + (b - (x - 1) * e_p), x = b_p, atoms descending: the
+        second is b with b_p = 1, above e_p when its next nonzero is positive."""
+        v = b.value
+        x = v[p]
+        if not x:
+            return Factorization((), b)
+        sign = next((v[i] for i in others if v[i]), 0)
+        if not sign:
+            return Factorization(((unit, x),), b)
+        rest = GroupElement(g, v[:p] + (1,) + v[p + 1:])
+        pairs = ((rest, 1), (unit, x - 1)) if sign > 0 else ((unit, x - 1), (rest, 1))
+        return Factorization(tuple(pair for pair in pairs if pair[1]), b)
+
+    return LengthFunction(lambda v: v.value[p], factorization)
 
 
 def _canonical_split(solve, top):

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
-from math import ceil, floor, gcd
-from typing import Optional
+from itertools import chain, product
+from math import ceil, floor, gcd, lcm
+from typing import Iterator, Optional
 
-# numerical and FIRST_POSITIVE are not used here; the benchmark workloads
-# build their monoids through posmon.monoids
+# numerical is not used here; the benchmark workloads build their monoids
+# through posmon.monoids
 from .descriptors import (
     FIRST_POSITIVE,
     FULL_CONE,
@@ -125,64 +126,57 @@ class GeneratorWindow:
 
 
 def generators(m: MonoidDescriptor, depth: int = DEFAULT_DEPTH) -> GeneratorWindow:
-    """A deterministic finite generator list, monotone in depth."""
+    """m's depth-``depth`` window (``_window``): a deterministic finite
+    generator list, monotone in depth, that holds the atoms listed there."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     return _window_cached(m, depth)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # only generators() reads it, and a lex window is a whole box
 def _window_cached(m: MonoidDescriptor, depth: int) -> GeneratorWindow:
-    gens = tuple(_window_elements(m, depth))
-    for g in gens:
-        positive = (not g.is_zero) if isinstance(g, ProductElement) else g.is_positive
-        if not positive:
-            raise AssertionError("window produced a non-positive generator")
+    gens = tuple(_window(m, depth))
+    if any(g.is_zero if isinstance(g, ProductElement) else not g.is_positive for g in gens):
+        raise AssertionError("window produced a non-positive generator")
     return GeneratorWindow(m, depth, gens)
 
 
-def _window_elements(m: MonoidDescriptor, depth: int) -> list[Element]:
+def _window(m: MonoidDescriptor, depth: int) -> Iterator[Element]:
+    """The depth-d window of m, lazily and in a fixed order: the one that
+    ``generators()`` lists and ``factor._atom_rule`` filters for the atom
+    candidates.  M_(a,b)[q]'s is M_q's, then the first d s in S with their
+    two sqrt atoms (phi by position), each element once."""
     if isinstance(m, FiniteGenerated):
-        return list(dict.fromkeys(m.generators))
+        return iter(dict.fromkeys(m.generators))
     if isinstance(m, GeometricPuiseux):
-        return [rational(m.q**i) for i in range(depth + 1)]
+        return (rational(m.q**i) for i in range(depth + 1))
     if isinstance(m, PrimeReciprocal):
-        return [rational(Fraction(1, p)) for p in first_primes(depth)]
-    if isinstance(m, Conductive):
-        return _conductive_window(m, depth)
-    if isinstance(m, LexCone):
-        return [v for v in _lex_box(m.lex_group, depth) if _cone_holds(m, v) and not v.is_zero]
+        return (rational(Fraction(1, p)) for p in first_primes(depth))
+    if isinstance(m, Conductive) and m.group.kind == "Q":
+        x = m.threshold.value
+        return map(rational, sorted({x + Fraction(i, j) for j in range(1, depth + 1) for i in range(depth * j + 1)}))
+    if isinstance(m, (Conductive, LexCone)) and m.group.kind == "lex":
+        pts, den = _lex_window(m, depth)
+        return (_point_element(m.group, p, den) for p in pts)
     if isinstance(m, Localized):
-        return _localized_window(m, depth)
+        lo, hi, den = _ray_grid(m, depth)
+        return (rational(Fraction(k, den)) for k in range(lo, hi + 1))
     if isinstance(m, Product):
-        lg = _window_elements(m.left, depth)
-        rg = _window_elements(m.right, depth)
-        lzero = _zero_of(m.left)
-        rzero = _zero_of(m.right)
-        return [ProductElement(g, rzero) for g in lg] + [
-            ProductElement(lzero, h) for h in rg
-        ]
+        lzero, rzero = _zero_of(m.left), _zero_of(m.right)
+        return chain((ProductElement(g, rzero) for g in _window(m.left, depth)),
+                     (ProductElement(lzero, h) for h in _window(m.right, depth)))
     if isinstance(m, UnionShift):
-        if m.mode == UNION:
-            base = _window_elements(m.base, depth)
-            return base + _group_tail_window(m, depth)
-        return _window_elements(m.base, depth) + _window_elements(m.tail, depth)
+        tail = _group_tail_window(m, depth) if m.mode == UNION else _window(m.tail, depth)
+        return chain(_window(m.base, depth), tail)
     if isinstance(m, AlphaBeta):
-        out: list[Element] = []
-        for s, p in zip(alphabeta_domain(m.q, depth), first_primes(depth)):
-            if s != 0:
-                out.append(triple(s, 0, 0))
-            out.append(alphabeta_atom(s, p, "alpha"))
-            out.append(alphabeta_atom(s, p, "beta"))
-        return out
+        powers = (triple(g.value, 0, 0) for g in _window(GeometricPuiseux(m.q), depth))
+        parts = ((triple(s, 0, 0), alphabeta_atom(s, p, "alpha"), alphabeta_atom(s, p, "beta"))
+                 for s, p in zip(alphabeta_domain(m.q, depth), first_primes(depth)))
+        return iter(dict.fromkeys(chain(powers, (g for part in parts for g in part if not g.is_zero))))
     if isinstance(m, NearlyAtomicAlpha):
-        out = []
-        for x, p in zip(calkin_wilf(depth), first_primes(depth)):
-            if x != 0:
-                out.append(triple(x, 0, 0))
-            out.append(nearly_atom(x, p))
-        return out
-    raise UnsupportedFamily(f"no generator window for {m.family}")
+        parts = ((triple(x, 0, 0), nearly_atom(x, p)) for x, p in zip(calkin_wilf(depth), first_primes(depth)))
+        return (g for part in parts for g in part if not g.is_zero)
+    raise UnsupportedFamily(f"no generator window for {m.family} over {m.group.token}")
 
 
 def _zero_of(m: MonoidDescriptor) -> Element:
@@ -191,55 +185,73 @@ def _zero_of(m: MonoidDescriptor) -> Element:
     return zero(m.group)
 
 
-def _conductive_window(m: Conductive, depth: int) -> list[GroupElement]:
+def _lex_window(m, depth: int) -> tuple[Iterator[tuple], int]:
+    """(points, den): the depth-d window of a lex conductive monoid or
+    cone, ascending int points over den in priority order.  A cone's are
+    its nonzero members in the box |coord| <= depth.  A conductive
+    monoid's are its conductor a, then the box's points above a; over Z^n
+    a conductor with leading coordinates 0 puts the whole ladder
+    [a, 2a) = a + t * e_last first instead, then the box's points at or
+    above 2a.  The box is read from its first point at or above the start
+    (``_lex_from``), so a far conductor costs no scan."""
     g = m.group
-    a = m.threshold
-    if g.kind == "lex":
-        # a slice of the cone anchored at the conductor: a + box offsets,
-        # in order, as translation keeps it
-        return [v for v in (a + delta for delta in _lex_box(g, depth)) if v >= a]
-    if g.kind == "Q":
-        vals = sorted(
-            {
-                a.value + Fraction(i, j)
-                for j in range(1, depth + 1)
-                for i in range(0, depth * j + 1)
-            }
-        )
-        return [rational(v) for v in vals]
-    raise UnsupportedFamily("conductive windows exist for Q and lex groups")
+    grids, den = _lex_box(g, (depth,) * g.rank)
+    a = _lex_start(m, den)
+    if isinstance(m, LexCone):
+        return _lex_from(grids, a), den
+    if not g.rational_coords and not any(a[:-1]):
+        ladder = [a[:-1] + (a[-1] + t,) for t in range(a[-1])]
+        return chain(ladder, _lex_from(grids, tuple(2 * c for c in a))), den
+    return chain((a,), (p for p in _lex_from(grids, a) if p != a)), den
 
 
-@lru_cache(maxsize=None)
-def _lex_box(group: Group, size: int) -> tuple[GroupElement, ...]:
-    """All box elements with |coord| <= size, in ascending lex order: the
-    product of the ascending coordinate grid, taken in priority order.
-
-    For rational-coordinate groups the coordinate grid is the set of
-    fractions in [-size, size] with denominator at most min(size, 5); the
-    denominator cap keeps window sizes sane and preserves monotonicity in
-    the depth.
-    """
-    if group.rational_coords:
-        dmax = min(size, 5)
-        grid = sorted(
-            {
-                Fraction(p, q)
-                for q in range(1, dmax + 1)
-                for p in range(-size * q, size * q + 1)
-            }
-        )
-    else:
-        grid = range(-size, size + 1)
-    return tuple(_point_element(group, p, 1) for p in product(grid, repeat=group.rank))
+def _lex_start(m, den: int) -> tuple:
+    """The least nonzero member of a lex conductive monoid (its conductor)
+    as a point over den, or the least nonzero int point of a cone, 1 in
+    its leading (first-positive) or last (full) priority coordinate."""
+    if isinstance(m, Conductive):
+        return _priority_point(m.threshold, den)
+    return (1,) if m.rule == FIRST_POSITIVE else (0,) * (m.lex_group.rank - 1) + (1,)
 
 
-def _cone_holds(m: LexCone, v: GroupElement) -> bool:
-    if v.is_zero:
-        return True
-    if m.rule == FULL_CONE:
-        return v.is_positive
-    return v.value[m.lex_group.priority] > 0
+def _lex_from(grids: tuple, start: tuple) -> Iterator[tuple]:
+    """The points of product(*grids) at or above start, ascending; a start
+    shorter than the grids bounds only the leading coordinates.  The rows
+    below start are skipped by bisection, not visited."""
+    if not start:
+        return product(*grids)
+    head, rest = grids[0], grids[1:]
+    i = bisect_left(head, start[0])
+    if i < len(head) and head[i] == start[0]:
+        row = ((head[i],) + p for p in _lex_from(rest, start[1:]))
+        return chain(row, product(head[i + 1:], *rest))
+    return product(head[i:], *rest)
+
+
+def _priority_point(x: GroupElement, den: int = 1) -> tuple:
+    """x's coordinates in priority order times den, ints where whole: the
+    point over den that ``_point_element`` turns back into x."""
+    pt = tuple(x.value[i] * den for i in x.group.priority_order)
+    if x.group.rational_coords:
+        pt = tuple(c.numerator if c.denominator == 1 else c for c in pt)
+    return pt
+
+
+@lru_cache(maxsize=256)
+def _lex_box(group: Group, box: tuple[int, ...]) -> tuple[tuple, int]:
+    """(grids, den): the ascending coordinate grids, ints over den in
+    priority order, of the box |coord_i| <= box[i], whose product lists its
+    points ascending (the cache holds no points): range(-b, b + 1) over Z,
+    and over Q the fractions in [-b, b] of denominator at most min(b, 5)."""
+    if not group.rational_coords:
+        return tuple(range(-box[i], box[i] + 1) for i in group.priority_order), 1
+    caps = [max(min(b, 5), 1) for b in box]
+    den = lcm(*range(1, max(caps) + 1))
+    grids = tuple(
+        tuple(k for k in range(-box[i] * den, box[i] * den + 1) if den // gcd(k, den) <= caps[i])
+        for i in group.priority_order
+    )
+    return grids, den
 
 
 def _ray_grid(m: Localized, depth: int) -> tuple[int, int, int]:
@@ -250,25 +262,18 @@ def _ray_grid(m: Localized, depth: int) -> tuple[int, int, int]:
     return max(1, ceil(m.min_nonzero * den)), floor((m.min_nonzero + depth) * den), den
 
 
-def _localized_window(m: Localized, depth: int) -> list[GroupElement]:
-    lo, hi, den = _ray_grid(m, depth)
-    return [rational(Fraction(k, den)) for k in range(lo, hi + 1)]
-
-
-def _group_tail_window(m: UnionShift, depth: int) -> list[GroupElement]:
-    """Sample of gp(M_0)_{>= threshold}: prime denominators up to the
-    depth-th prime, values up to threshold + min(depth, 4)."""
-    ps = first_primes(depth)
-    dens = [1] + list(ps)
-    out: set[Fraction] = set()
-    lo = m.threshold
-    hi = m.threshold + min(depth, 4)
-    for den in dens:
+def _group_tail_window(m: UnionShift, depth: int) -> Iterator[GroupElement]:
+    """Sample of gp(M_0)_{>= threshold}, ascending: the threshold itself
+    when its denominator is squarefree, and the values with denominator 1
+    or one of the first depth primes in [threshold, threshold + min(depth, 4)]."""
+    lo, hi = m.threshold, m.threshold + min(depth, 4)
+    out = {lo} if is_squarefree(lo.denominator) else set()
+    for den in (1, *first_primes(depth)):
         for num in range(lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator + 1):
             v = Fraction(num, den)
             if lo <= v <= hi:
                 out.add(v)
-    return [rational(v) for v in sorted(out)]
+    return map(rational, sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +299,8 @@ def contains(
     if isinstance(m, LexCone):
         if x.is_zero:
             return verdict_in(())
-        return verdict_in(((x, 1),)) if _cone_holds(m, x) else VERDICT_OUT
+        held = x.is_positive if m.rule == FULL_CONE else x.value[m.lex_group.priority] > 0
+        return verdict_in(((x, 1),)) if held else VERDICT_OUT
     if isinstance(m, Localized):
         return _localized_contains(m, x.value)
     if isinstance(m, Product):
@@ -728,9 +734,8 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
 
     A finitely generated monoid over Q reaches its members in one bitset
     over the multiples of 1/den (``_reach_bits``), from its encoded
-    window's ints over den;
-    a lex family filters its box, enumerated in priority order, by the
-    threshold or the cone rule.
+    window's ints over den; a lex family over Z^n filters its box
+    (``_lex_box``) by the threshold or the cone rule.
     """
     if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
         if isinstance(bound, (tuple, list)):
@@ -742,14 +747,9 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
         top = int(limit * den)
         reach = f"{_reach_bits([g for (g,) in m.window.pts], top):0{top + 1}b}"[::-1]
         return [(v,) for v, bit in enumerate(reach) if bit == "1"], den
-    if isinstance(m, Conductive) and m.group.kind == "lex":
-        a = tuple(m.threshold.value[i] for i in m.group.priority_order)
-        return [p for p in _box_points(m.group, bound) if p >= a or not any(p)], 1
-    if isinstance(m, LexCone) and not m.lex_group.rational_coords:
-        pts = _box_points(m.lex_group, bound)
-        if m.rule == FULL_CONE:
-            return [p for p in pts if p >= (0,) * m.lex_group.rank], 1
-        return [p for p in pts if p[0] > 0 or not any(p)], 1
+    if isinstance(m, (Conductive, LexCone)) and m.group.kind == "lex" and not m.group.rational_coords:
+        grids, _ = _lex_box(m.group, _normalize_box(m.group, bound))
+        return [(0,) * m.group.rank, *_lex_from(grids, _lex_start(m, 1))], 1
     raise UnsupportedFamily(
         f"member enumeration below a bound is not exact/finite for {m.family}"
     )
@@ -770,19 +770,14 @@ def _reach_bits(codes, top: int) -> int:
 
 
 def _point_element(group: Group, p: tuple, den: int) -> GroupElement:
-    """The element that a point of ``_member_points`` stands for."""
+    """The element that an int point over den stands for: the value
+    p[0] / den (Q), or the coordinates p / den in priority order (lex)."""
     if group.kind == "Q":
         return rational(Fraction(p[0], den))
     coords = [0] * group.rank
     for i, c in zip(group.priority_order, p):
-        coords[i] = c
+        coords[i] = c if den == 1 else Fraction(c, den)
     return GroupElement(group, tuple(coords))
-
-
-def _box_points(group: Group, bound):
-    """The integer points of the box in priority order, ascending."""
-    box = _normalize_box(group, bound)
-    return product(*(range(-box[i], box[i] + 1) for i in group.priority_order))
 
 
 def _normalize_box(group: Group, bound) -> tuple[int, ...]:

@@ -150,10 +150,9 @@ def no_window_decomposition(m, t, window, depth: int) -> bool:
     ``contains`` query per generator, which the closed-form split rules
     of ``factor._atom_rule`` are checked against."""
     for g in window:
-        diff = t - g
-        if diff.is_zero or diff.is_negative:
-            continue
-        if contains(m, diff, depth).is_in:
+        if not g < t:
+            continue  # t - g is zero or negative
+        if contains(m, t - g, depth).is_in:
             return False
     return True
 

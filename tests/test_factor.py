@@ -104,16 +104,47 @@ class TestAtoms:
         assert a.complete
 
     def test_rational_upper_class_interval_is_not_a_ladder(self):
-        # over Q^2, [(0,3/2), (0,3)) is no finite ladder: (0,2) is an atom
-        # the window box finds, and the answer is not complete
+        # over Q^2, [(0,3/2), (0,3)) is no finite ladder: the atoms are the
+        # window grid's points in it (denominators up to 5 at depth 6),
+        # from (0,3/2) itself, and the answer is not complete
         m = Conductive(lexvec(Q2, 0, Fraction(3, 2)))
         a = atoms(m, depth=6)
-        assert [x.value for x in a.atoms] == [(0, 2)]
+        grid = sorted({Fraction(p, q) for q in range(1, 6) for p in range(3 * q) if 2 * p >= 3 * q})
+        assert [x.value for x in a.atoms] == [(0, y) for y in grid]
+        assert a.atoms[0].value == (0, Fraction(3, 2)) and lexvec(Q2, 0, Fraction(5, 2)) in a.atoms
         assert not a.complete
         search = factorizations(m, lexvec(Q2, 0, 2), depth=6)
         assert len(search.factorizations) == 1 and not search.complete
+        search = factorizations(m, lexvec(Q2, 0, 3), depth=6)
+        assert [str(f) for f in search.factorizations] == ["2*[(0,3/2)@prio=0]"]
         assert is_atomic_element(m, lexvec(Q2, 0, 2), depth=6).status == "yes"
-        assert is_atomic_element(m, lexvec(Q2, 0, Fraction(3, 2)), depth=6).status == "unknown"
+        assert is_atomic_element(m, lexvec(Q2, 0, Fraction(3, 2)), depth=6).status == "yes"
+
+    @pytest.mark.parametrize("a, depth", [
+        (lexvec(Z2, 1, 5), 4), (lexvec(Q2, 0, Fraction(1, 3)), 1), (lexvec(Q2, 0, Fraction(3, 7)), 6),
+    ], ids=str)
+    def test_conductor_off_the_box_grid_is_in_its_window(self, a, depth):
+        # the window holds the conductor beyond the depth, and over Q^2
+        # beyond the grid's denominators (at most min(depth, 5))
+        m = Conductive(a)
+        found = atoms(m, depth)
+        assert found.atoms[0] == a and not found.complete
+        assert set(found.atoms) <= set(generators(m, depth).generators)
+        assert min(generators(m, depth).generators) == a
+        assert is_atomic_element(m, a, depth).status == "yes"
+
+    def test_far_conductors_and_deep_cones_skip_the_box(self):
+        # the window is read from the conductor's row on, and the full
+        # cones answer in closed form, so none of these scans a box
+        start = time.perf_counter()
+        a = atoms(Conductive(lexvec(Z2, 1, 100_000)), 12).atoms
+        assert a[0] == lexvec(Z2, 1, 100_000) and a[1:] == tuple(lexvec(Z2, 2, y) for y in range(-12, 13))
+        ladder = atoms(Conductive(lexvec(Z2, 0, 1_000)), 12)
+        assert len(ladder.atoms) == 1_000 and ladder.complete
+        assert atoms(LexCone(Z2, FULL_CONE), 5_000).atoms == (lexvec(Z2, 0, 1),)
+        assert atoms(LexCone(Q2, FULL_CONE), 10**6).atoms == ()
+        assert len(atoms(LexCone(Z2, FIRST_POSITIVE), 2_000).atoms) == 4_001
+        assert time.perf_counter() - start < 2.0
 
     def test_quasi_atoms_are_triadic(self):
         a = atoms(quasi_not_almost_instance(), depth=4)

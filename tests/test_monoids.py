@@ -35,6 +35,8 @@ from posmon.descriptors import (
 )
 from posmon.monoids import (
     _lex_box,
+    _lex_from,
+    _point_element,
     contains,
     divides,
     generators,
@@ -98,7 +100,7 @@ class TestGeneratorWindows:
 
     def test_conductive_window(self):
         w = generators(Conductive(lexvec(Z, 3)), 4)
-        assert [g.value for g in w.generators] == [(3,), (4,), (5,), (6,), (7,)]
+        assert [g.value for g in w.generators] == [(3,), (4,), (5,)]
 
     @pytest.mark.parametrize(
         "m",
@@ -400,11 +402,6 @@ class TestMembersWithin:
                 (3, 2),
                 lambda v: v.is_zero or v >= GroupElement(Z2_SECOND, (-1, 1)),
             ),
-            (
-                Conductive(lexvec(Q2, 0, Fraction(3, 2))),
-                (2, 3),
-                lambda v: v.is_zero or v >= lexvec(Q2, 0, Fraction(3, 2)),
-            ),
         ],
         ids=lambda x: None if callable(x) else str(x),
     )
@@ -416,8 +413,26 @@ class TestMembersWithin:
     )
     def test_lex_box_is_ascending(self, group):
         for n in (1, 2, 3):
-            box = _lex_box(group, n)
-            assert box == tuple(sorted(box))
+            grids, den = _lex_box(group, (n,) * group.rank)
+            box = [_point_element(group, p, den) for p in product(*grids)]
+            assert box == sorted(box)
+
+    @pytest.mark.parametrize("group", [Z, Z2, Q2, Group("lex", rank=3, priority=1)], ids=str)
+    def test_lex_from_skips_the_points_below_its_start(self, group):
+        grids, den = _lex_box(group, (2,) * group.rank)
+        coords = (-3 * den, -den, 0, Fraction(den, 3), den, 3 * den)
+        for k in range(group.rank + 1):
+            for start in product(coords, repeat=k):
+                expected = [p for p in product(*grids) if p[:k] >= start]
+                assert list(_lex_from(grids, start)) == expected, start
+
+    @pytest.mark.parametrize("m", [
+        Conductive(lexvec(Q2, 0, Fraction(3, 2))), LexCone(Q2, FIRST_POSITIVE), LexCone(Q2, FULL_CONE),
+    ], ids=str)
+    def test_rational_boxes_raise(self, m):
+        # a box of Q^2 holds infinitely many members
+        with pytest.raises(UnsupportedFamily):
+            members_within(m, (2, 3))
 
     def test_scalar_bound_is_a_cube(self):
         m = Conductive(lexvec(Z2, 1, 0))
