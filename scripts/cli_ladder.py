@@ -38,6 +38,8 @@ CAP_MB = 1024
 LADDER = (
     ("probe", "nm:3,5", "HFM", "--bound", "20000"),
     ("probe", "nm:3,5", "HFM", "--bound", "100000"),
+    ("probe", "nm:3,5", "HFM", "--bound", "10000000"),
+    ("probe", "nm:3,5,7", "ATM", "--bound", "1000000"),
     ("probe", "nm:3,5", "LFM", "--bound", "20000"),
     ("probe", "nm:7,9", "LFM", "--bound", "20000"),
     ("probe", "nm:1", "HFM", "--bound", "20000"),
@@ -56,6 +58,7 @@ LADDER = (
     ("verify", "{tmp}/c.json"),
     ("factorize", "m0", "1/3317044064679887385962123"),
     ("lengths", "cone:NxZ", "(1000000000000,0)@prio=0"),
+    ("lengths", "nm:7,9,11", "10001"),
 )
 
 

@@ -32,7 +32,7 @@ from .descriptors import (
     quasi_not_almost_instance,
 )
 from .elements import group_from_token, parse_element, parse_fraction
-from .factor import atoms, factorizations, length_set, probe_property, PROBEABLE
+from .factor import atoms, DEFAULT_MAX_COUNT, factorizations, length_set, probe_property, PROBEABLE
 from .gallery import by_id, gallery_list, run_entry
 from .jsonforms import descriptor_to_json
 from .witness import (
@@ -146,7 +146,7 @@ def cmd_factorize(args) -> int:
         "note": search.note,
     }
     lines = [f"Z({b}) in {m}: {len(search.factorizations)} found"
-             + (" (complete)" if search.complete else " (window-limited)")]
+             + _cut_label(m, args.depth, search.complete, search.truncated, args.max_count)]
     lines += [f"  {f}" for f in search.factorizations[:50]]
     if search.note:
         lines.append(f"  note: {search.note}")
@@ -163,14 +163,26 @@ def cmd_lengths(args) -> int:
         "value": str(b),
         "lengths": list(ls.lengths),
         "complete": ls.complete,
+        "truncated": ls.truncated,
     }
     _emit(
         payload,
         args.json,
         [f"L({b}) = {{{', '.join(map(str, ls.lengths))}}}"
-         + (" (complete)" if ls.complete else " (window-limited)")],
+         + _cut_label(m, args.depth, ls.complete, ls.truncated, DEFAULT_MAX_COUNT)],
     )
     return EXIT_OK
+
+
+def _cut_label(m, depth: int, complete: bool, truncated: bool, max_count: int) -> str:
+    """What limited a search: nothing ("complete"), an atom window that is
+    not all of A(M) ("window-limited"), the max_count cut, or both."""
+    if complete:
+        return " (complete)"
+    cuts = [] if truncated and atoms(m, depth).complete else ["window-limited"]
+    if truncated:
+        cuts.append(f"cut at max_count {max_count}")
+    return f" ({'; '.join(cuts)})"
 
 
 def cmd_classify(args) -> int:
@@ -342,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("factorize", help="enumerate Z(element)")
     sp.add_argument("instance")
     sp.add_argument("element")
-    sp.add_argument("--max-count", type=_positive_int, default=10_000)
+    sp.add_argument("--max-count", type=_positive_int, default=DEFAULT_MAX_COUNT)
     common(sp)
     sp.set_defaults(func=cmd_factorize)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .elements import Group, GroupElement, GroupMismatch, Q, T, rational
@@ -119,7 +120,16 @@ class FiniteGenerated(MonoidDescriptor):
         generators, descending: membership and the atoms' split rule
         search it."""
         if self._window is None:
-            object.__setattr__(self, "_window", Window(sorted(set(self.generators), reverse=True)))
+            gens = self.generators
+            if self.group.kind == "Q":
+                # dedupe and sort on the ints over the common denominator,
+                # not on Fractions, which hash and compare slowly
+                den = lcm(*(g.value.denominator for g in gens))
+                by_int = {g.value.numerator * (den // g.value.denominator): g for g in gens}
+                desc = [by_int[k] for k in sorted(by_int, reverse=True)]
+            else:
+                desc = sorted(set(gens), reverse=True)
+            object.__setattr__(self, "_window", Window(desc))
         return self._window
 
     def __str__(self) -> str:

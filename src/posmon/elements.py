@@ -241,6 +241,8 @@ class GroupElement:
 
     @property
     def is_negative(self) -> bool:
+        if self.group.kind == "Q":
+            return self.value.numerator < 0
         return not self.is_zero and self._sign() < 0
 
     def _sign(self) -> int:

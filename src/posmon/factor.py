@@ -32,10 +32,12 @@ which are the family's window (``monoids._window``, the one that
 t = g + (nonzero member) for a window generator g, decided without
 scanning the window through ``contains``.
 
-Property probes are decided by bitsets over a mixed-radix integer code of
-the atom set's window, Python ints grown geometrically up to the first
-failing member (``_codes``, ``_probe_bits``).  The members come as int
-points from ``monoids._member_points``; only a witness becomes an element.
+Property probes are decided by bitsets over int codes, Python ints grown
+geometrically up to the first failing member (``_probe_bits``).  A
+finitely generated monoid over Q reads its members off the reached bits
+and stops at the lowest failing bit (``_probe_reach``); a lex box still
+lists its members as int points (``monoids._member_points``) and codes
+them over the window (``_codes``).  Only a witness becomes an element.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .monoids import (
     _ray_grid,
     _reach_bits,
     _two_ray_contains,
+    _value_bound,
     _window,
     _zero_of,
     check_query,
@@ -169,9 +172,13 @@ class FactorizationSearch:
 
 @dataclass(frozen=True)
 class LengthSet:
+    """The lengths found for one element; ``truncated`` when max_count cut
+    the search, ``complete`` when the window is all of A(M) and it did not."""
+
     value: Element
     lengths: tuple[int, ...]
     complete: bool
+    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -533,13 +540,14 @@ def length_set(
     Otherwise no factorization is materialized: the scalar and vector loops
     emit lengths only, and a plane window (rank 2, every atom's leading
     coordinate at least 1) keeps each search node's lengths as a bitmask
-    (``search._plane_walk``).  ``complete`` is False when max_count cut the
-    search or the atom window is not all of A(M)."""
+    (``search._plane_walk``).  ``truncated`` is True when max_count cut the
+    search; ``complete`` is False then or when the atom window is not all
+    of A(M)."""
     ell = _proved_length(m, b, depth)
     if ell is not None:
         return LengthSet(b, (ell.length(b),), True)
-    _, lens, _, complete = _search(m, b, depth, max_count, lengths_only=True)
-    return LengthSet(b, tuple(sorted(set(lens))), complete)
+    _, lens, truncated, complete = _search(m, b, depth, max_count, lengths_only=True)
+    return LengthSet(b, tuple(sorted(set(lens))), complete, truncated)
 
 
 def is_atomic_element(
@@ -622,21 +630,27 @@ def probe_property(
     carries a finite witness (two conflicting factorizations, or a member
     provably outside the atomic set).
 
-    The members become int codes over the window (``_codes``), and Python
-    ints serve as bitsets over the codes 0..top (``_probe_bits``): the
-    codes that atom sums reach, and for HFM, LFM and UFM those with two
-    lengths or a repeated length.  The table grows geometrically (top 64,
-    128, ... up to the largest member code) and stops at the first failing
-    member in member order, so a consistent verdict builds the whole
-    table.  With two or more atoms a length-bearing property works
-    through one bitset per length, about top^2 / min(atom code) bits of
-    work in all, but holds only the previous length's bitsets, a few of
-    top bits per atom; ATM, BFM and FFM, and one-atom windows, need only
-    the reached bitset.  The members stay int points (``monoids._member_points``);
-    only the witness is built as an element.
+    Python ints serve as bitsets over int codes 0..top (``_probe_bits``):
+    the codes that atom sums reach, and for HFM, LFM and UFM those with
+    two lengths or a repeated length.  The table grows geometrically (top
+    64, 128, ... up to the bound's code) and stops at the first failing
+    member, so a consistent verdict builds the whole table.  With two or
+    more atoms a length-bearing property works through one bitset per
+    length, about top^2 / min(atom code) bits of work in all, but holds
+    only the previous length's bitsets, a few of top bits per atom; ATM,
+    BFM, FFM, and one-atom windows, need only the reached bitset.
+
+    A finitely generated monoid over Q lists no members: they are the
+    reached bits themselves, over the atoms' ints (``_probe_reach``), so
+    the first failing member is the lowest bad bit and a refutation holds
+    nothing past the step that finds it.  A lex box lists its members as
+    int points (``monoids._member_points``) and codes them over the
+    window (``_codes``).  Only a witness becomes an element.
     """
     if prop not in PROBEABLE:
         raise ValueError(f"unknown property {prop!r}")
+    if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
+        return _probe_reach(m, prop, bound, DEFAULT_DEPTH if depth is None else depth)
     pts, den = _member_points(m, bound)
     members = [p for p in pts if any(p)]
     if depth is None:
@@ -654,20 +668,52 @@ def probe_property(
             # the least of 64, 128, ... at or above v, capped at the last code
             top = min(last, 64 << ((v - 1) // 64).bit_length())
             reached, bad = _probe_bits(acodes, top, prop)
+            reached, bad = f"{reached:0{top + 1}b}"[::-1], f"{bad:0{top + 1}b}"[::-1]
         if v is None or reached[v] == "0":
             b = _point_element(m.group, p, den)
             reason = "no factorization into atoms" if complete else "window search found nothing"
             verdict = "refuted" if complete else "inconclusive"
             return ProbeResult(m, prop, bound, verdict, {"element": b, "reason": reason}, checked)
         if bad[v] == "1":
-            b = _point_element(m.group, p, den)
-            return ProbeResult(
-                m, prop, bound, "refuted",
-                {"element": b, "factorizations": _conflict_pair(m, b, depth, prop)},
-                checked,
-            )
+            return _refuted(m, prop, bound, depth, _point_element(m.group, p, den), checked)
     note = "atom windows incomplete for some members" if members and not complete else None
     return ProbeResult(m, prop, bound, "consistent", None, len(members), note)
+
+
+def _probe_reach(m: FiniteGenerated, prop: str, bound, depth: int) -> ProbeResult:
+    """``probe_property`` for a finitely generated monoid over Q, on the
+    bits of the atoms' ints over their common denominator den: the
+    members up to the bound are the set bits of the reached bitset up to
+    the bound's code, bound * den rounded down (``monoids._reach_bits``).
+
+    Each growth step builds both bitsets up to top, and the first failing
+    member is the lowest bad bit (never bit 0: zero is not probed).  Bits
+    at or below top do not depend on top, so the verdict, witness and
+    count are those of testing the members one by one in ascending
+    order: a member's count is the number of reached bits from 1 up to
+    its code.  The atom list is complete, so every member is reached and
+    none is inconclusive."""
+    limit = _value_bound(bound)
+    win = atoms(m, depth).window
+    last = int(limit * win.den)
+    acodes = [a for (a,) in win.pts]
+    top, reached = 0, 1
+    while top < last:
+        top = min(last, top * 2 or 64)
+        reached, bad = _probe_bits(acodes, top, prop)
+        if bad:
+            v = (bad & -bad).bit_length() - 1
+            checked = (reached & ((2 << v) - 1)).bit_count() - 1
+            return _refuted(m, prop, bound, depth, rational(Fraction(v, win.den)), checked)
+    return ProbeResult(m, prop, bound, "consistent", None, reached.bit_count() - 1)
+
+
+def _refuted(m, prop, bound, depth, b, checked) -> ProbeResult:
+    """The refutation of prop at the member b, the checked-th one."""
+    return ProbeResult(
+        m, prop, bound, "refuted",
+        {"element": b, "factorizations": _conflict_pair(m, b, depth, prop)}, checked,
+    )
 
 
 def _codes(win, members, den):
@@ -734,11 +780,11 @@ def _codes(win, members, den):
     return acodes, mcodes
 
 
-def _probe_bits(acodes, top, prop) -> tuple[str, str]:
-    """(reached, bad): strings of top + 1 bits, read at index v for code v.
-    reached[v] is "1" when an atom sum has code v; bad[v] is "1" when v
-    fails prop: two lengths (HFM), a repeated length (LFM) or either, that
-    is two factorizations (UFM).
+def _probe_bits(acodes, top, prop) -> tuple[int, int]:
+    """(reached, bad): ints whose bit v, for v <= top, is set when an atom
+    sum has code v (reached) and when v fails prop (bad): two lengths
+    (HFM), a repeated length (LFM) or either, that is two factorizations
+    (UFM).  Every bad bit is a reached one, and bit 0 (zero) is never bad.
 
     Length l keeps two bitsets, ge1 and ge2: the codes with at least one
     and at least two factorizations of length l.  Per atom code a, with
@@ -772,7 +818,7 @@ def _probe_bits(acodes, top, prop) -> tuple[str, str]:
             reached |= one
             repeated |= many << l * lo
         bad = two if prop == "HFM" else repeated if prop == "LFM" else two | repeated
-    return f"{reached:0{top + 1}b}"[::-1], f"{bad:0{top + 1}b}"[::-1]
+    return reached, bad
 
 
 def _conflict_pair(m, b, depth, prop) -> tuple[Factorization, Factorization]:

@@ -352,7 +352,9 @@ def _check_element(m: MonoidDescriptor, x: Element) -> None:
         _check_element(m.left, x.left)
         _check_element(m.right, x.right)
         return
-    if not isinstance(x, GroupElement) or x.group != m.group:
+    # the identity test first: most queries pass m's own group object, and
+    # the dataclass __eq__ compares field by field
+    if not isinstance(x, GroupElement) or x.group is not m.group and x.group != m.group:
         raise GroupMismatch(f"element does not live in the ground group of {m}")
 
 
@@ -738,13 +740,8 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
     (``_lex_box``) by the threshold or the cone rule.
     """
     if isinstance(m, FiniteGenerated) and m.group.kind == "Q":
-        if isinstance(bound, (tuple, list)):
-            raise ValueError(f"a value-ordered family takes a number bound, not the box {bound}")
-        limit = Fraction(bound)
-        if limit < 0:
-            raise ValueError(f"negative bound {limit}")
         den = m.window.den
-        top = int(limit * den)
+        top = int(_value_bound(bound) * den)
         reach = f"{_reach_bits([g for (g,) in m.window.pts], top):0{top + 1}b}"[::-1]
         return [(v,) for v, bit in enumerate(reach) if bit == "1"], den
     if isinstance(m, (Conductive, LexCone)) and m.group.kind == "lex" and not m.group.rational_coords:
@@ -753,6 +750,16 @@ def _member_points(m: MonoidDescriptor, bound) -> tuple[list[tuple], int]:
     raise UnsupportedFamily(
         f"member enumeration below a bound is not exact/finite for {m.family}"
     )
+
+
+def _value_bound(bound) -> Fraction:
+    """A value-ordered family's probe bound, checked: a number, at least 0."""
+    if isinstance(bound, (tuple, list)):
+        raise ValueError(f"a value-ordered family takes a number bound, not the box {bound}")
+    limit = Fraction(bound)
+    if limit < 0:
+        raise ValueError(f"negative bound {limit}")
+    return limit
 
 
 def _reach_bits(codes, top: int) -> int:

@@ -40,6 +40,7 @@ here.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional
 
@@ -49,7 +50,7 @@ from .elements import _SQRT2_64, _SQRT3_64, _int_triple_sign
 def _pairs(desc, vec) -> tuple:
     """The (atom, multiplicity) pairs of a multiplicity vector over the
     descending atoms, without the zero multiplicities."""
-    return tuple((a, c) for a, c in zip(desc, vec) if c > 0)
+    return tuple(compress(zip(desc, vec), vec))
 
 
 class Window:

@@ -3,8 +3,10 @@ brute-force oracle, length sets, atomicity witnesses, and probes."""
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -695,16 +697,21 @@ class TestProbes:
             assert "inconclusive" in verdicts
 
     def test_numerical_probe_matches_per_member_search(self):
-        # the probe table grows through tops 64, 128 and 256; two
+        # the probe table grows through tops 64, 128 and 256 of the codes,
+        # value * den for den the generators' common denominator; two
         # generators a < b first have two lengths at a*b, so these
         # products put the first HFM and UFM failure past each top
         gens = minimal_numerical_monoids(3, 20)
         rng = random.Random(18)
         late = [g for g in gens if len(g) == 2 and 64 < g[0] * g[1] <= 300]
-        bounds = (1, 40, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
+        # fractional generators: the witness is a code over den
+        fractional = [(Fraction(3, 2), Fraction(5, 3)), (Fraction(2, 3), Fraction(1, 2), Fraction(5, 4))]
+        codes = (1, 40, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
         witnesses = []
-        for g in [(1,)] + rng.sample(late, 8) + rng.sample(gens, 12):
+        for g in [(1,)] + rng.sample(late, 8) + rng.sample(gens, 12) + fractional:
             m = numerical(*g)
+            den = lcm(*(Fraction(x).denominator for x in g))
+            bounds = [Fraction(c, den) for c in codes]
             members = [b for b in members_within(m, max(bounds)) if not b.is_zero]
             searches = [factorizations(m, b) for b in members]
             assert all(s.complete for s in searches)
@@ -715,14 +722,29 @@ class TestProbes:
                 assert (r.verdict, r.members_checked, r.note) == (verdict, checked, note), (g, prop, bound)
                 assert (r.witness or {}).get("element") == element, (g, prop, bound)
                 if element is not None:
-                    witnesses.append(element.value)
-        assert max(witnesses) > 256 and any(64 < w <= 128 for w in witnesses)
+                    witnesses.append((den, element.value * den))
+        assert max(w for _, w in witnesses) > 256 and any(64 < w <= 128 for _, w in witnesses)
+        assert {den for den, _ in witnesses} >= {6, 12}
 
-    @pytest.mark.parametrize("gens, prop, bound", [((3, 5), "HFM", 100000), ((3, 5), "LFM", 20000), ((1,), "LFM", 100000)])
+    # (3, 5) HFM is refuted at 15, so its table stops at top 64 whatever
+    # the bound; (3, 5, 7) ATM is consistent and holds the reached bitset
+    @pytest.mark.parametrize("gens, prop, bound", [
+        ((3, 5), "HFM", 100000), ((3, 5), "LFM", 20000), ((1,), "LFM", 100000),
+        ((3, 5), "HFM", 10**7), ((3, 5, 7), "ATM", 10**6),
+    ])
     def test_large_probe_is_prompt(self, gens, prop, bound):
         start = time.perf_counter()
         probe_property(numerical(*gens), prop, bound)
         assert time.perf_counter() - start < 2.0
+        # a second, traced run, as tracing slows the length tables: bitsets
+        # of about bound bits, no list of the members
+        tracemalloc.start()
+        try:
+            probe_property(numerical(*gens), prop, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_fallback_shapes_answer_as_before(self):
         r = probe_property(Conductive(lexvec(Z2, 0, 2)), "ATM", (2, 6))

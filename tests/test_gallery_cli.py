@@ -161,7 +161,7 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert out["lengths"] == [2, 3, 5, 7, 11, 13]
-        assert out["complete"] is False
+        assert out["complete"] is False and out["truncated"] is False
 
     def test_lengths_in_the_sqrt_group(self, capsys):
         code = main(["lengths", "malphabeta:2/3", "0 + 1*sqrt2 + 1*sqrt3", "--depth", "6"])
@@ -405,6 +405,14 @@ class TestCliCommands:
         assert main(["factorize", "nm:3,5", "15", "--max-count", "1", "--json"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert len(out["factorizations"]) == 1 and out["truncated"]
+        # a complete window cut by max_count is named as such, not "window-limited"
+        assert main(["factorize", "nm:3,5", "15", "--max-count", "1"]) == EXIT_OK
+        assert "1 found (cut at max_count 1)" in capsys.readouterr().out
+        assert main(["lengths", "nm:7,9,11", "10001"]) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("} (cut at max_count 10000)")
+        assert main(["lengths", "nm:7,9,11", "10001", "--json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["truncated"] and not out["complete"]
 
     def test_element_parse_failure_exits_usage(self, capsys):
         code = main(["factorize", "nm:3,5", "x/y"])
